@@ -1,15 +1,11 @@
-"""Small shared helpers: deterministic CSV output, atomic writes, parallelism."""
+"""Small shared helpers: deterministic CSV output, atomic writes, seed streams."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Iterable, Sequence
 
 
 def fmt_num(value: float | int | None) -> str:
@@ -45,27 +41,6 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else fmt_num(cell) for cell in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def max_threads() -> int:
-    """Parallelism cap from NEWSFLOW_THREADS (default 1: sequential)."""
-    raw = os.environ.get("NEWSFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map preserving input order; threads only when NEWSFLOW_THREADS > 1.
-
-    Results are merged in input order, so parallel and sequential runs agree.
-    """
-    n = max_threads()
-    if n <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def split_seed(master_seed: int, stream: str) -> int:

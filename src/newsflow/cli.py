@@ -20,8 +20,8 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import figures, indicators as ind_mod, lexicon as lex_mod, sentiment as sent_mod
-from ._util import atomic_write_text, ordered_map, split_seed, write_csv
-from .config import RunConfig, config_fingerprint, load_config
+from ._util import atomic_write_text, split_seed, write_csv
+from .config import RunConfig, config_fingerprint, load_config, parse_day_boundary
 from .corpus import TradingCalendar
 from .errors import (
     InputError,
@@ -102,11 +102,10 @@ def cmd_distill(config: RunConfig) -> int:
     rows = []
     for name in sorted(lexica):
         lex = lexica[name]
-        scores = ordered_map(
-            lambda i: sent_mod.score_article(tokenized[i], lex, config.negation, article_id=i),
-            article_ids,
-        )
-        score_of = dict(zip(article_ids, scores))
+        score_of = {
+            i: sent_mod.score_article(tokenized[i], lex, config.negation, article_id=i)
+            for i in article_ids
+        }
         for symbol in universe:
             for day in range(len(calendar)):
                 day_scores = [
@@ -534,17 +533,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "output_dir": Path(args.output) if args.output else None,
-        "lag_h": args.lag_h,
-        "suites": tuple(args.suite) if args.suite else None,
-        "sim_n_boot": args.sim_n_boot,
-        "sim_n_days": args.sim_n_days,
-        "day_boundary": dt.time.fromisoformat(args.day_boundary) if args.day_boundary else None,
-        "detrend_window": args.detrend_window,
-    }
     try:
+        overrides = {
+            "seed": args.seed,
+            "output_dir": Path(args.output) if args.output else None,
+            "lag_h": args.lag_h,
+            "suites": tuple(args.suite) if args.suite else None,
+            "sim_n_boot": args.sim_n_boot,
+            "sim_n_days": args.sim_n_days,
+            "day_boundary": parse_day_boundary(args.day_boundary) if args.day_boundary else None,
+            "detrend_window": args.detrend_window,
+        }
         config = load_config(args.config, overrides=overrides)
         return COMMANDS[args.command](config)
     except NumericalError as exc:

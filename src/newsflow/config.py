@@ -6,10 +6,12 @@ import configparser
 import datetime as dt
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import InputError, LexiconNotFound, MissingInput
+from .errors import InputError, InvalidValue, LexiconNotFound, MissingInput
+from .panel import ClusterMode
 from .sentiment import DEFAULT_NEGATORS, NegationConfig
 
 LEXICON_KINDS = ("wordlists", "mpqa")
@@ -94,12 +96,40 @@ def _parse_lexicons(section: configparser.SectionProxy, base: Path) -> tuple[Lex
     return tuple(sources)
 
 
+def _parse_number(raw: str, key: str, kind=int):
+    """Parse an integer (or finite float) INI value; a malformed one is InvalidValue."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise InvalidValue(key, raw) from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidValue(key, raw)
+    return value
+
+
 def _get_range(section, lo_key, hi_key):
     lo = section.get(lo_key, "").strip()
     hi = section.get(hi_key, "").strip()
     if lo and hi:
-        return (float(lo), float(hi))
+        return (
+            _parse_number(lo, f"[simulate] {lo_key}", float),
+            _parse_number(hi, f"[simulate] {hi_key}", float),
+        )
     return None
+
+
+def parse_day_boundary(raw: str) -> dt.time:
+    """Session boundary clock time, e.g. ``00:00``; shared by INI and CLI flag.
+
+    Article timestamps are compared as naive UTC, so a time with an offset is rejected.
+    """
+    try:
+        boundary = dt.time.fromisoformat(raw)
+    except ValueError as exc:
+        raise InputError(f"bad day_boundary {raw!r}") from exc
+    if boundary.tzinfo is not None:
+        raise InputError(f"bad day_boundary {raw!r}: no UTC offset allowed")
+    return boundary
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -108,7 +138,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if not path.exists():
         raise MissingInput(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read(path, encoding="utf-8")
+    try:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # configparser messages span lines
+        raise InputError(f"malformed config file {path}: {detail}") from None
     base = path.parent
 
     def section(name):
@@ -118,14 +152,20 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     negation = section("negation")
     panel = section("panel")
     simulate = section("simulate")
-    lexstats = section("lexstats")
     run = section("run")
 
-    boundary_raw = corpus.get("day_boundary", "00:00")
-    try:
-        boundary = dt.time.fromisoformat(boundary_raw)
-    except ValueError as exc:
-        raise InputError(f"bad day_boundary {boundary_raw!r}") from exc
+    def number(name, key, default):
+        return _parse_number(section(name).get(key, default).strip(), f"[{name}] {key}")
+
+    window = number("negation", "window", "5")
+    if window < 0:
+        raise InvalidValue("[negation] window", str(window))
+    bidirectional_raw = negation.get("bidirectional", "true").strip().lower()
+    if bidirectional_raw not in parser.BOOLEAN_STATES:
+        raise InvalidValue("[negation] bidirectional", bidirectional_raw)
+    cluster_mode = panel.get("cluster", "two_way").strip()
+    if cluster_mode not in {mode.value for mode in ClusterMode}:
+        raise InvalidValue("[panel] cluster", cluster_mode)
 
     negators = tuple(
         t.strip() for t in negation.get("negators", ",".join(DEFAULT_NEGATORS)).split(",") if t.strip()
@@ -143,30 +183,30 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         sectors_path=(base / section("sectors")["path"]) if "path" in section("sectors") else None,
         lexicons=_parse_lexicons(parser["lexicons"], base) if parser.has_section("lexicons") else (),
         output_dir=Path(run.get("output", "out")),
-        seed=int(run.get("seed", "0")),
+        seed=number("run", "seed", "0"),
         symbols=symbols,
-        day_boundary=boundary,
+        day_boundary=parse_day_boundary(corpus.get("day_boundary", "00:00")),
         negation=NegationConfig(
-            window=int(negation.get("window", "5")),
+            window=window,
             negators=frozenset(negators),
-            bidirectional=negation.get("bidirectional", "true").strip().lower() != "false",
+            bidirectional=parser.BOOLEAN_STATES[bidirectional_raw],
         ),
-        detrend_window=int(section("indicators").get("window", "120")),
-        lag_h=int(panel.get("h", "1")),
+        detrend_window=number("indicators", "window", "120"),
+        lag_h=number("panel", "h", "1"),
         suites=tuple(s.strip() for s in panel.get("suites", "entire").split(",") if s.strip()),
-        cluster_mode=panel.get("cluster", "two_way").strip(),
+        cluster_mode=cluster_mode,
         sim_projections=tuple(
             s.strip().upper() for s in simulate.get("projections", "").split(",") if s.strip()
         ),
-        sim_n_days=int(simulate.get("n_days", "300")),
-        sim_n_boot=int(simulate.get("n_boot", "500")),
-        sim_grid_points=int(simulate.get("grid_points", "101")),
-        sim_min_active=int(simulate.get("min_active", "30")),
+        sim_n_days=number("simulate", "n_days", "300"),
+        sim_n_boot=number("simulate", "n_boot", "500"),
+        sim_grid_points=number("simulate", "grid_points", "101"),
+        sim_min_active=number("simulate", "min_active", "30"),
         sim_results_csv=simulate.get("results", "results_entire.csv").strip(),
         plot_x_range=_get_range(simulate, "x_min", "x_max"),
         plot_y_range=_get_range(simulate, "y_min", "y_max"),
-        lexstats_min_count=int(lexstats.get("min_count", "3")),
-        lexstats_top=int(lexstats.get("top", "10")),
+        lexstats_min_count=number("lexstats", "min_count", "3"),
+        lexstats_top=number("lexstats", "top", "10"),
     )
     if overrides:
         clean = {k: v for k, v in overrides.items() if v is not None}

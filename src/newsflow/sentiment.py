@@ -223,8 +223,9 @@ def score_article(
                 claimed[i + k] = True
             matches.append((entry, (i, i + width)))
 
-        # pass 2: stemmed entries against stems of unclaimed tokens
-        stems = tuple(porter_stem(tok) for tok in tokens)
+        # pass 2: stemmed entries against stems of unclaimed tokens; a
+        # lexicon without stemmed entries has nothing to match, so skip stemming
+        stems = tuple(porter_stem(tok) for tok in tokens) if lex.stemmed_index else ()
         for i, stem in enumerate(stems):
             if claimed[i]:
                 continue

@@ -8,6 +8,8 @@ the widely circulated C version) are deliberately not included.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = "aeiou"
 
 
@@ -162,8 +164,13 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.cache
 def porter_stem(word: str) -> str:
-    """Stem a lowercase word; strings of length <= 2 are returned unchanged."""
+    """Stem a lowercase word; strings of length <= 2 are returned unchanged.
+
+    Memoized: the stem depends on the word alone, and the memo holds one
+    entry per distinct word seen, so it is bounded by the corpus vocabulary.
+    """
     if len(word) <= 2:
         return word
     word = _step1a(word)

@@ -138,6 +138,21 @@ def test_stemmed_pass_matches_inflected_form():
     assert (score.pos_count, score.neg_count) == (1, 0)
 
 
+def test_lexicon_without_stemmed_entries_never_stems(monkeypatch):
+    import newsflow.sentiment
+
+    lexicon = lex(positive=("good", "improving"), negative=("debt",))
+    tok = tokenize("Not good. Improving conditions, less debt.")
+    expected = score_article(tok, lexicon)
+
+    def no_stemming(word):
+        raise AssertionError(f"stemmed {word!r} for a lexicon without stemmed entries")
+
+    monkeypatch.setattr(newsflow.sentiment, "porter_stem", no_stemming)
+    assert score_article(tok, lexicon) == expected
+    assert (expected.pos_count, expected.neg_count) == (1, 2)
+
+
 def test_multiword_entry_contiguous():
     entries = [LexiconEntry("pay off", Polarity.POSITIVE)]
     lexicon = build_lexicon("MW", entries)
