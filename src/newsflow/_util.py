@@ -1,11 +1,47 @@
-"""Small shared helpers: deterministic CSV output, atomic writes, seed streams."""
+"""Small shared helpers: checked CSV input, deterministic CSV output, atomic writes, seed streams."""
 
 from __future__ import annotations
 
+import csv
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+from .errors import InputError, MalformedRecord
+
+T = TypeVar("T")
+
+
+def read_csv_rows(
+    path: str | Path,
+    required: Sequence[str],
+    parse: Callable[[Mapping[str, str]], T],
+) -> list[T]:
+    """`parse` applied to each non-blank data row, as a column -> cell mapping.
+
+    A missing required column, a row whose field count differs from the
+    header's, or a ValueError or InputError from `parse` raises MalformedRecord
+    with the file and line.
+    """
+    path = Path(path)
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            missing = [name for name in required if name not in header]
+            if missing:
+                raise InputError(f"missing column(s) {', '.join(missing)}")
+            parsed = []
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise InputError(f"{len(cells)} fields where the header has {len(header)}")
+                parsed.append(parse(dict(zip(header, cells))))
+        except (ValueError, InputError, csv.Error) as exc:
+            raise MalformedRecord(str(exc), source=str(path), position=reader.line_num) from exc
+    return parsed
 
 
 def fmt_num(value: float | int | None) -> str:

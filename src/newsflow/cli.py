@@ -9,7 +9,6 @@ written atomically and re-runs are byte-identical.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import json
 import math
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import figures, indicators as ind_mod, lexicon as lex_mod, sentiment as sent_mod
-from ._util import atomic_write_text, split_seed, write_csv
+from ._util import atomic_write_text, read_csv_rows, split_seed, write_csv
 from .config import RunConfig, config_fingerprint, load_config, parse_day_boundary
 from .corpus import TradingCalendar
 from .errors import (
@@ -164,21 +163,24 @@ def cmd_indicators(config: RunConfig) -> int:
 def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, list[sent_mod.SentimentRecord]]:
     if not path.exists():
         raise MissingInput(f"sentiment output not found: {path} (run distill first)")
+
+    def parse(row):
+        day = calendar.index.get(dt.date.fromisoformat(row["date"]))
+        if day is None:
+            raise InputError(f"sentiment date {row['date']} not in calendar")
+        return sent_mod.SentimentRecord(
+            symbol=row["symbol"],
+            day=day,
+            lexicon_name=row["lexicon"],
+            active=int(row["I"]),
+            pos=float(row["pos"]),
+            neg=float(row["neg"]),
+            n_articles=int(row["n_articles"]),
+        )
+
     out: dict[str, list[sent_mod.SentimentRecord]] = {}
-    with path.open(encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            day = calendar.index.get(dt.date.fromisoformat(row["date"]))
-            if day is None:
-                raise InputError(f"sentiment date {row['date']} not in calendar")
-            out.setdefault(row["lexicon"], []).append(sent_mod.SentimentRecord(
-                symbol=row["symbol"],
-                day=day,
-                lexicon_name=row["lexicon"],
-                active=int(row["I"]),
-                pos=float(row["pos"]),
-                neg=float(row["neg"]),
-                n_articles=int(row["n_articles"]),
-            ))
+    for rec in read_csv_rows(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), parse):
+        out.setdefault(rec.lexicon_name, []).append(rec)
     if not out:
         raise MissingInput(f"sentiment file {path} is empty")
     return out
@@ -187,28 +189,25 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, list
 def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> dict[tuple[str, int], ind_mod.IndicatorPoint]:
     if not path.exists():
         raise MissingInput(f"indicator output not found: {path} (run indicators first)")
-    points = {}
-    with path.open(encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            day = calendar.index.get(dt.date.fromisoformat(row["date"]))
-            if day is None:
-                raise InputError(f"indicator date {row['date']} not in calendar")
-            points[(row["symbol"], day)] = ind_mod.IndicatorPoint(
-                symbol=row["symbol"],
-                day=day,
-                log_vol=float(row["log_vol"]) if row["log_vol"] else None,
-                detrended_volume=float(row["detrended_volume"]) if row["detrended_volume"] else None,
-                ret=float(row["ret"]) if row["ret"] else None,
-            )
-    return points
+
+    def parse(row):
+        day = calendar.index.get(dt.date.fromisoformat(row["date"]))
+        if day is None:
+            raise InputError(f"indicator date {row['date']} not in calendar")
+        return ind_mod.IndicatorPoint(
+            symbol=row["symbol"],
+            day=day,
+            log_vol=float(row["log_vol"]) if row["log_vol"] else None,
+            detrended_volume=float(row["detrended_volume"]) if row["detrended_volume"] else None,
+            ret=float(row["ret"]) if row["ret"] else None,
+        )
+
+    columns = ("symbol", "date", "log_vol", "detrended_volume", "ret")
+    return {(p.symbol, p.day): p for p in read_csv_rows(path, columns, parse)}
 
 
 def _load_sectors(path: Path) -> dict[str, str]:
-    sectors = {}
-    with path.open(encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            sectors[row["symbol"].upper()] = row["sector"]
-    return sectors
+    return dict(read_csv_rows(path, ("symbol", "sector"), lambda row: (row["symbol"].upper(), row["sector"])))
 
 
 def _panel_inputs(config: RunConfig, need_sectors: bool) -> tuple[TradingCalendar, PanelInputs]:
@@ -269,16 +268,19 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
     if not path.exists():
         raise MissingInput(f"panel results not found: {path} (run panel first)")
     wanted = f"log_vol/{projection}/h=1"
+    rows = read_csv_rows(
+        path, ("spec", "variable", "estimate"),
+        lambda row: (row["spec"], row["variable"], float(row["estimate"]) if row["estimate"] else None),
+    )
     alpha = None
     coefficients = {}
-    with path.open(encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            if row["spec"] != wanted:
-                continue
-            if row["variable"] == "(intercept)":
-                alpha = float(row["estimate"])
-            elif row["variable"] != "(error)":
-                coefficients[row["variable"]] = float(row["estimate"])
+    for spec, variable, estimate in rows:
+        if spec != wanted:
+            continue
+        if variable == "(intercept)":
+            alpha = estimate
+        elif variable != "(error)":
+            coefficients[variable] = estimate
     if alpha is None or not coefficients:
         raise MissingInput(f"no fitted coefficients for spec {wanted!r} in {path}")
     return alpha, coefficients
@@ -287,10 +289,7 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
 def _read_residual_pool(path: Path) -> np.ndarray:
     if not path.exists():
         raise MissingInput(f"residual file not found: {path} (run panel first)")
-    values = []
-    with path.open(encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            values.append(float(row["residual"]))
+    values = read_csv_rows(path, ("residual",), lambda row: float(row["residual"]))
     if not values:
         raise MissingInput(f"residual file {path} is empty")
     return np.array(values)

@@ -108,14 +108,18 @@ def _parse_number(raw: str, key: str, kind=int):
 
 
 def _get_range(section, lo_key, hi_key):
+    """Both bounds of a plot range, or None; a bound given without the other is an error."""
     lo = section.get(lo_key, "").strip()
     hi = section.get(hi_key, "").strip()
-    if lo and hi:
-        return (
-            _parse_number(lo, f"[simulate] {lo_key}", float),
-            _parse_number(hi, f"[simulate] {hi_key}", float),
-        )
-    return None
+    if not lo and not hi:
+        return None
+    if not (lo and hi):
+        missing = hi_key if lo else lo_key
+        raise InvalidValue(f"[simulate] {missing}", "")
+    return (
+        _parse_number(lo, f"[simulate] {lo_key}", float),
+        _parse_number(hi, f"[simulate] {hi_key}", float),
+    )
 
 
 def parse_day_boundary(raw: str) -> dt.time:

@@ -9,10 +9,9 @@ heteroskedasticity-robust intersection term).
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import enum
-import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -20,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
+from ._util import read_csv_rows
 from .corpus import TradingCalendar
 from .errors import (
     CalendarMismatch,
@@ -31,7 +31,7 @@ from .errors import (
     TooFewObservations,
 )
 from .indicators import AttentionGroup, IndicatorPoint, attention_groups, attention_ratio
-from .sentiment import SentimentRecord, cumulative_record
+from .sentiment import SentimentRecord
 
 SENTIMENT_VARS = ("I", "Pos", "Neg")
 CONTROL_VARS = ("R_M", "VIX", "log_vol_t", "ret_t", "dvol_t")
@@ -60,20 +60,24 @@ class MarketSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path, calendar: TradingCalendar) -> "MarketSeries":
+        """One row per trading day; a date outside the calendar or repeated is an error."""
         ret = np.full(len(calendar), np.nan)
         vix = np.full(len(calendar), np.nan)
-        with Path(path).open(encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"date", "market_return", "vix"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise InputError(f"market CSV must have columns {sorted(required)}")
-            for row in reader:
-                date = dt.date.fromisoformat(row["date"])
-                if date not in calendar.index:
-                    raise CalendarMismatch(f"market date {date} not in trading calendar")
-                day = calendar.index[date]
-                ret[day] = float(row["market_return"])
-                vix[day] = float(row["vix"])
+        seen: set[int] = set()
+
+        def parse(row):
+            date = dt.date.fromisoformat(row["date"])
+            if date not in calendar.index:
+                raise CalendarMismatch(f"market date {date} not in trading calendar")
+            day = calendar.index[date]
+            if day in seen:
+                raise InputError(f"duplicate market date {date}")
+            seen.add(day)
+            return day, float(row["market_return"]), float(row["vix"])
+
+        for day, market_return, level in read_csv_rows(path, ("date", "market_return", "vix"), parse):
+            ret[day] = market_return
+            vix[day] = level
         return cls(market_return=ret, vix=vix)
 
 
@@ -102,50 +106,52 @@ class PanelSpec:
 
 
 @dataclass(frozen=True)
-class PanelObservation:
-    symbol: str
-    day: int
-    dependent: float
-    regressors: tuple[float, ...]  # ordered as REGRESSOR_NAMES
-
-
-@dataclass(frozen=True)
 class PanelDataset:
+    """One row per symbol-day, ordered by symbol, then day.
+
+    `x` has one column per regressor, ordered as REGRESSOR_NAMES for an
+    assembled panel.
+    """
+
     spec: PanelSpec
-    observations: tuple[PanelObservation, ...]
+    entities: np.ndarray
+    times: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
     dropped: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.observations:
+        if len(self.y) == 0:
             raise EmptyPanel(self.spec.label)
-        seen = set()
-        counts: dict[str, int] = {}
-        for obs in self.observations:
-            key = (obs.symbol, obs.day)
-            if key in seen:
-                raise InputError(f"duplicate observation {key}")
-            seen.add(key)
-            counts[obs.symbol] = counts.get(obs.symbol, 0) + 1
-        for symbol, count in counts.items():
-            if count < 2:
-                raise TooFewObservations(f"entity {symbol} has {count} observation")
+        labels, codes, counts = np.unique(self.entities, return_inverse=True, return_counts=True)
+        if len(np.unique(np.column_stack([codes, self.times]), axis=0)) < len(codes):
+            raise InputError("duplicate (symbol, day) observation")
+        if counts.min() < 2:
+            raise TooFewObservations(f"entity {labels[counts.argmin()]} has {counts.min()} observation")
 
     @property
-    def entities(self) -> tuple[str, ...]:
-        return tuple(sorted({obs.symbol for obs in self.observations}))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        y = np.array([obs.dependent for obs in self.observations])
-        x = np.array([obs.regressors for obs in self.observations])
-        ent = np.array([obs.symbol for obs in self.observations])
-        tim = np.array([obs.day for obs in self.observations])
-        return y, x, ent, tim
+    def observations(self) -> np.recarray:
+        """One (symbol, day, dependent, regressors) record per row."""
+        dtype = [
+            ("symbol", self.entities.dtype), ("day", self.times.dtype),
+            ("dependent", float), ("regressors", float, self.x.shape[1:]),
+        ]
+        return np.rec.fromarrays([self.entities, self.times, self.y, self.x], dtype=dtype)
 
 
-def _indicator_value(point: IndicatorPoint | None, name: str) -> float | None:
-    if point is None:
-        return None
-    return {"log_vol": point.log_vol, "dvol": point.detrended_volume, "ret": point.ret}[name]
+def _dense(items: Mapping[tuple[str, int], object], fields: Sequence[str],
+           row_of: Mapping[str, int], n_days: int) -> np.ndarray:
+    """(field, symbol, day) array of the items' attributes, NaN where absent or None."""
+    out = np.full((len(fields), len(row_of), n_days), np.nan)
+    kept = [
+        (row_of[sym], day, item) for (sym, day), item in items.items()
+        if sym in row_of and 0 <= day < n_days
+    ]
+    if kept:
+        rows, days, objs = zip(*kept)
+        get = operator.attrgetter(*fields)
+        out[:, rows, days] = np.array([get(o) for o in objs], dtype=float).T
+    return out
 
 
 def assemble_panel(
@@ -158,8 +164,9 @@ def assemble_panel(
 ) -> PanelDataset:
     """Align day-(t+h) outcomes with day-t regressors, listwise-deleting gaps.
 
-    Cumulative specs pool the sentiment variables over days t..t+h-1; all
-    control variables stay dated t.
+    Inputs are laid out as dense symbol x day arrays, NaN where missing, so
+    the outcome is a column shift by h.  Cumulative specs pool the sentiment
+    variables over days t..t+h-1; all control variables stay dated t.
     """
     if len(market.market_return) < n_days:
         raise CalendarMismatch("market series shorter than the trading calendar")
@@ -171,54 +178,51 @@ def assemble_panel(
     if symbols is not None:
         wanted = {s.upper() for s in symbols}
         universe = [s for s in universe if s in wanted]
+    row_of = {sym: i for i, sym in enumerate(universe)}
 
-    by_symbol_records: dict[str, dict[int, SentimentRecord]] = {}
-    for (sym, day), rec in records.items():
-        by_symbol_records.setdefault(sym, {})[day] = rec
+    active, pos, neg, n_articles = _dense(records, ("active", "pos", "neg", "n_articles"), row_of, n_days)
+    log_vol, dvol, ret = _dense(indicator_points, ("log_vol", "detrended_volume", "ret"), row_of, n_days)
+    h = spec.h
+    span = max(n_days - h, 0)  # regressor days t = 0 .. n_days-h-1
+    dependent = {"log_vol": log_vol, "dvol": dvol, "ret": ret}[spec.dependent][:, h:]
+    if spec.cumulative and h > 1:
+        # summed slice by slice in day order, as cumulative_record sums its window;
+        # n is NaN where a day of the window has no record, and so is sign(n)
+        windows = [slice(lag, lag + span) for lag in range(h)]
+        n = sum(n_articles[:, w] for w in windows)
+        pos_sum = sum(n_articles[:, w] * pos[:, w] for w in windows)
+        neg_sum = sum(n_articles[:, w] * neg[:, w] for w in windows)
+        sentiment = [
+            np.sign(n),
+            np.divide(pos_sum, n, out=np.zeros_like(n), where=n > 0),
+            np.divide(neg_sum, n, out=np.zeros_like(n), where=n > 0),
+        ]
+    else:
+        sentiment = [active[:, :span], pos[:, :span], neg[:, :span]]
+    columns = np.stack([
+        dependent, *sentiment,
+        np.broadcast_to(market.market_return[:span], dependent.shape),
+        np.broadcast_to(market.vix[:span], dependent.shape),
+        log_vol[:, :span], ret[:, :span], dvol[:, :span],
+    ], axis=-1)
 
-    observations = []
-    dropped = {"missing_field": 0, "singleton_entity": 0}
-    for sym in universe:
-        sym_records = by_symbol_records.get(sym, {})
-        for t in range(0, n_days - spec.h):
-            dep = _indicator_value(indicator_points.get((sym, t + spec.h)), spec.dependent)
-            point_t = indicator_points.get((sym, t))
-            if spec.cumulative and spec.h > 1:
-                if any(day not in sym_records for day in range(t, t + spec.h)):
-                    dropped["missing_field"] += 1
-                    continue
-                rec = cumulative_record(sym_records, t, spec.h)
-            else:
-                rec = sym_records.get(t)
-            row = {
-                "dep": dep,
-                "I": float(rec.active) if rec is not None else None,
-                "Pos": rec.pos if rec is not None else None,
-                "Neg": rec.neg if rec is not None else None,
-                "R_M": float(market.market_return[t]),
-                "VIX": float(market.vix[t]),
-                "log_vol_t": _indicator_value(point_t, "log_vol"),
-                "ret_t": _indicator_value(point_t, "ret"),
-                "dvol_t": _indicator_value(point_t, "dvol"),
-            }
-            if any(v is None or (isinstance(v, float) and math.isnan(v)) for v in row.values()):
-                dropped["missing_field"] += 1
-                continue
-            observations.append(PanelObservation(
-                symbol=sym,
-                day=t,
-                dependent=row["dep"],
-                regressors=tuple(row[name] for name in REGRESSOR_NAMES),
-            ))
-
-    counts: dict[str, int] = {}
-    for obs in observations:
-        counts[obs.symbol] = counts.get(obs.symbol, 0) + 1
-    kept = [obs for obs in observations if counts[obs.symbol] >= 2]
-    dropped["singleton_entity"] = len(observations) - len(kept)
-    if not kept:
-        raise EmptyPanel(spec.label)
-    return PanelDataset(spec=spec, observations=tuple(kept), dropped=dropped)
+    complete = ~np.isnan(columns).any(axis=-1)
+    per_symbol = complete.sum(axis=1)
+    keep = complete & (per_symbol >= 2)[:, None]
+    dropped = {
+        "missing_field": int(complete.size - complete.sum()),
+        "singleton_entity": int(per_symbol[per_symbol < 2].sum()),
+    }
+    rows, times = np.nonzero(keep)
+    kept = columns[keep]
+    return PanelDataset(
+        spec=spec,
+        entities=np.array(universe, dtype=str)[rows],
+        times=times,
+        y=kept[:, 0],
+        x=kept[:, 1:],
+        dropped=dropped,
+    )
 
 
 @dataclass(frozen=True)
@@ -273,12 +277,17 @@ def _collinear_columns(x: np.ndarray, names: Sequence[str]) -> list[str]:
     return bad or list(names)
 
 
+def _group_sums(values: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sums of `values` rows per group: (sorted labels, each row's label index, rows per label, sums)."""
+    labels, inverse, counts = np.unique(groups, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(labels),) + values.shape[1:])
+    np.add.at(sums, inverse, values)
+    return labels, inverse, counts, sums
+
+
 def _demean_by_group(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    out = values.astype(float).copy()
-    for g in np.unique(groups):
-        mask = groups == g
-        out[mask] -= out[mask].mean(axis=0)
-    return out
+    _, inverse, counts, sums = _group_sums(values, groups)
+    return values - (sums.T / counts).T[inverse]
 
 
 def fit_fixed_effects(
@@ -287,7 +296,7 @@ def fit_fixed_effects(
     cluster_mode: ClusterMode = ClusterMode.TWO_WAY,
 ) -> RegressionResult:
     """Within estimator with cluster-robust covariance."""
-    y, x, entities, times = panel.arrays()
+    y, x, entities, times = panel.y, panel.x, panel.entities, panel.times
     n, k = x.shape
     if n <= k:
         raise TooFewObservations(f"{n} observations for {k} regressors")
@@ -301,25 +310,19 @@ def fit_fixed_effects(
 
     beta, _, _, _ = np.linalg.lstsq(x_dm, y_dm, rcond=None)
 
-    entity_list = sorted(set(entities.tolist()))
-    a = {}
-    entity_counts = {}
-    for ent in entity_list:
-        mask = entities == ent
-        entity_counts[ent] = int(mask.sum())
-        a[ent] = float(y[mask].mean() - x[mask].mean(axis=0) @ beta)
-    alpha = sum(a.values()) / len(a)
-    gamma = {ent: a[ent] - alpha for ent in entity_list}
-
-    gamma_arr = np.array([gamma[e] for e in entities])
-    residuals = y - alpha - x @ beta - gamma_arr
+    labels, inverse, counts, sums = _group_sums(y - x @ beta, entities)
+    a = sums / counts
+    alpha = float(a.mean())
+    gamma = a - alpha
+    residuals = y - alpha - x @ beta - gamma[inverse]
 
     cov, df, repaired = _cluster_covariance_arrays(
         x_dm, residuals, entities, times, cluster_mode, k
     )
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = np.where(se > 0, beta / se, np.inf)
+        # a zero SE (possible after a PSD repair) supports no test: p is missing
+        tstat = np.where(se > 0, beta / se, np.nan)
     p = 2.0 * stats.t.sf(np.abs(tstat), df)
 
     return RegressionResult(
@@ -327,13 +330,13 @@ def fit_fixed_effects(
         coef_names=tuple(coef_names),
         coefficients=beta,
         alpha=alpha,
-        fixed_effects=gamma,
+        fixed_effects=dict(zip(labels.tolist(), gamma.tolist())),
         covariance=cov,
         std_errors=se,
         p_values=p,
         residuals=residuals,
         n_obs=n,
-        entity_counts=entity_counts,
+        entity_counts=dict(zip(labels.tolist(), counts.tolist())),
         cluster_mode=cluster_mode,
         df=df,
         psd_repaired=repaired,
@@ -343,22 +346,13 @@ def fit_fixed_effects(
     )
 
 
-def _meat(x: np.ndarray, u: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    scores = x * u[:, None]
-    k = x.shape[1]
-    meat = np.zeros((k, k))
-    for g in np.unique(groups):
-        s = scores[groups == g].sum(axis=0)
-        meat += np.outer(s, s)
-    return meat
-
-
 def _sandwich(x: np.ndarray, u: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
     n = len(u)
-    n_groups = len(np.unique(groups))
+    _, _, _, scores = _group_sums(x * u[:, None], groups)
+    n_groups = len(scores)
     bread = np.linalg.inv(x.T @ x)
     factor = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
-    return factor * bread @ _meat(x, u, groups) @ bread
+    return factor * bread @ (scores.T @ scores) @ bread
 
 
 def _cluster_covariance_arrays(
@@ -403,9 +397,8 @@ def clustered_covariance(
     mode: ClusterMode = ClusterMode.TWO_WAY,
 ) -> np.ndarray:
     """Sandwich covariance of the within estimates under the given clustering."""
-    _, _, entities, times = panel.arrays()
     cov, _, _ = _cluster_covariance_arrays(
-        result.demeaned_x, result.residuals, entities, times, mode, len(result.coef_names)
+        result.demeaned_x, result.residuals, panel.entities, panel.times, mode, len(result.coef_names)
     )
     return cov
 

@@ -28,7 +28,6 @@ from newsflow.lexicon import (
 from newsflow.panel import (
     ClusterMode,
     PanelDataset,
-    PanelObservation,
     PanelSpec,
     fit_fixed_effects,
     pca_sentiment_index,
@@ -275,11 +274,7 @@ def test_criterion_05_fixed_effects_oracle():
         y = 0.3 + x @ beta + gamma[entities] + rng.normal(0, 0.5, len(entities))
 
         spec = PanelSpec("log_vol", 1, False, "BL")
-        obs = tuple(
-            PanelObservation(str(e), int(t), float(yy), tuple(xx))
-            for yy, xx, e, t in zip(y, x, entities, times)
-        )
-        panel = PanelDataset(spec=spec, observations=obs)
+        panel = PanelDataset(spec=spec, entities=np.array([str(e) for e in entities]), times=times, y=y, x=x)
         names = tuple(f"x{i}" for i in range(k))
         result = fit_fixed_effects(panel, coef_names=names, cluster_mode=ClusterMode.BY_ENTITY)
 
@@ -329,11 +324,7 @@ def test_criterion_06_clustered_se():
     for _ in range(500):
         x = rng.normal(0, 1, (n, k))
         y = x @ beta_true + rng.normal(0, 1, n)
-        obs = tuple(
-            PanelObservation(str(e), int(t), float(yy), tuple(xx))
-            for yy, xx, e, t in zip(y, x, entities, times)
-        )
-        panel = PanelDataset(spec=spec, observations=obs)
+        panel = PanelDataset(spec=spec, entities=np.array([str(e) for e in entities]), times=times, y=y, x=x)
         result = fit_fixed_effects(panel, ("a", "b", "c"), ClusterMode.BY_ENTITY)
         x_dm = result.demeaned_x
         sigma2 = float(result.residuals @ result.residuals) / (n - k - n_entities)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -99,6 +100,7 @@ def test_bad_config_h(mini_fixture, capsys):
     pytest.param("[lexstats]\ntop = \n", [], id="top=empty"),
     pytest.param("[simulate]\nx_min = low\nx_max = 0.04\n", [], id="x_min=low"),
     pytest.param("[simulate]\ny_min = nan\ny_max = 1.65\n", [], id="y_min=nan"),
+    pytest.param("[simulate]\nx_min = 0.5\n", [], id="x_min_without_x_max"),
     pytest.param("[panel]\ncluster = bogus\n", [], id="cluster=bogus"),
     pytest.param("[negation]\nwindow = -3\n", [], id="negation_window=-3"),
     pytest.param("[negation]\nbidirectional = flase\n", [], id="bidirectional=flase"),
@@ -111,6 +113,56 @@ def test_malformed_config_value_exits_2(mini_fixture, capsys, ini_extra, extra_a
     ini = mini_fixture / "newsflow.ini"
     ini.write_text(ini.read_text(encoding="utf-8") + "\n" + ini_extra, encoding="utf-8")
     code = run(["distill", "--config", ini, *extra_args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def distilled_fixture(tmp_path_factory):
+    """A small build_fixture tree whose sentiment.csv and indicators.csv are written."""
+    root = build_fixture(tmp_path_factory.mktemp("distilled"), n_symbols=4, n_days=150, n_articles=200)
+    for command in ("distill", "indicators"):
+        assert run([command, "--config", root / "newsflow.ini"]) == 0
+    return root
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+
+def _set_cell(path, line, column, value):
+    def edit(lines):
+        cells = lines[line - 1].split(",")
+        cells[column] = value
+        lines[line - 1] = ",".join(cells)
+        return lines
+
+    _edit_lines(path, edit)
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    pytest.param(["panel"], lambda root: _set_cell(root / "market.csv", 3, 1, "abc"),
+                 id="market_cell_not_numeric"),
+    pytest.param(["panel"], lambda root: _edit_lines(root / "market.csv", lambda lines: lines + lines[1:2]),
+                 id="market_date_repeated"),
+    pytest.param(["panel", "--suite", "sector"], lambda root: _set_cell(root / "sectors.csv", 1, 1, "industry"),
+                 id="sectors_without_sector_column"),
+    pytest.param(["report"], lambda root: _edit_lines(
+        root / "out" / "sentiment.csv", lambda lines: lines[:300] + [",".join(lines[300].split(",")[:4])]),
+                 id="sentiment_truncated"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "out" / "indicators.csv", 5, 2, "1.2.3"),
+                 id="indicators_bad_number"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "out" / "sentiment.csv", 4, 1, "2020-02-30"),
+                 id="sentiment_bad_date"),
+])
+def test_malformed_panel_input_exits_2(distilled_fixture, tmp_path, capsys, command, corrupt):
+    root = tmp_path / "run"
+    shutil.copytree(distilled_fixture, root)
+    corrupt(root)
+    code = run([*command, "--config", root / "newsflow.ini", "--output", root / "out"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR ") and len(err.splitlines()) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from newsflow._util import fmt_num
 from newsflow.errors import (
     ConstantColumn,
     EmptyPanel,
@@ -13,27 +14,30 @@ from newsflow.panel import (
     MarketSeries,
     PanelDataset,
     PanelInputs,
-    PanelObservation,
     PanelSpec,
+    SuiteCell,
     assemble_panel,
     build_pca_records,
     clustered_covariance,
     fit_fixed_effects,
+    format_suite_table,
     pca_sentiment_index,
     run_specification_suite,
     significance_stars,
     suite_rows,
 )
-from newsflow.sentiment import SentimentRecord
+from newsflow.sentiment import SentimentRecord, cumulative_record
 
 
 def make_panel(y, x, entities, times, coef_names=None):
     spec = PanelSpec("log_vol", 1, False, "BL")
-    obs = tuple(
-        PanelObservation(symbol=str(e), day=int(t), dependent=float(yy), regressors=tuple(xx))
-        for yy, xx, e, t in zip(y, x, entities, times)
+    return PanelDataset(
+        spec=spec,
+        entities=np.array([str(e) for e in entities]),
+        times=np.asarray(times, dtype=int),
+        y=np.asarray(y, dtype=float),
+        x=np.asarray(x, dtype=float),
     )
-    return PanelDataset(spec=spec, observations=obs)
 
 
 def random_panel(rng, n_entities, n_periods, k, gamma_scale=1.0, noise=1.0):
@@ -182,6 +186,35 @@ def test_two_way_psd_and_symmetric():
     assert np.linalg.eigvalsh(cov).min() >= -1e-12
 
 
+def bruteforce_sandwich(x, u, groups):
+    """Cluster sandwich from one outer product per cluster, with the small-sample factor."""
+    n, k = x.shape
+    labels = sorted(set(groups.tolist()))
+    meat = np.zeros((k, k))
+    for g in labels:
+        s = (x[groups == g] * u[groups == g, None]).sum(axis=0)
+        meat += np.outer(s, s)
+    bread = np.linalg.inv(x.T @ x)
+    factor = (len(labels) / (len(labels) - 1)) * ((n - 1) / (n - k))
+    return factor * bread @ meat @ bread
+
+
+def test_two_way_matches_bruteforce_on_unbalanced_panel():
+    rng = np.random.default_rng(13)
+    y, x, entities, times, _, _ = random_panel(rng, 5, 30, 3)
+    keep = rng.random(len(y)) > 0.25  # gaps make the panel unbalanced
+    y, x, entities, times = y[keep], x[keep], entities[keep], times[keep]
+    result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b", "c"), ClusterMode.TWO_WAY)
+    x_dm, u = result.demeaned_x, result.residuals
+    expected = (
+        bruteforce_sandwich(x_dm, u, entities)
+        + bruteforce_sandwich(x_dm, u, times)
+        - bruteforce_sandwich(x_dm, u, np.arange(len(u)))
+    )
+    assert not result.psd_repaired
+    assert result.covariance == pytest.approx(expected, abs=1e-10)
+
+
 def test_single_cluster_raises():
     rng = np.random.default_rng(9)
     x = rng.normal(0, 1, (20, 1))
@@ -198,6 +231,30 @@ def test_stars():
     assert significance_stars(0.2) == ""
     assert significance_stars(0.01) == "**"
     assert significance_stars(0.05) == "*"
+
+
+def test_zero_standard_error_has_no_p_value_or_stars(monkeypatch):
+    import newsflow.panel as panel_mod
+
+    rng = np.random.default_rng(14)
+    y, x, entities, times, _, _ = random_panel(rng, 4, 15, 2)
+    fitted_covariance = panel_mod._cluster_covariance_arrays
+
+    def zero_first_variance(*args):
+        cov, df, _ = fitted_covariance(*args)
+        cov = cov.copy()
+        cov[0, :] = cov[:, 0] = 0.0
+        return cov, df, True
+
+    monkeypatch.setattr(panel_mod, "_cluster_covariance_arrays", zero_first_variance)
+    result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b"), ClusterMode.BY_ENTITY)
+    assert result.std_errors[0] == 0.0
+    assert np.isnan(result.p_values[0])
+    cell = SuiteCell(spec=result.spec, result=result)
+    _, variable, _, se, p, stars = suite_rows([cell])[1]
+    assert (variable, fmt_num(se), fmt_num(p), stars) == ("a", "0.0", "", "")
+    line_a = next(line for line in format_suite_table([cell]).splitlines() if line.startswith("a "))
+    assert "*" not in line_a
 
 
 # PCA ---------------------------------------------------------------------------
@@ -288,7 +345,37 @@ def test_assemble_panel_cumulative_h1_identity():
     records, points, market = complete_inputs(seed=1)
     flat = assemble_panel(records, points, market, PanelSpec("ret", 1, False, "BL"), 10)
     cumulative = assemble_panel(records, points, market, PanelSpec("ret", 1, True, "BL"), 10)
-    assert flat.observations == cumulative.observations
+    for name in ("entities", "times", "y", "x"):
+        assert np.array_equal(getattr(flat, name), getattr(cumulative, name))
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 5])
+def test_assemble_panel_cumulative_matches_cumulative_record(h):
+    n_days = 20
+    records, points, market = complete_inputs(n_symbols=3, n_days=n_days, seed=7)
+    for key in [("S0", 3), ("S1", 10), ("S1", 11), ("S2", 19)]:
+        del records[key]
+    panel = assemble_panel(records, points, market, PanelSpec("log_vol", h, True, "BL"), n_days)
+
+    by_symbol: dict[str, dict[int, SentimentRecord]] = {}
+    for (sym, day), rec in records.items():
+        by_symbol.setdefault(sym, {})[day] = rec
+    expected = {}
+    incomplete = 0
+    for sym, sym_records in by_symbol.items():
+        for t in range(n_days - h):
+            if all(day in sym_records for day in range(t, t + h)):
+                rec = cumulative_record(sym_records, t, h)
+                expected[(sym, t)] = [float(rec.active), rec.pos, rec.neg]
+            else:
+                incomplete += 1
+    assert incomplete > 0
+    assert panel.dropped["missing_field"] == incomplete
+    pooled = {
+        (str(obs.symbol), int(obs.day)): [float(v) for v in obs.regressors[:3]]
+        for obs in panel.observations
+    }
+    assert pooled == expected
 
 
 def test_assemble_panel_missing_fields_dropped():
