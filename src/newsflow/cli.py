@@ -163,11 +163,16 @@ def cmd_indicators(config: RunConfig) -> int:
 def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, list[sent_mod.SentimentRecord]]:
     if not path.exists():
         raise MissingInput(f"sentiment output not found: {path} (run distill first)")
+    seen: set[tuple[str, str, int]] = set()
 
     def parse(row):
         day = calendar.index.get(dt.date.fromisoformat(row["date"]))
         if day is None:
             raise InputError(f"sentiment date {row['date']} not in calendar")
+        key = (row["lexicon"], row["symbol"], day)
+        if key in seen:
+            raise InputError(f"duplicate sentiment row for {row['lexicon']} {row['symbol']} {row['date']}")
+        seen.add(key)
         return sent_mod.SentimentRecord(
             symbol=row["symbol"],
             day=day,
@@ -189,11 +194,15 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, list
 def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> dict[tuple[str, int], ind_mod.IndicatorPoint]:
     if not path.exists():
         raise MissingInput(f"indicator output not found: {path} (run indicators first)")
+    seen: set[tuple[str, int]] = set()
 
     def parse(row):
         day = calendar.index.get(dt.date.fromisoformat(row["date"]))
         if day is None:
             raise InputError(f"indicator date {row['date']} not in calendar")
+        if (row["symbol"], day) in seen:
+            raise InputError(f"duplicate indicator row for {row['symbol']} {row['date']}")
+        seen.add((row["symbol"], day))
         return ind_mod.IndicatorPoint(
             symbol=row["symbol"],
             day=day,
@@ -207,7 +216,16 @@ def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> dict[tuple[st
 
 
 def _load_sectors(path: Path) -> dict[str, str]:
-    return dict(read_csv_rows(path, ("symbol", "sector"), lambda row: (row["symbol"].upper(), row["sector"])))
+    seen: set[str] = set()
+
+    def parse(row):
+        symbol = row["symbol"].upper()
+        if symbol in seen:
+            raise InputError(f"duplicate sector row for {symbol}")
+        seen.add(symbol)
+        return symbol, row["sector"]
+
+    return dict(read_csv_rows(path, ("symbol", "sector"), parse))
 
 
 def _panel_inputs(config: RunConfig, need_sectors: bool) -> tuple[TradingCalendar, PanelInputs]:

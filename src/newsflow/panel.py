@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ._util import read_csv_rows
 from .corpus import TradingCalendar
@@ -323,7 +323,7 @@ def fit_fixed_effects(
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero SE (possible after a PSD repair) supports no test: p is missing
         tstat = np.where(se > 0, beta / se, np.nan)
-    p = 2.0 * stats.t.sf(np.abs(tstat), df)
+    p = 2.0 * special.stdtr(df, -np.abs(tstat))
 
     return RegressionResult(
         spec=panel.spec,
@@ -385,9 +385,11 @@ def _cluster_covariance_arrays(
         df = min(n_ent, n_time) - 1
 
     eigvals, eigvecs = np.linalg.eigh(cov)
-    repaired = bool(eigvals.min() < 0)
-    if repaired:
+    if eigvals.min() < 0:
         cov = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    # A negative eigenvalue within rounding of the largest one (a meat of rank
+    # below k, as with fewer clusters than regressors) is clipped but is no repair.
+    repaired = bool(eigvals.min() < -len(eigvals) * np.finfo(float).eps * np.abs(eigvals).max())
     return cov, df, repaired
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..errors import ConstantColumn, DimensionMismatch, NonPSDMatrix
 from .edf import EmpiricalDistribution, fit_edf
@@ -63,7 +63,7 @@ def normal_scores(data: np.ndarray) -> np.ndarray:
         if np.all(column == column[0]):
             raise ConstantColumn(f"column {j} is constant")
         counts = np.searchsorted(np.sort(column), column, side="right")
-        scores[:, j] = stats.norm.ppf(counts / (n + 1))
+        scores[:, j] = special.ndtri(counts / (n + 1))
     return scores
 
 
@@ -113,7 +113,7 @@ def sample_copula(
     rng = np.random.default_rng(rng_seed) if isinstance(rng_seed, int) else rng_seed
     factor = _lower_factor(copula.correlation)
     z = rng.standard_normal((n, copula.dimension)) @ factor.T
-    u = stats.norm.cdf(z)
+    u = special.ndtr(z)
     # normal cdf can land exactly on 0/1 in float; keep inside the open interval
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     out = np.empty_like(u)

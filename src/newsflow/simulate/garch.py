@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from ..errors import InputError, NonConvergence, NonStationarySolution
 
@@ -47,19 +47,35 @@ class MA1Garch11Params:
         return self.omega / (1.0 - self.alpha - self.beta)
 
 
+def _first_order_recursion(drive: np.ndarray, c: float) -> np.ndarray:
+    """y_t = drive_t + c * y_{t-1} with y_{-1} = 0, solved as a unit lower-bidiagonal system."""
+    n = len(drive)
+    if n == 0:
+        return np.empty(0)
+    # Fortran order lets dtbsv read the band without a copy; the unit diagonal is never read
+    band = np.empty((2, n), order="F")
+    band[1] = -c
+    return dtbsv(1, band, drive, lower=1, diag=1)
+
+
+def _filter(
+    x: np.ndarray, theta: float, omega: float, alpha: float, beta: float, backcast: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and variances of the demeaned returns x; h_0 is seeded from backcast."""
+    # eps_t = x_t - theta * eps_{t-1}, pre-sample eps = 0
+    eps = _first_order_recursion(x, -theta)
+    drive = np.empty_like(eps)
+    drive[:1] = omega + (alpha + beta) * backcast
+    drive[1:] = omega + alpha * eps[:-1] ** 2
+    # h_t = drive_t + beta * h_{t-1}
+    return eps, _first_order_recursion(drive, beta)
+
+
 def filter_ma1_garch11(returns: np.ndarray, params: MA1Garch11Params) -> tuple[np.ndarray, np.ndarray]:
     """Residuals eps_t and conditional variances h_t under the conventions above."""
     r = np.asarray(returns, dtype=float)
-    x = r - params.mu
-    # eps_t = x_t - theta * eps_{t-1}, pre-sample eps = 0
-    eps = lfilter([1.0], [1.0, params.theta], x)
-    backcast = float(np.var(r))
-    drive = np.empty_like(eps)
-    drive[0] = params.omega + (params.alpha + params.beta) * backcast
-    drive[1:] = params.omega + params.alpha * eps[:-1] ** 2
-    # h_t = drive_t + beta * h_{t-1}
-    h = lfilter([1.0], [1.0, -params.beta], drive)
-    return eps, h
+    backcast = float(np.var(r)) if len(r) else 0.0
+    return _filter(r - params.mu, params.theta, params.omega, params.alpha, params.beta, backcast)
 
 
 def standardize_residuals(returns: np.ndarray, params: MA1Garch11Params) -> np.ndarray:
@@ -70,12 +86,7 @@ def standardize_residuals(returns: np.ndarray, params: MA1Garch11Params) -> np.n
 
 def _negative_loglik(raw: np.ndarray, returns: np.ndarray, backcast: float) -> float:
     mu, theta, omega, alpha, beta = _from_unconstrained(raw)
-    x = returns - mu
-    eps = lfilter([1.0], [1.0, theta], x)
-    drive = np.empty_like(eps)
-    drive[0] = omega + (alpha + beta) * backcast
-    drive[1:] = omega + alpha * eps[:-1] ** 2
-    h = lfilter([1.0], [1.0, -beta], drive)
+    eps, h = _filter(returns - mu, theta, omega, alpha, beta, backcast)
     if not np.all(np.isfinite(h)) or h.min() <= 0.0:
         return 1e12
     value = 0.5 * float(np.sum(_LOG_2PI + np.log(h) + eps**2 / h))

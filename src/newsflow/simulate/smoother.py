@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..errors import (
     DegenerateX,
@@ -221,7 +221,7 @@ def uniform_band(
         critical = float(np.quantile(sup, level))
     else:
         critical = 0.0
-    critical = max(critical, float(stats.norm.ppf(0.5 + level / 2.0)))
+    critical = max(critical, float(special.ndtri(0.5 + level / 2.0)))
 
     width = critical * se
     width = np.where(np.isnan(width), np.nan, width)

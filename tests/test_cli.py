@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import newsflow
 from conftest import build_fixture, trading_days, write_calendar
 from newsflow.cli import main
 
@@ -157,6 +162,13 @@ def _set_cell(path, line, column, value):
                  id="indicators_bad_number"),
     pytest.param(["panel"], lambda root: _set_cell(root / "out" / "sentiment.csv", 4, 1, "2020-02-30"),
                  id="sentiment_bad_date"),
+    pytest.param(["panel"], lambda root: _edit_lines(root / "out" / "sentiment.csv", lambda lines: lines + lines[200:201]),
+                 id="sentiment_key_repeated"),
+    pytest.param(["panel"], lambda root: _edit_lines(root / "out" / "indicators.csv", lambda lines: lines + lines[200:201]),
+                 id="indicators_key_repeated"),
+    pytest.param(["panel", "--suite", "sector"],
+                 lambda root: _edit_lines(root / "sectors.csv", lambda lines: lines + [lines[1].lower()]),
+                 id="sectors_symbol_repeated"),
 ])
 def test_malformed_panel_input_exits_2(distilled_fixture, tmp_path, capsys, command, corrupt):
     root = tmp_path / "run"
@@ -177,6 +189,16 @@ def test_negation_bidirectional_accepts_configparser_booleans(mini_fixture, raw,
     ini.write_text(ini.read_text(encoding="utf-8") + f"\n[negation]\nbidirectional = {raw}\n",
                    encoding="utf-8")
     assert load_config(ini).negation.bidirectional is expected
+
+
+def test_cli_import_skips_scipy_stats_and_signal():
+    # every CLI command pays its import time; scipy.stats and scipy.signal
+    # (which imports scipy.stats) cost about as much as the rest together
+    src = str(Path(newsflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, newsflow.cli; print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == "[]"
 
 
 def test_missing_config_file(tmp_path, capsys):

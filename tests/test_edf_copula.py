@@ -104,6 +104,20 @@ def test_copula_validation():
 
 # sampling -----------------------------------------------------------------------
 
+def test_scores_and_uniforms_equal_scipy_stats_norm():
+    rng = np.random.default_rng(21)
+    data = rng.normal(0.0, 1.0, (300, 2))
+    expected = np.column_stack([
+        stats.norm.ppf(np.searchsorted(np.sort(col), col, side="right") / 301) for col in data.T
+    ])
+    assert np.array_equal(normal_scores(data), expected)
+    # with the identity correlation the copula draws are the standard normals themselves
+    marginals = [fit_edf(data[:, 0]), fit_edf(data[:, 1])]
+    out = sample_copula(GaussianCopula(correlation=np.eye(2)), marginals, 200, rng_seed=22)
+    u = np.clip(stats.norm.cdf(np.random.default_rng(22).standard_normal((200, 2))), 1e-12, 1.0 - 1e-12)
+    assert np.array_equal(out, np.column_stack([m.quantile(u[:, j]) for j, m in enumerate(marginals)]))
+
+
 def _normal_scores_corr(data):
     return np.corrcoef(normal_scores(data), rowvar=False)
 

@@ -101,3 +101,36 @@ def test_fitted_loglik_recorded():
     r = simulate_ma1_garch11(TRUE, 2_000, rng_seed=8)
     fitted = fit_ma1_garch11(r)
     assert fitted.loglik == pytest.approx(loglikelihood(r, fitted), abs=1e-6)
+
+
+def _filter_loop(r, params):
+    """The filter as a plain loop over the two recursions."""
+    backcast = float(np.var(r))
+    eps, h = np.empty(len(r)), np.empty(len(r))
+    for t in range(len(r)):
+        if t == 0:
+            eps[t] = r[t] - params.mu
+            h[t] = params.omega + (params.alpha + params.beta) * backcast
+        else:
+            eps[t] = r[t] - params.mu - params.theta * eps[t - 1]
+            h[t] = params.omega + params.alpha * eps[t - 1] ** 2 + params.beta * h[t - 1]
+    return eps, h
+
+
+@pytest.mark.parametrize("n", [1, 2, 400])
+@pytest.mark.parametrize("params", [
+    TRUE,
+    MA1Garch11Params(mu=0.2, theta=-0.7, omega=0.01, alpha=0.15, beta=0.84),
+])
+def test_filter_matches_python_loop(n, params):
+    r = simulate_ma1_garch11(TRUE, n, rng_seed=9)
+    eps, h = filter_ma1_garch11(r, params)
+    expected_eps, expected_h = _filter_loop(r, params)
+    # eps crosses zero, so its rounding error is relative to the series' scale
+    assert eps == pytest.approx(expected_eps, rel=1e-14, abs=1e-14 * np.abs(r - params.mu).max())
+    assert h == pytest.approx(expected_h, rel=1e-14, abs=0)
+
+
+def test_filter_empty_series():
+    eps, h = filter_ma1_garch11(np.empty(0), TRUE)
+    assert eps.shape == (0,) and h.shape == (0,)

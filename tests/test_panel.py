@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from newsflow._util import fmt_num
 from newsflow.errors import (
@@ -215,6 +216,33 @@ def test_two_way_matches_bruteforce_on_unbalanced_panel():
     assert result.covariance == pytest.approx(expected, abs=1e-10)
 
 
+def test_psd_repaired_not_set_by_rounding_in_a_low_rank_meat():
+    # 4 entity clusters for 8 regressors: the meat has rank 3, so five
+    # eigenvalues of the covariance are zero up to rounding, some negative
+    rng = np.random.default_rng(0)
+    y, x, entities, times, _, _ = random_panel(rng, 4, 60, 8)
+    result = fit_fixed_effects(make_panel(y, x, entities, times), tuple("abcdefgh"), ClusterMode.BY_ENTITY)
+    assert np.linalg.matrix_rank(result.covariance) == 3
+    assert not result.psd_repaired
+
+
+def test_psd_repaired_set_for_an_indefinite_two_way_covariance():
+    rng = np.random.default_rng(2)
+    y, x, entities, times, _, _ = random_panel(rng, 3, 4, 2)
+    result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b"), ClusterMode.TWO_WAY)
+    x_dm, u = result.demeaned_x, result.residuals
+    raw = (
+        bruteforce_sandwich(x_dm, u, entities)
+        + bruteforce_sandwich(x_dm, u, times)
+        - bruteforce_sandwich(x_dm, u, np.arange(len(u)))
+    )
+    eigvals, eigvecs = np.linalg.eigh(raw)
+    assert eigvals[0] < -0.1 * eigvals[1]
+    assert result.psd_repaired
+    # the repair clips the negative eigenvalue and keeps the other
+    assert result.covariance == pytest.approx(eigvals[1] * np.outer(eigvecs[:, 1], eigvecs[:, 1]), abs=1e-12)
+
+
 def test_single_cluster_raises():
     rng = np.random.default_rng(9)
     x = rng.normal(0, 1, (20, 1))
@@ -255,6 +283,15 @@ def test_zero_standard_error_has_no_p_value_or_stars(monkeypatch):
     assert (variable, fmt_num(se), fmt_num(p), stars) == ("a", "0.0", "", "")
     line_a = next(line for line in format_suite_table([cell]).splitlines() if line.startswith("a "))
     assert "*" not in line_a
+
+
+def test_p_values_equal_scipy_stats_t_sf():
+    rng = np.random.default_rng(15)
+    y, x, entities, times, _, _ = random_panel(rng, 5, 20, 3)
+    for mode in ClusterMode:
+        result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b", "c"), mode)
+        tstat = result.coefficients / result.std_errors
+        assert np.array_equal(result.p_values, 2.0 * stats.t.sf(np.abs(tstat), result.df))
 
 
 # PCA ---------------------------------------------------------------------------
