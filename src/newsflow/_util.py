@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -42,6 +43,14 @@ def read_csv_rows(
         except (ValueError, InputError, csv.Error) as exc:
             raise MalformedRecord(str(exc), source=str(path), position=reader.line_num) from exc
     return parsed
+
+
+def finite_float(text: str) -> float:
+    """A CSV cell as a float; `inf`, `-inf` and `nan` raise InputError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InputError(f"non-finite number {text!r}")
+    return value
 
 
 def fmt_num(value: float | int | None) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import figures, indicators as ind_mod, lexicon as lex_mod, sentiment as sent_mod
-from ._util import atomic_write_text, read_csv_rows, split_seed, write_csv
+from ._util import atomic_write_text, finite_float, read_csv_rows, split_seed, write_csv
 from .config import RunConfig, config_fingerprint, load_config, parse_day_boundary
 from .corpus import TradingCalendar
 from .errors import (
@@ -178,8 +178,8 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, list
             day=day,
             lexicon_name=row["lexicon"],
             active=int(row["I"]),
-            pos=float(row["pos"]),
-            neg=float(row["neg"]),
+            pos=finite_float(row["pos"]),
+            neg=finite_float(row["neg"]),
             n_articles=int(row["n_articles"]),
         )
 
@@ -206,9 +206,9 @@ def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> dict[tuple[st
         return ind_mod.IndicatorPoint(
             symbol=row["symbol"],
             day=day,
-            log_vol=float(row["log_vol"]) if row["log_vol"] else None,
-            detrended_volume=float(row["detrended_volume"]) if row["detrended_volume"] else None,
-            ret=float(row["ret"]) if row["ret"] else None,
+            log_vol=finite_float(row["log_vol"]) if row["log_vol"] else None,
+            detrended_volume=finite_float(row["detrended_volume"]) if row["detrended_volume"] else None,
+            ret=finite_float(row["ret"]) if row["ret"] else None,
         )
 
     columns = ("symbol", "date", "log_vol", "detrended_volume", "ret")
@@ -273,8 +273,11 @@ def cmd_panel(config: RunConfig) -> int:
                     ("symbol", "day", "residual"),
                     rows,
                 )
-        n_ok = sum(1 for c in cells if c.result is not None)
-        print(f"suite={suite} cells={len(cells)} fitted={n_ok}")
+        fitted = [c.result for c in cells if c.result is not None]
+        repaired = sum(res.psd_repaired for res in fitted)
+        low_rank = sum(res.covariance_rank < len(res.coef_names) for res in fitted)
+        print(f"suite={suite} cells={len(cells)} fitted={len(fitted)} "
+              f"psd_repaired={repaired} low_rank={low_rank}")
 
     _write_manifest(config, "panel", [config.market_path,
                                       config.output_dir / SENTIMENT_CSV,
@@ -288,7 +291,7 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
     wanted = f"log_vol/{projection}/h=1"
     rows = read_csv_rows(
         path, ("spec", "variable", "estimate"),
-        lambda row: (row["spec"], row["variable"], float(row["estimate"]) if row["estimate"] else None),
+        lambda row: (row["spec"], row["variable"], finite_float(row["estimate"]) if row["estimate"] else None),
     )
     alpha = None
     coefficients = {}
@@ -307,7 +310,7 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
 def _read_residual_pool(path: Path) -> np.ndarray:
     if not path.exists():
         raise MissingInput(f"residual file not found: {path} (run panel first)")
-    values = read_csv_rows(path, ("residual",), lambda row: float(row["residual"]))
+    values = read_csv_rows(path, ("residual",), lambda row: finite_float(row["residual"]))
     if not values:
         raise MissingInput(f"residual file {path} is empty")
     return np.array(values)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from ._util import read_csv_rows
+from ._util import finite_float, read_csv_rows
 from .corpus import TradingCalendar
 from .errors import (
     CalendarMismatch,
@@ -73,7 +73,7 @@ class MarketSeries:
             if day in seen:
                 raise InputError(f"duplicate market date {date}")
             seen.add(day)
-            return day, float(row["market_return"]), float(row["vix"])
+            return day, finite_float(row["market_return"]), finite_float(row["vix"])
 
         for day, market_return, level in read_csv_rows(path, ("date", "market_return", "vix"), parse):
             ret[day] = market_return
@@ -139,49 +139,68 @@ class PanelDataset:
         return np.rec.fromarrays([self.entities, self.times, self.y, self.x], dtype=dtype)
 
 
-def _dense(items: Mapping[tuple[str, int], object], fields: Sequence[str],
-           row_of: Mapping[str, int], n_days: int) -> np.ndarray:
-    """(field, symbol, day) array of the items' attributes, NaN where absent or None."""
-    out = np.full((len(fields), len(row_of), n_days), np.nan)
-    kept = [
-        (row_of[sym], day, item) for (sym, day), item in items.items()
-        if sym in row_of and 0 <= day < n_days
-    ]
-    if kept:
-        rows, days, objs = zip(*kept)
-        get = operator.attrgetter(*fields)
-        out[:, rows, days] = np.array([get(o) for o in objs], dtype=float).T
-    return out
+SENTIMENT_FIELDS = ("active", "pos", "neg", "n_articles")
+INDICATOR_FIELDS = ("log_vol", "detrended_volume", "ret")
+
+
+@dataclass(frozen=True)
+class SymbolDayArray:
+    """Item attributes as a (field, symbol, day) array, NaN where absent or None."""
+
+    fields: tuple[str, ...]
+    symbols: tuple[str, ...]
+    values: np.ndarray
+
+
+def lay_out(items: Iterable[SentimentRecord | IndicatorPoint], fields: Sequence[str],
+            symbols: Sequence[str], n_days: int) -> SymbolDayArray:
+    """The items' `fields` on the given symbol axis and a calendar of n_days.
+
+    Every item's symbol must be on the axis; a day outside the calendar
+    raises CalendarMismatch.
+    """
+    row_of = {sym: i for i, sym in enumerate(symbols)}
+    out = np.full((len(fields), len(symbols), n_days), np.nan)
+    get = operator.attrgetter(*fields)
+    laid = [(row_of[item.symbol], item.day, get(item)) for item in items]
+    if laid:
+        rows, days, values = zip(*laid)
+        outside = [day for day in days if not 0 <= day < n_days]
+        if outside:
+            raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
+        out[:, rows, days] = np.array(values, dtype=float).T
+    return SymbolDayArray(fields=tuple(fields), symbols=tuple(symbols), values=out)
 
 
 def assemble_panel(
-    records: Mapping[tuple[str, int], SentimentRecord],
-    indicator_points: Mapping[tuple[str, int], IndicatorPoint],
+    sentiment: SymbolDayArray,
+    indicators: SymbolDayArray,
     market: MarketSeries,
     spec: PanelSpec,
-    n_days: int,
     symbols: Iterable[str] | None = None,
 ) -> PanelDataset:
     """Align day-(t+h) outcomes with day-t regressors, listwise-deleting gaps.
 
-    Inputs are laid out as dense symbol x day arrays, NaN where missing, so
-    the outcome is a column shift by h.  Cumulative specs pool the sentiment
-    variables over days t..t+h-1; all control variables stay dated t.
+    `sentiment` holds SENTIMENT_FIELDS and `indicators` INDICATOR_FIELDS on
+    one symbol axis; `symbols` selects its rows.  The outcome is a column
+    shift by h.  Cumulative specs pool the sentiment variables over days
+    t..t+h-1; all control variables stay dated t.
     """
+    if ((sentiment.fields, indicators.fields) != (SENTIMENT_FIELDS, INDICATOR_FIELDS)
+            or sentiment.symbols != indicators.symbols
+            or sentiment.values.shape[2] != indicators.values.shape[2]):
+        raise InputError("assemble_panel needs sentiment and indicator layouts on one symbol and day axis")
+    n_days = sentiment.values.shape[2]
     if len(market.market_return) < n_days:
         raise CalendarMismatch("market series shorter than the trading calendar")
-    for (_, day) in records:
-        if day >= n_days:
-            raise CalendarMismatch(f"sentiment record day {day} outside calendar")
 
-    universe = sorted({sym for sym, _ in records} | {sym for sym, _ in indicator_points})
+    universe = sentiment.symbols
+    rows: slice | list[int] = slice(None)
     if symbols is not None:
         wanted = {s.upper() for s in symbols}
-        universe = [s for s in universe if s in wanted]
-    row_of = {sym: i for i, sym in enumerate(universe)}
-
-    active, pos, neg, n_articles = _dense(records, ("active", "pos", "neg", "n_articles"), row_of, n_days)
-    log_vol, dvol, ret = _dense(indicator_points, ("log_vol", "detrended_volume", "ret"), row_of, n_days)
+        rows = [i for i, sym in enumerate(universe) if sym in wanted]
+    active, pos, neg, n_articles = sentiment.values[:, rows]
+    log_vol, dvol, ret = indicators.values[:, rows]
     h = spec.h
     span = max(n_days - h, 0)  # regressor days t = 0 .. n_days-h-1
     dependent = {"log_vol": log_vol, "dvol": dvol, "ret": ret}[spec.dependent][:, h:]
@@ -213,11 +232,11 @@ def assemble_panel(
         "missing_field": int(complete.size - complete.sum()),
         "singleton_entity": int(per_symbol[per_symbol < 2].sum()),
     }
-    rows, times = np.nonzero(keep)
+    kept_rows, times = np.nonzero(keep)
     kept = columns[keep]
     return PanelDataset(
         spec=spec,
-        entities=np.array(universe, dtype=str)[rows],
+        entities=np.array(universe, dtype=str)[rows][kept_rows],
         times=times,
         y=kept[:, 0],
         x=kept[:, 1:],
@@ -240,6 +259,9 @@ class RegressionResult:
     entity_counts: Mapping[str, int]
     cluster_mode: ClusterMode
     df: int
+    # below len(coef_names) when the covariance is singular, as with fewer
+    # clusters than regressors; the t tests then rest on a singular covariance
+    covariance_rank: int
     psd_repaired: bool = False
     demeaned_x: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     entity_labels: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
@@ -316,7 +338,7 @@ def fit_fixed_effects(
     gamma = a - alpha
     residuals = y - alpha - x @ beta - gamma[inverse]
 
-    cov, df, repaired = _cluster_covariance_arrays(
+    cov, df, repaired, cov_rank = _cluster_covariance_arrays(
         x_dm, residuals, entities, times, cluster_mode, k
     )
     se = np.sqrt(np.diag(cov))
@@ -339,6 +361,7 @@ def fit_fixed_effects(
         entity_counts=dict(zip(labels.tolist(), counts.tolist())),
         cluster_mode=cluster_mode,
         df=df,
+        covariance_rank=cov_rank,
         psd_repaired=repaired,
         demeaned_x=x_dm,
         entity_labels=entities,
@@ -362,7 +385,9 @@ def _cluster_covariance_arrays(
     times: np.ndarray,
     mode: ClusterMode,
     k: int,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, bool, int]:
+    """Cluster covariance, its t degrees of freedom, whether it was repaired to
+    be positive semi-definite, and its rank."""
     n_ent = len(np.unique(entities))
     n_time = len(np.unique(times))
     if mode is ClusterMode.BY_ENTITY:
@@ -387,10 +412,13 @@ def _cluster_covariance_arrays(
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals.min() < 0:
         cov = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-    # A negative eigenvalue within rounding of the largest one (a meat of rank
-    # below k, as with fewer clusters than regressors) is clipped but is no repair.
-    repaired = bool(eigvals.min() < -len(eigvals) * np.finfo(float).eps * np.abs(eigvals).max())
-    return cov, df, repaired
+    # An eigenvalue within rounding of zero relative to the largest one (a meat
+    # of rank below k, as with fewer clusters than regressors) adds no rank, and
+    # a negative one is clipped but is no repair.
+    tolerance = len(eigvals) * np.finfo(float).eps * np.abs(eigvals).max()
+    repaired = bool(eigvals.min() < -tolerance)
+    rank = int((eigvals > tolerance).sum())
+    return cov, df, repaired, rank
 
 
 def clustered_covariance(
@@ -399,7 +427,7 @@ def clustered_covariance(
     mode: ClusterMode = ClusterMode.TWO_WAY,
 ) -> np.ndarray:
     """Sandwich covariance of the within estimates under the given clustering."""
-    cov, _, _ = _cluster_covariance_arrays(
+    cov, _, _, _ = _cluster_covariance_arrays(
         result.demeaned_x, result.residuals, panel.entities, panel.times, mode, len(result.coef_names)
     )
     return cov
@@ -518,10 +546,6 @@ class SuiteCell:
     error: str | None = None
 
 
-def _indexed_records(records: Sequence[SentimentRecord]) -> dict[tuple[str, int], SentimentRecord]:
-    return {(r.symbol, r.day): r for r in records}
-
-
 def run_specification_suite(
     inputs: PanelInputs,
     suite: str,
@@ -531,11 +555,18 @@ def run_specification_suite(
     """One regression per (dependent x projection x subsample x lag) cell.
 
     `h` applies to the entire/attention/sector suites; the lag suites sweep
-    h = 2..5 by construction.
+    h = 2..5 by construction.  Each projection and the indicators are laid
+    out once, on one symbol axis, and every cell selects from them.
     """
     lexica = sorted(inputs.records_by_lexicon)
-    projections: dict[str, Mapping[tuple[str, int], SentimentRecord]] = {
-        name: _indexed_records(inputs.records_by_lexicon[name]) for name in lexica
+    universe = sorted(
+        {r.symbol for records in inputs.records_by_lexicon.values() for r in records}
+        | {sym for sym, _ in inputs.indicator_points}
+    )
+    indicators = lay_out(inputs.indicator_points.values(), INDICATOR_FIELDS, universe, inputs.n_days)
+    projections = {
+        name: lay_out(inputs.records_by_lexicon[name], SENTIMENT_FIELDS, universe, inputs.n_days)
+        for name in lexica
     }
     specs: list[tuple[PanelSpec, str, Iterable[str] | None]] = []
 
@@ -543,7 +574,7 @@ def run_specification_suite(
         names = list(lexica)
         if len(lexica) >= 2:
             pca_records, _, _ = build_pca_records(inputs.records_by_lexicon)
-            projections[PCA_NAME] = _indexed_records(pca_records)
+            projections[PCA_NAME] = lay_out(pca_records, SENTIMENT_FIELDS, universe, inputs.n_days)
             names.append(PCA_NAME)
         for dependent in DEPENDENTS:
             for name in names:
@@ -585,10 +616,7 @@ def run_specification_suite(
     cells = []
     for spec, name, symbols in specs:
         try:
-            panel = assemble_panel(
-                projections[name], inputs.indicator_points, inputs.market, spec,
-                inputs.n_days, symbols=symbols,
-            )
+            panel = assemble_panel(projections[name], indicators, inputs.market, spec, symbols=symbols)
             cells.append(SuiteCell(spec=spec, result=fit_fixed_effects(panel, cluster_mode=cluster_mode)))
         except (InputError, RankDeficient) as exc:
             cells.append(SuiteCell(spec=spec, result=None, error=f"{exc.error_code}: {exc}"))

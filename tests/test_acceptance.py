@@ -304,7 +304,7 @@ def test_criterion_06_clustered_se():
     y_dm = _demean_by_group(y, entities)
     beta = np.linalg.lstsq(x_dm, y_dm, rcond=None)[0]
     u = y_dm - x_dm @ beta
-    cov, _, _ = _cluster_covariance_arrays(
+    cov, _, _, _ = _cluster_covariance_arrays(
         x_dm, u, np.arange(60), np.arange(60), ClusterMode.BY_ENTITY, 2
     )
     bread = np.linalg.inv(x_dm.T @ x_dm)

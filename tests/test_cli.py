@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 import newsflow
 from conftest import build_fixture, trading_days, write_calendar
-from newsflow.cli import main
+from newsflow.cli import _read_entire_coefficients, _read_residual_pool, main
+from newsflow.errors import MalformedRecord
 
 
 def run(args):
@@ -169,6 +171,14 @@ def _set_cell(path, line, column, value):
     pytest.param(["panel", "--suite", "sector"],
                  lambda root: _edit_lines(root / "sectors.csv", lambda lines: lines + [lines[1].lower()]),
                  id="sectors_symbol_repeated"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "out" / "indicators.csv", 5, 2, "inf"),
+                 id="indicators_log_vol_inf"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "out" / "indicators.csv", 5, 4, "nan"),
+                 id="indicators_ret_nan"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "out" / "sentiment.csv", 4, 4, "inf"),
+                 id="sentiment_pos_inf"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "market.csv", 3, 2, "-inf"),
+                 id="market_vix_minus_inf"),
 ])
 def test_malformed_panel_input_exits_2(distilled_fixture, tmp_path, capsys, command, corrupt):
     root = tmp_path / "run"
@@ -179,6 +189,30 @@ def test_malformed_panel_input_exits_2(distilled_fixture, tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("ERROR ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, read", [
+    ("spec,variable,estimate\nlog_vol/BL/h=1,(intercept),0.5\nlog_vol/BL/h=1,I,inf\n",
+     lambda path: _read_entire_coefficients(path, "BL")),
+    ("symbol,day,residual\nAAA,0,0.5\nAAA,1,nan\n", _read_residual_pool),
+], ids=["coefficient_inf", "residual_nan"])
+def test_non_finite_panel_result_is_malformed(tmp_path, text, read):
+    path = tmp_path / "results.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=re.escape(f"{path}:3: non-finite")):
+        read(path)
+
+
+def test_panel_summary_counts_low_rank_cells(distilled_fixture, tmp_path, capsys):
+    # 4 symbols clustered by entity identify at most 3 of the 8 coefficients' directions
+    root = tmp_path / "run"
+    shutil.copytree(distilled_fixture, root)
+    ini = root / "newsflow.ini"
+    ini.write_text(ini.read_text(encoding="utf-8") + "\n[panel]\ncluster = by_entity\n", encoding="utf-8")
+    assert run(["panel", "--config", ini, "--output", root / "out"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "suite=entire cells=12 fitted=12 psd_repaired=0 low_rank=12"
+    )
 
 
 @pytest.mark.parametrize("raw, expected", [("no", False), ("Off", False), ("0", False), ("yes", True)])

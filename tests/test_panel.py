@@ -4,13 +4,18 @@ from scipy import stats
 
 from newsflow._util import fmt_num
 from newsflow.errors import (
+    CalendarMismatch,
     ConstantColumn,
     EmptyPanel,
+    InputError,
     RankDeficient,
     SingleCluster,
 )
 from newsflow.indicators import IndicatorPoint
 from newsflow.panel import (
+    DEPENDENTS,
+    INDICATOR_FIELDS,
+    SENTIMENT_FIELDS,
     ClusterMode,
     MarketSeries,
     PanelDataset,
@@ -22,6 +27,7 @@ from newsflow.panel import (
     clustered_covariance,
     fit_fixed_effects,
     format_suite_table,
+    lay_out,
     pca_sentiment_index,
     run_specification_suite,
     significance_stars,
@@ -154,7 +160,7 @@ def test_singleton_clusters_equal_scaled_hc0():
     # singleton clustering realized by clustering on observation index
     from newsflow.panel import _cluster_covariance_arrays
 
-    cov, _, _ = _cluster_covariance_arrays(
+    cov, _, _, _ = _cluster_covariance_arrays(
         x_dm, u, np.arange(n), np.arange(n), ClusterMode.BY_ENTITY, k
     )
     assert cov == pytest.approx(factor * hc0, abs=1e-10)
@@ -243,6 +249,15 @@ def test_psd_repaired_set_for_an_indefinite_two_way_covariance():
     assert result.covariance == pytest.approx(eigvals[1] * np.outer(eigvecs[:, 1], eigvecs[:, 1]), abs=1e-12)
 
 
+@pytest.mark.parametrize("n_entities, rank", [(4, 3), (40, 8)])
+def test_covariance_rank_counts_what_the_clusters_identify(n_entities, rank):
+    # the entity score sums add to zero, so G entity clusters give rank <= G - 1
+    rng = np.random.default_rng(0)
+    y, x, entities, times, _, _ = random_panel(rng, n_entities, 60, 8)
+    result = fit_fixed_effects(make_panel(y, x, entities, times), tuple("abcdefgh"), ClusterMode.BY_ENTITY)
+    assert result.covariance_rank == rank
+
+
 def test_single_cluster_raises():
     rng = np.random.default_rng(9)
     x = rng.normal(0, 1, (20, 1))
@@ -269,10 +284,10 @@ def test_zero_standard_error_has_no_p_value_or_stars(monkeypatch):
     fitted_covariance = panel_mod._cluster_covariance_arrays
 
     def zero_first_variance(*args):
-        cov, df, _ = fitted_covariance(*args)
+        cov, df, _, rank = fitted_covariance(*args)
         cov = cov.copy()
         cov[0, :] = cov[:, 0] = 0.0
-        return cov, df, True
+        return cov, df, True, rank
 
     monkeypatch.setattr(panel_mod, "_cluster_covariance_arrays", zero_first_variance)
     result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b"), ClusterMode.BY_ENTITY)
@@ -371,17 +386,25 @@ def complete_inputs(n_symbols=2, n_days=10, seed=0):
     return records, points, market
 
 
+def assemble(records, points, market, spec, n_days, symbols=None):
+    """assemble_panel on records and points laid out on the union of their symbols."""
+    universe = sorted({sym for sym, _ in records} | {sym for sym, _ in points})
+    sentiment = lay_out(records.values(), SENTIMENT_FIELDS, universe, n_days)
+    indicators = lay_out(points.values(), INDICATOR_FIELDS, universe, n_days)
+    return assemble_panel(sentiment, indicators, market, spec, symbols=symbols)
+
+
 def test_assemble_panel_counts():
     records, points, market = complete_inputs()
     spec = PanelSpec("log_vol", 1, False, "BL")
-    panel = assemble_panel(records, points, market, spec, n_days=10)
+    panel = assemble(records, points, market, spec, n_days=10)
     assert len(panel.observations) == 2 * 9  # t = 0..8 for each symbol
 
 
 def test_assemble_panel_cumulative_h1_identity():
     records, points, market = complete_inputs(seed=1)
-    flat = assemble_panel(records, points, market, PanelSpec("ret", 1, False, "BL"), 10)
-    cumulative = assemble_panel(records, points, market, PanelSpec("ret", 1, True, "BL"), 10)
+    flat = assemble(records, points, market, PanelSpec("ret", 1, False, "BL"), 10)
+    cumulative = assemble(records, points, market, PanelSpec("ret", 1, True, "BL"), 10)
     for name in ("entities", "times", "y", "x"):
         assert np.array_equal(getattr(flat, name), getattr(cumulative, name))
 
@@ -392,7 +415,7 @@ def test_assemble_panel_cumulative_matches_cumulative_record(h):
     records, points, market = complete_inputs(n_symbols=3, n_days=n_days, seed=7)
     for key in [("S0", 3), ("S1", 10), ("S1", 11), ("S2", 19)]:
         del records[key]
-    panel = assemble_panel(records, points, market, PanelSpec("log_vol", h, True, "BL"), n_days)
+    panel = assemble(records, points, market, PanelSpec("log_vol", h, True, "BL"), n_days)
 
     by_symbol: dict[str, dict[int, SentimentRecord]] = {}
     for (sym, day), rec in records.items():
@@ -419,7 +442,7 @@ def test_assemble_panel_missing_fields_dropped():
     records, points, market = complete_inputs(seed=2)
     points[("S0", 5)] = IndicatorPoint("S0", 5, None, 0.1, 0.01)
     spec = PanelSpec("log_vol", 1, False, "BL")
-    panel = assemble_panel(records, points, market, spec, n_days=10)
+    panel = assemble(records, points, market, spec, n_days=10)
     # day 5 is lost twice for S0: as dependent (t=4) and as lagged control (t=5)
     assert len(panel.observations) == 18 - 2
     assert panel.dropped["missing_field"] == 2
@@ -428,17 +451,87 @@ def test_assemble_panel_missing_fields_dropped():
 def test_assemble_panel_empty_subsample():
     records, points, market = complete_inputs(seed=3)
     with pytest.raises(EmptyPanel):
-        assemble_panel(records, points, market, PanelSpec("ret", 1, False, "BL"),
+        assemble(records, points, market, PanelSpec("ret", 1, False, "BL"),
                        10, symbols=["NOPE"])
 
 
 def test_assemble_panel_lag_spec():
     records, points, market = complete_inputs(seed=4)
-    panel = assemble_panel(records, points, market, PanelSpec("ret", 3, False, "BL"), 10)
+    panel = assemble(records, points, market, PanelSpec("ret", 3, False, "BL"), 10)
     assert len(panel.observations) == 2 * 7  # t = 0..6
     # dependent is the day-(t+3) return
     first = panel.observations[0]
     assert first.dependent == points[(first.symbol, first.day + 3)].ret
+
+
+def unbalanced_inputs():
+    """S3 has no indicators, S4 one record (a singleton entity), gaps elsewhere."""
+    n_days = 16
+    records, points, market = complete_inputs(n_symbols=5, n_days=n_days, seed=11)
+    for key in [("S0", 3), ("S1", 9), ("S1", 10)] + [("S4", day) for day in range(1, n_days)]:
+        del records[key]
+    for key in [("S2", 7), ("S0", 12)] + [("S3", day) for day in range(n_days)]:
+        del points[key]
+    points[("S1", 5)] = IndicatorPoint("S1", 5, points[("S1", 5)].log_vol, None, points[("S1", 5)].ret)
+    vix = market.vix.copy()
+    vix[9] = np.nan
+    return records, points, MarketSeries(market.market_return, vix), n_days
+
+
+def bruteforce_assembly(records, points, market, spec, n_days, symbols=None):
+    """Expected entities, times, y, x and dropped counts, one dict lookup at a time."""
+    universe = sorted({sym for sym, _ in records} | {sym for sym, _ in points})
+    if symbols is not None:
+        universe = [sym for sym in universe if sym in {s.upper() for s in symbols}]
+    field_of = {"log_vol": "log_vol", "dvol": "detrended_volume", "ret": "ret"}
+    h = spec.h
+    rows, missing, singleton = [], 0, 0
+    for sym in universe:
+        complete = []
+        for t in range(n_days - h):
+            if spec.cumulative and h > 1:
+                window = {day: records.get((sym, day)) for day in range(t, t + h)}
+                rec = cumulative_record(window, t, h) if None not in window.values() else None
+            else:
+                rec = records.get((sym, t))
+            point, ahead = points.get((sym, t)), points.get((sym, t + h))
+            values = [
+                getattr(ahead, field_of[spec.dependent]) if ahead else None,
+                *((float(rec.active), rec.pos, rec.neg) if rec else (None,) * 3),
+                market.market_return[t], market.vix[t],
+                *((point.log_vol, point.ret, point.detrended_volume) if point else (None,) * 3),
+            ]
+            if any(v is None or np.isnan(v) for v in values):
+                missing += 1
+            else:
+                complete.append((sym, t, values))
+        if len(complete) < 2:
+            singleton += len(complete)
+        else:
+            rows.extend(complete)
+    return (
+        np.array([sym for sym, _, _ in rows]),
+        np.array([t for _, t, _ in rows]),
+        np.array([v[0] for _, _, v in rows]),
+        np.array([v[1:] for _, _, v in rows]),
+        {"missing_field": missing, "singleton_entity": singleton},
+    )
+
+
+@pytest.mark.parametrize("symbols", [None, ["S0", "s2", "S3", "NOPE"]], ids=["all", "subsample"])
+@pytest.mark.parametrize("cumulative", [False, True], ids=["flat", "cumulative"])
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+def test_assemble_panel_matches_bruteforce_lookup(h, cumulative, symbols):
+    records, points, market, n_days = unbalanced_inputs()
+    for dependent in DEPENDENTS:
+        spec = PanelSpec(dependent, h, cumulative, "BL")
+        panel = assemble(records, points, market, spec, n_days, symbols=symbols)
+        entities, times, y, x, dropped = bruteforce_assembly(records, points, market, spec, n_days, symbols)
+        assert np.array_equal(panel.entities, entities)
+        assert np.array_equal(panel.times, times)
+        assert np.array_equal(panel.y, y)
+        assert np.array_equal(panel.x, x)
+        assert panel.dropped == dropped
 
 
 # suites ---------------------------------------------------------------------------
@@ -469,6 +562,46 @@ def suite_inputs(n_symbols=6, n_days=40, seed=5):
     market = MarketSeries(rng.normal(0, 0.01, n_days), rng.uniform(0.1, 0.3, n_days))
     sectors = {sym: ("Financials" if i % 2 == 0 else "Health Care") for i, sym in enumerate(symbols)}
     return PanelInputs(records_by_lexicon, points, market, n_days, sectors=sectors)
+
+
+@pytest.mark.parametrize("suite, n_projections", [("entire", 4), ("lags_cumulative", 3)])
+def test_each_input_is_laid_out_once_per_suite(monkeypatch, suite, n_projections):
+    import newsflow.panel as panel_mod
+
+    calls = []
+    laid_out = panel_mod.lay_out
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return laid_out(*args, **kwargs)
+
+    monkeypatch.setattr(panel_mod, "lay_out", counted)
+    cells = run_specification_suite(suite_inputs(n_days=30), suite)
+    assert len(cells) in (12, 36)
+    # one sentiment layout per projection, one indicator layout
+    assert calls.count(SENTIMENT_FIELDS) == n_projections
+    assert calls.count(INDICATOR_FIELDS) == 1
+    assert len(calls) == n_projections + 1
+
+
+def test_assemble_panel_rejects_layouts_that_do_not_line_up():
+    records, points, market = complete_inputs()
+    spec = PanelSpec("ret", 1, False, "BL")
+    sentiment = lay_out(records.values(), SENTIMENT_FIELDS, ["S0", "S1"], 10)
+    indicators = lay_out(points.values(), INDICATOR_FIELDS, ["S0", "S1"], 10)
+    for pair in [
+        (sentiment, lay_out(points.values(), INDICATOR_FIELDS, ["S0", "S1", "S2"], 10)),
+        (sentiment, lay_out(points.values(), INDICATOR_FIELDS, ["S0", "S1"], 11)),
+        (indicators, sentiment),
+    ]:
+        with pytest.raises(InputError):
+            assemble_panel(*pair, market, spec)
+
+
+def test_lay_out_rejects_a_day_outside_the_calendar():
+    records, _, _ = complete_inputs(n_days=10)
+    with pytest.raises(CalendarMismatch):
+        lay_out(records.values(), SENTIMENT_FIELDS, ["S0", "S1"], 9)
 
 
 def test_entire_suite_cell_count():
