@@ -330,6 +330,17 @@ def cmd_simulate(config: RunConfig) -> int:
         raise InputError("market return series has gaps")
     vix_mean = float(np.mean(market.vix[np.isfinite(market.vix)]))
 
+    # read every panel output before the GARCH fits, so that a missing file fails fast
+    projections = list(config.sim_projections) if config.sim_projections else sorted(records)
+    panel_outputs = {}
+    for projection in projections:
+        if projection not in records:
+            raise MissingInput(f"no sentiment records for projection {projection!r}")
+        panel_outputs[projection] = (
+            _read_entire_coefficients(config.output_dir / config.sim_results_csv, projection),
+            _read_residual_pool(config.output_dir / f"residuals_log_vol_{projection}.csv"),
+        )
+
     returns_by_symbol: dict[str, np.ndarray] = {}
     for (symbol, day), point in points.items():
         arr = returns_by_symbol.setdefault(symbol, np.full(len(calendar), np.nan))
@@ -340,14 +351,8 @@ def cmd_simulate(config: RunConfig) -> int:
     if skipped:
         print(f"skipped_returns={','.join(skipped)}")
 
-    projections = list(config.sim_projections) if config.sim_projections else sorted(records)
     for projection in projections:
-        if projection not in records:
-            raise MissingInput(f"no sentiment records for projection {projection!r}")
-        alpha, coefficients = _read_entire_coefficients(
-            config.output_dir / config.sim_results_csv, projection
-        )
-        pool = _read_residual_pool(config.output_dir / f"residuals_log_vol_{projection}.csv")
+        (alpha, coefficients), pool = panel_outputs[projection]
         models, diagnostics = build_sentiment_models(
             records[projection], n_days=len(calendar), min_active=config.sim_min_active
         )

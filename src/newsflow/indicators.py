@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._util import finite_float
 from .corpus import TradingCalendar
 from .errors import (
     DegenerateBar,
@@ -108,14 +109,15 @@ def fit_detrend_model(
     Missing values (NaN) are skipped, so the window slides over the available
     history; it never reads data at or after day t.
     """
-    history = [s for s in range(min(t, len(raw_log_volume))) if not math.isnan(raw_log_volume[s])]
+    values = np.asarray(raw_log_volume, dtype=float)
+    history = np.flatnonzero(~np.isnan(values[:max(t, 0)]))
     if len(history) < window:
         raise InsufficientHistory(needed=window, available=len(history))
     support = history[-window:]
-    t0 = support[0]
-    x = np.array(support, dtype=float) - t0
+    t0 = int(support[0])
+    x = support.astype(float) - t0
     design = np.column_stack([np.ones_like(x), x, x * x])
-    y = np.array([raw_log_volume[s] for s in support], dtype=float)
+    y = values[support]
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 3:
         raise SingularFit(f"rank-deficient trend design at t={t}")
@@ -197,11 +199,11 @@ def load_market_bars(path: str | Path, calendar: TradingCalendar) -> dict[str, l
                 bar = MarketBar(
                     symbol=row["symbol"].upper(),
                     day=calendar.index[date],
-                    open=float(row["open"]),
-                    high=float(row["high"]),
-                    low=float(row["low"]),
-                    close=float(row["close"]),
-                    volume=float(row["volume"]),
+                    open=finite_float(row["open"]),
+                    high=finite_float(row["high"]),
+                    low=finite_float(row["low"]),
+                    close=finite_float(row["close"]),
+                    volume=finite_float(row["volume"]),
                 )
             except (ValueError, InputError) as exc:
                 raise PriceParseError(str(exc), line=lineno) from exc

@@ -12,6 +12,7 @@ import newsflow
 from conftest import build_fixture, trading_days, write_calendar
 from newsflow.cli import _read_entire_coefficients, _read_residual_pool, main
 from newsflow.errors import MalformedRecord
+from newsflow.simulate import scenario
 
 
 def run(args):
@@ -78,6 +79,18 @@ def test_price_parse_error_exit_code(mini_fixture, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "ERROR PRICE_PARSE_ERROR" in err
+    assert "line 4" in err
+
+
+@pytest.mark.parametrize("column, value", [
+    (5, "nan"), (3, "inf"), (6, "nan"), (6, "inf"),
+], ids=["close_nan", "high_inf", "volume_nan", "volume_inf"])
+def test_non_finite_price_exits_2(mini_fixture, capsys, column, value):
+    _set_cell(mini_fixture / "prices.csv", 4, column, value)
+    code = run(["indicators", "--config", mini_fixture / "newsflow.ini"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR PRICE_PARSE_ERROR") and len(err.splitlines()) == 1
     assert "line 4" in err
 
 
@@ -201,6 +214,22 @@ def test_non_finite_panel_result_is_malformed(tmp_path, text, read):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedRecord, match=re.escape(f"{path}:3: non-finite")):
         read(path)
+
+
+def test_simulate_reads_panel_outputs_before_fitting(tmp_path_factory, monkeypatch, capsys):
+    root = build_fixture(tmp_path_factory.mktemp("paneled"), n_symbols=4, n_days=300, n_articles=300)
+    for command in ("distill", "indicators", "panel"):
+        assert run([command, "--config", root / "newsflow.ini"]) == 0
+    (root / "out" / "residuals_log_vol_BL.csv").unlink()
+    fits = []
+    fit = scenario.fit_ma1_garch11
+    monkeypatch.setattr(scenario, "fit_ma1_garch11", lambda *args, **kwargs: fits.append(1) or fit(*args, **kwargs))
+    capsys.readouterr()
+    code = run(["simulate", "--config", root / "newsflow.ini"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR MISSING_INPUT") and len(err.splitlines()) == 1
+    assert fits == []
 
 
 def test_panel_summary_counts_low_rank_cells(distilled_fixture, tmp_path, capsys):

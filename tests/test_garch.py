@@ -1,7 +1,11 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
 from newsflow.errors import InputError, NonConvergence, NonStationarySolution
+from newsflow.simulate import garch
 from newsflow.simulate import (
     MA1Garch11Params,
     filter_ma1_garch11,
@@ -134,3 +138,90 @@ def test_filter_matches_python_loop(n, params):
 def test_filter_empty_series():
     eps, h = filter_ma1_garch11(np.empty(0), TRUE)
     assert eps.shape == (0,) and h.shape == (0,)
+
+
+def _nelder_mead_loglik(r):
+    """Log-likelihood of the Nelder-Mead search alone, from the fixed starts."""
+    variance = float(np.var(r))
+    starts = garch._fixed_starts(float(np.mean(r)), variance)
+    best, _, _ = garch._fit_nelder_mead(starts, r, variance, 1e-8)
+    return -best.fun
+
+
+@pytest.mark.parametrize("params", [
+    MA1Garch11Params(mu=0.05, theta=0.3, omega=0.05, alpha=0.13, beta=0.76),
+    # theta < 0 and alpha + beta close to 1
+    MA1Garch11Params(mu=-0.1, theta=-0.66, omega=0.1, alpha=0.11, beta=0.88),
+    MA1Garch11Params(mu=0.0, theta=0.1, omega=0.05, alpha=0.3, beta=0.32),
+])
+def test_score_matches_central_differences(params):
+    r = simulate_ma1_garch11(TRUE, 300, rng_seed=1)
+    backcast = float(np.var(r))
+    raw = garch._to_unconstrained(params.mu, params.theta, params.omega, params.alpha, params.beta)
+    value, score = garch._negative_loglik_and_score(raw, r, backcast)
+    assert value == garch._negative_loglik(raw, r, backcast)
+    numeric = np.empty(5)
+    for i in range(5):
+        step = np.zeros(5)
+        step[i] = 1e-6 * max(1.0, abs(raw[i]))
+        upper = garch._negative_loglik(raw + step, r, backcast)
+        lower = garch._negative_loglik(raw - step, r, backcast)
+        numeric[i] = (upper - lower) / (2.0 * step[i])
+    assert score == pytest.approx(numeric, rel=1e-5)
+
+
+def test_first_order_recursion_solves_columns_together():
+    drive = np.random.default_rng(10).normal(size=(50, 3))
+    together = garch._first_order_recursion(np.asfortranarray(drive), 0.7)
+    for k in range(3):
+        assert np.array_equal(together[:, k], garch._first_order_recursion(drive[:, k].copy(), 0.7))
+
+
+def _fixture_returns(root):
+    """Market returns and the log-close returns of the first five symbols."""
+    with (root / "market.csv").open(encoding="utf-8") as handle:
+        series = {"market": np.array([float(row["market_return"]) for row in csv.DictReader(handle)])}
+    closes = {}
+    with (root / "prices.csv").open(encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            closes.setdefault(row["symbol"], []).append(math.log(float(row["close"])))
+    for symbol in sorted(closes)[:5]:
+        series[symbol] = np.diff(closes[symbol])
+    return series
+
+
+def test_fit_loglik_at_least_nelder_mead(pipeline_fixture_dir):
+    # the fixture's returns are i.i.d., so several optima sit on the edge
+    series = list(_fixture_returns(pipeline_fixture_dir).values())
+    series += [simulate_ma1_garch11(TRUE, 300, rng_seed=seed) for seed in range(20, 25)]
+    for r in series:
+        assert fit_ma1_garch11(r).loglik >= _nelder_mead_loglik(r) - 1e-6
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(garch, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(garch, name, counted)
+    return calls
+
+
+def test_iid_boundary_optimum_takes_the_fallback(monkeypatch):
+    r = np.random.default_rng(0).normal(0.0, 1.0, 300)
+    fallbacks = _count_calls(monkeypatch, "_fit_nelder_mead")
+    fitted = fit_ma1_garch11(r)
+    assert len(fallbacks) == 1
+    assert fitted.loglik >= _nelder_mead_loglik(r) - 1e-6
+
+
+def test_garch_path_fit_evaluation_count(monkeypatch):
+    # Nelder-Mead from the three starts takes about 4,800 evaluations here
+    r = simulate_ma1_garch11(TRUE, 300, rng_seed=10)
+    values = _count_calls(monkeypatch, "_negative_loglik")
+    scores = _count_calls(monkeypatch, "_negative_loglik_and_score")
+    fit_ma1_garch11(r)
+    assert len(values) + len(scores) <= 800
