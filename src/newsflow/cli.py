@@ -30,9 +30,12 @@ from .errors import (
     TooFewBootstraps,
 )
 from .panel import (
+    INDICATOR_FIELDS,
+    SENTIMENT_FIELDS,
     ClusterMode,
     MarketSeries,
     PanelInputs,
+    SymbolDayArray,
     compute_attention_groups,
     format_suite_table,
     run_specification_suite,
@@ -160,7 +163,8 @@ def cmd_indicators(config: RunConfig) -> int:
     return 0
 
 
-def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, list[sent_mod.SentimentRecord]]:
+def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, SymbolDayArray]:
+    """One SENTIMENT_FIELDS array per lexicon, on the symbols that lexicon's rows name."""
     if not path.exists():
         raise MissingInput(f"sentiment output not found: {path} (run distill first)")
     seen: set[tuple[str, str, int]] = set()
@@ -173,25 +177,28 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, list
         if key in seen:
             raise InputError(f"duplicate sentiment row for {row['lexicon']} {row['symbol']} {row['date']}")
         seen.add(key)
-        return sent_mod.SentimentRecord(
-            symbol=row["symbol"],
-            day=day,
-            lexicon_name=row["lexicon"],
-            active=int(row["I"]),
-            pos=finite_float(row["pos"]),
-            neg=finite_float(row["neg"]),
-            n_articles=int(row["n_articles"]),
-        )
+        active, n_articles = int(row["I"]), int(row["n_articles"])
+        if n_articles < 0:
+            raise InputError(f"negative sentiment n_articles {n_articles}")
+        if active != (n_articles > 0):
+            raise InputError(f"sentiment I={active} with n_articles={n_articles}; I is 1 exactly when n_articles > 0")
+        pos, neg = finite_float(row["pos"]), finite_float(row["neg"])
+        if not (0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0):
+            raise InputError(f"sentiment pos={pos!r} and neg={neg!r} must lie in [0, 1]")
+        return row["lexicon"], (row["symbol"], day, active, pos, neg, n_articles)
 
-    out: dict[str, list[sent_mod.SentimentRecord]] = {}
-    for rec in read_csv_rows(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), parse):
-        out.setdefault(rec.lexicon_name, []).append(rec)
-    if not out:
+    rows_by_lexicon: dict[str, list[tuple]] = {}
+    for lexicon, row in read_csv_rows(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), parse):
+        rows_by_lexicon.setdefault(lexicon, []).append(row)
+    if not rows_by_lexicon:
         raise MissingInput(f"sentiment file {path} is empty")
-    return out
+    return {
+        lexicon: SymbolDayArray.from_rows(SENTIMENT_FIELDS, rows, len(calendar))
+        for lexicon, rows in rows_by_lexicon.items()
+    }
 
 
-def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> dict[tuple[str, int], ind_mod.IndicatorPoint]:
+def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> SymbolDayArray:
     if not path.exists():
         raise MissingInput(f"indicator output not found: {path} (run indicators first)")
     seen: set[tuple[str, int]] = set()
@@ -203,16 +210,10 @@ def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> dict[tuple[st
         if (row["symbol"], day) in seen:
             raise InputError(f"duplicate indicator row for {row['symbol']} {row['date']}")
         seen.add((row["symbol"], day))
-        return ind_mod.IndicatorPoint(
-            symbol=row["symbol"],
-            day=day,
-            log_vol=finite_float(row["log_vol"]) if row["log_vol"] else None,
-            detrended_volume=finite_float(row["detrended_volume"]) if row["detrended_volume"] else None,
-            ret=finite_float(row["ret"]) if row["ret"] else None,
-        )
+        return (row["symbol"], day, *(finite_float(row[name]) if row[name] else None for name in INDICATOR_FIELDS))
 
-    columns = ("symbol", "date", "log_vol", "detrended_volume", "ret")
-    return {(p.symbol, p.day): p for p in read_csv_rows(path, columns, parse)}
+    rows = read_csv_rows(path, ("symbol", "date", *INDICATOR_FIELDS), parse)
+    return SymbolDayArray.from_rows(INDICATOR_FIELDS, rows, len(calendar))
 
 
 def _load_sectors(path: Path) -> dict[str, str]:
@@ -230,20 +231,14 @@ def _load_sectors(path: Path) -> dict[str, str]:
 
 def _panel_inputs(config: RunConfig, need_sectors: bool) -> tuple[TradingCalendar, PanelInputs]:
     calendar = TradingCalendar.from_file(config.calendar_path)
-    records = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
-    points = _read_indicators_csv(config.output_dir / INDICATORS_CSV, calendar)
+    sentiment = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
+    indicators = _read_indicators_csv(config.output_dir / INDICATORS_CSV, calendar)
     market = MarketSeries.from_csv(config.market_path, calendar)
     sectors = None
     if need_sectors:
         config.validate(need=("sectors",))
         sectors = _load_sectors(config.sectors_path)
-    return calendar, PanelInputs(
-        records_by_lexicon=records,
-        indicator_points=points,
-        market=market,
-        n_days=len(calendar),
-        sectors=sectors,
-    )
+    return calendar, PanelInputs(sentiment=sentiment, indicators=indicators, market=market, sectors=sectors)
 
 
 def cmd_panel(config: RunConfig) -> int:
@@ -321,8 +316,8 @@ def cmd_simulate(config: RunConfig) -> int:
     if config.sim_n_boot < 100:
         raise TooFewBootstraps(f"n_boot must be >= 100, got {config.sim_n_boot}")
     calendar = TradingCalendar.from_file(config.calendar_path)
-    records = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
-    points = _read_indicators_csv(config.output_dir / INDICATORS_CSV, calendar)
+    sentiment = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
+    indicators = _read_indicators_csv(config.output_dir / INDICATORS_CSV, calendar)
     market = MarketSeries.from_csv(config.market_path, calendar)
 
     market_finite = market.market_return[np.isfinite(market.market_return)]
@@ -331,31 +326,24 @@ def cmd_simulate(config: RunConfig) -> int:
     vix_mean = float(np.mean(market.vix[np.isfinite(market.vix)]))
 
     # read every panel output before the GARCH fits, so that a missing file fails fast
-    projections = list(config.sim_projections) if config.sim_projections else sorted(records)
+    projections = list(config.sim_projections) if config.sim_projections else sorted(sentiment)
     panel_outputs = {}
     for projection in projections:
-        if projection not in records:
+        if projection not in sentiment:
             raise MissingInput(f"no sentiment records for projection {projection!r}")
         panel_outputs[projection] = (
             _read_entire_coefficients(config.output_dir / config.sim_results_csv, projection),
             _read_residual_pool(config.output_dir / f"residuals_log_vol_{projection}.csv"),
         )
 
-    returns_by_symbol: dict[str, np.ndarray] = {}
-    for (symbol, day), point in points.items():
-        arr = returns_by_symbol.setdefault(symbol, np.full(len(calendar), np.nan))
-        if point.ret is not None:
-            arr[day] = point.ret
-
+    returns_by_symbol = dict(zip(indicators.symbols, indicators.plane("ret")))
     residual_model, skipped = build_residual_model(market.market_return, returns_by_symbol)
     if skipped:
         print(f"skipped_returns={','.join(skipped)}")
 
     for projection in projections:
         (alpha, coefficients), pool = panel_outputs[projection]
-        models, diagnostics = build_sentiment_models(
-            records[projection], n_days=len(calendar), min_active=config.sim_min_active
-        )
+        models, diagnostics = build_sentiment_models(sentiment[projection], min_active=config.sim_min_active)
         models = [m for m in models if m.symbol in residual_model.labels]
         scenario = ScenarioConfig(
             alpha=alpha,
@@ -471,11 +459,11 @@ def cmd_lexstats(config: RunConfig) -> int:
 def cmd_report(config: RunConfig) -> int:
     config.validate(need=("calendar",))
     calendar = TradingCalendar.from_file(config.calendar_path)
-    records = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
+    sentiment = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
 
     summary_rows = []
-    for name in sorted(records):
-        summary = sent_mod.sentiment_summary(records[name])
+    for name in sorted(sentiment):
+        summary = sent_mod.sentiment_summary(sentiment[name])
         for side, stats_ in (("pos", summary.pos), ("neg", summary.neg)):
             summary_rows.append((
                 name, side, summary.n_active, stats_.mean, stats_.sd, stats_.maximum,
@@ -489,7 +477,7 @@ def cmd_report(config: RunConfig) -> int:
     )
 
     month_of_day = {day: calendar.month_of(day) for day in range(len(calendar))}
-    correlations = sent_mod.monthly_lexicon_correlation(records, month_of_day)
+    correlations = sent_mod.monthly_lexicon_correlation(sentiment, month_of_day)
     corr_rows = []
     for (name_a, name_b), series in sorted(correlations.items()):
         for (year, month), (pos_corr, neg_corr) in sorted(series.items()):
@@ -500,20 +488,12 @@ def cmd_report(config: RunConfig) -> int:
         corr_rows,
     )
 
-    inputs = PanelInputs(
-        records_by_lexicon=records,
-        indicator_points={},
-        market=MarketSeries(np.zeros(len(calendar)), np.zeros(len(calendar))),
-        n_days=len(calendar),
-    )
-    groups = compute_attention_groups(inputs)
-    first = records[sorted(records)[0]]
-    by_symbol: dict[str, list[sent_mod.SentimentRecord]] = {}
-    for rec in first:
-        by_symbol.setdefault(rec.symbol, []).append(rec)
+    first = sentiment[sorted(sentiment)[0]]
+    groups = compute_attention_groups(first)
+    ratios = ind_mod.attention_ratio(first.plane("active"), len(calendar))
     group_rows = [
-        (symbol, ind_mod.attention_ratio(by_symbol[symbol], len(calendar)), groups[symbol].value)
-        for symbol in sorted(groups)
+        (symbol, ratio, groups[symbol].value)
+        for symbol, ratio in zip(first.symbols, ratios.tolist())
     ]
     write_csv(
         config.output_dir / "report_attention.csv",
@@ -521,7 +501,7 @@ def cmd_report(config: RunConfig) -> int:
         group_rows,
     )
     _write_manifest(config, "report", [config.output_dir / SENTIMENT_CSV])
-    print(f"lexica={len(records)} correlation_rows={len(corr_rows)} symbols={len(group_rows)}")
+    print(f"lexica={len(sentiment)} correlation_rows={len(corr_rows)} symbols={len(group_rows)}")
     return 0
 
 

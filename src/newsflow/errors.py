@@ -172,10 +172,6 @@ class DegenerateX(InputError):
     pass
 
 
-class EmptyNeighborhood(NumericalError):
-    pass
-
-
 class TooFewBootstraps(InputError):
     pass
 

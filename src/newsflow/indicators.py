@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import (
     PriceParseError,
     SingularFit,
 )
-from .sentiment import SentimentRecord
 
 DETREND_WINDOW = 120
 
@@ -220,12 +219,14 @@ class AttentionGroup(enum.Enum):
     EXTREMELY_HIGH = "extremely_high"
 
 
-def attention_ratio(records: Iterable[SentimentRecord], total_days: int) -> float:
-    """Fraction of trading days with at least one article."""
+def attention_ratio(active: np.ndarray, total_days: int) -> np.ndarray:
+    """Fraction of trading days with at least one article, along the last (day) axis.
+
+    `active` is an article-arrival indicator, NaN on a day without a record.
+    """
     if total_days < 1:
         raise InputError("total_days must be >= 1")
-    active_days = {r.day for r in records if r.active}
-    return len(active_days) / total_days
+    return np.count_nonzero(active == 1, axis=-1) / total_days
 
 
 def attention_groups(ratios: Mapping[str, float]) -> dict[str, AttentionGroup]:

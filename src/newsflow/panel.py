@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as dt
 import enum
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -30,8 +29,7 @@ from .errors import (
     SingleCluster,
     TooFewObservations,
 )
-from .indicators import AttentionGroup, IndicatorPoint, attention_groups, attention_ratio
-from .sentiment import SentimentRecord
+from .indicators import AttentionGroup, attention_groups, attention_ratio
 
 SENTIMENT_VARS = ("I", "Pos", "Neg")
 CONTROL_VARS = ("R_M", "VIX", "log_vol_t", "ret_t", "dvol_t")
@@ -145,31 +143,41 @@ INDICATOR_FIELDS = ("log_vol", "detrended_volume", "ret")
 
 @dataclass(frozen=True)
 class SymbolDayArray:
-    """Item attributes as a (field, symbol, day) array, NaN where absent or None."""
+    """Named fields as a (field, symbol, day) array, NaN where absent or None."""
 
     fields: tuple[str, ...]
     symbols: tuple[str, ...]
     values: np.ndarray
 
+    @classmethod
+    def from_rows(cls, fields: Sequence[str], rows: Sequence[tuple], n_days: int) -> "SymbolDayArray":
+        """(symbol, day, *field values) rows, on their sorted symbols and a calendar of n_days.
 
-def lay_out(items: Iterable[SentimentRecord | IndicatorPoint], fields: Sequence[str],
-            symbols: Sequence[str], n_days: int) -> SymbolDayArray:
-    """The items' `fields` on the given symbol axis and a calendar of n_days.
+        A day outside the calendar raises CalendarMismatch.
+        """
+        symbols = sorted({row[0] for row in rows})
+        out = np.full((len(fields), len(symbols), n_days), np.nan)
+        if rows:
+            row_of = {sym: i for i, sym in enumerate(symbols)}
+            row_symbols, days, *columns = zip(*rows)
+            outside = [day for day in days if not 0 <= day < n_days]
+            if outside:
+                raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
+            out[:, [row_of[sym] for sym in row_symbols], days] = np.array(columns, dtype=float)
+        return cls(fields=tuple(fields), symbols=tuple(symbols), values=out)
 
-    Every item's symbol must be on the axis; a day outside the calendar
-    raises CalendarMismatch.
-    """
-    row_of = {sym: i for i, sym in enumerate(symbols)}
-    out = np.full((len(fields), len(symbols), n_days), np.nan)
-    get = operator.attrgetter(*fields)
-    laid = [(row_of[item.symbol], item.day, get(item)) for item in items]
-    if laid:
-        rows, days, values = zip(*laid)
-        outside = [day for day in days if not 0 <= day < n_days]
-        if outside:
-            raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
-        out[:, rows, days] = np.array(values, dtype=float).T
-    return SymbolDayArray(fields=tuple(fields), symbols=tuple(symbols), values=out)
+    def plane(self, name: str) -> np.ndarray:
+        """One field as a (symbol, day) array."""
+        return self.values[self.fields.index(name)]
+
+    def on(self, symbols: Sequence[str]) -> "SymbolDayArray":
+        """The same fields on another symbol axis; a symbol new to it gets a NaN row."""
+        row_of = {sym: i for i, sym in enumerate(self.symbols)}
+        out = np.full((len(self.fields), len(symbols), self.values.shape[2]), np.nan)
+        for i, sym in enumerate(symbols):
+            if sym in row_of:
+                out[:, i] = self.values[:, row_of[sym]]
+        return SymbolDayArray(fields=self.fields, symbols=tuple(symbols), values=out)
 
 
 def assemble_panel(
@@ -421,18 +429,6 @@ def _cluster_covariance_arrays(
     return cov, df, repaired, rank
 
 
-def clustered_covariance(
-    result: RegressionResult,
-    panel: PanelDataset,
-    mode: ClusterMode = ClusterMode.TWO_WAY,
-) -> np.ndarray:
-    """Sandwich covariance of the within estimates under the given clustering."""
-    cov, _, _, _ = _cluster_covariance_arrays(
-        result.demeaned_x, result.residuals, panel.entities, panel.times, mode, len(result.coef_names)
-    )
-    return cov
-
-
 # PCA sentiment index -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -477,65 +473,47 @@ def pca_sentiment_index(matrix: np.ndarray, column_names: Sequence[str] = ("BL",
 
 
 def build_pca_records(
-    records_by_lexicon: Mapping[str, Sequence[SentimentRecord]],
-) -> tuple[list[SentimentRecord], SentimentIndex, SentimentIndex]:
-    """Common-component sentiment records across the three lexical projections.
+    sentiment: Mapping[str, SymbolDayArray],
+) -> tuple[SymbolDayArray, SentimentIndex, SentimentIndex]:
+    """Common-component sentiment across the lexical projections, on their symbol axis.
 
-    Both indices are fitted on symbol-days with article arrival only;
-    inactive days keep the zero-by-convention sentiment values.
+    Both indices are fitted on symbol-days with article arrival under every
+    projection, in (symbol, day) order; there the array holds the scores and
+    the first projection's article count.  Every other symbol-day of the
+    first projection is inactive with zero sentiment; a symbol-day missing
+    from the first projection stays missing.
     """
-    names = sorted(records_by_lexicon)
+    names = sorted(sentiment)
     if len(names) < 2:
         raise InputError("PCA index needs at least two lexical projections")
-    indexed = {
-        name: {(r.symbol, r.day): r for r in records_by_lexicon[name]}
-        for name in names
-    }
-    active_keys = sorted(
-        set.intersection(*({k for k, r in indexed[name].items() if r.active} for name in names))
-    )
-    if len(active_keys) < 3:
+    base = sentiment[names[0]]
+    if any(sentiment[name].symbols != base.symbols or sentiment[name].values.shape != base.values.shape
+           for name in names):
+        raise InputError("PCA index needs the projections on one symbol and day axis")
+    active = np.logical_and.reduce([sentiment[name].plane("active") == 1 for name in names])
+    if active.sum() < 3:
         raise InputError("PCA index needs at least 3 active symbol-days")
-    pos_matrix = np.array([[indexed[name][key].pos for name in names] for key in active_keys])
-    neg_matrix = np.array([[indexed[name][key].neg for name in names] for key in active_keys])
-    pos_index = pca_sentiment_index(pos_matrix, names)
-    neg_index = pca_sentiment_index(neg_matrix, names)
+    pos_index, neg_index = (
+        pca_sentiment_index(np.column_stack([sentiment[name].plane(side)[active] for name in names]), names)
+        for side in ("pos", "neg")
+    )
 
-    base = names[0]
-    out = []
-    score_of = {key: i for i, key in enumerate(active_keys)}
-    for key, rec in sorted(indexed[base].items()):
-        if rec.active and key in score_of:
-            i = score_of[key]
-            out.append(SentimentRecord(
-                symbol=rec.symbol,
-                day=rec.day,
-                lexicon_name=PCA_NAME,
-                active=1,
-                pos=float(pos_index.scores[i]),
-                neg=float(neg_index.scores[i]),
-                n_articles=rec.n_articles,
-            ))
-        else:
-            out.append(SentimentRecord(
-                symbol=rec.symbol,
-                day=rec.day,
-                lexicon_name=PCA_NAME,
-                active=0,
-                pos=0.0,
-                neg=0.0,
-            ))
-    return out, pos_index, neg_index
+    values = np.full(base.values.shape, np.nan)
+    values[:, ~np.isnan(base.plane("active"))] = 0.0
+    values[:, active] = [np.ones(len(pos_index.scores)), pos_index.scores, neg_index.scores,
+                         base.plane("n_articles")[active]]
+    return SymbolDayArray(SENTIMENT_FIELDS, base.symbols, values), pos_index, neg_index
 
 
 # specification suites -----------------------------------------------------
 
 @dataclass
 class PanelInputs:
-    records_by_lexicon: Mapping[str, Sequence[SentimentRecord]]
-    indicator_points: Mapping[tuple[str, int], IndicatorPoint]
+    """One SENTIMENT_FIELDS array per lexical projection and one INDICATOR_FIELDS array."""
+
+    sentiment: Mapping[str, SymbolDayArray]
+    indicators: SymbolDayArray
     market: MarketSeries
-    n_days: int
     sectors: Mapping[str, str] | None = None
 
 
@@ -555,26 +533,19 @@ def run_specification_suite(
     """One regression per (dependent x projection x subsample x lag) cell.
 
     `h` applies to the entire/attention/sector suites; the lag suites sweep
-    h = 2..5 by construction.  Each projection and the indicators are laid
-    out once, on one symbol axis, and every cell selects from them.
+    h = 2..5 by construction.  Each projection and the indicators are put on
+    the union of their symbols once, and every cell selects from them.
     """
-    lexica = sorted(inputs.records_by_lexicon)
-    universe = sorted(
-        {r.symbol for records in inputs.records_by_lexicon.values() for r in records}
-        | {sym for sym, _ in inputs.indicator_points}
-    )
-    indicators = lay_out(inputs.indicator_points.values(), INDICATOR_FIELDS, universe, inputs.n_days)
-    projections = {
-        name: lay_out(inputs.records_by_lexicon[name], SENTIMENT_FIELDS, universe, inputs.n_days)
-        for name in lexica
-    }
+    lexica = sorted(inputs.sentiment)
+    universe = sorted(set(inputs.indicators.symbols).union(*(inputs.sentiment[name].symbols for name in lexica)))
+    indicators = inputs.indicators.on(universe)
+    projections = {name: inputs.sentiment[name].on(universe) for name in lexica}
     specs: list[tuple[PanelSpec, str, Iterable[str] | None]] = []
 
     if suite == "entire":
         names = list(lexica)
         if len(lexica) >= 2:
-            pca_records, _, _ = build_pca_records(inputs.records_by_lexicon)
-            projections[PCA_NAME] = lay_out(pca_records, SENTIMENT_FIELDS, universe, inputs.n_days)
+            projections[PCA_NAME], _, _ = build_pca_records(projections)
             names.append(PCA_NAME)
         for dependent in DEPENDENTS:
             for name in names:
@@ -586,7 +557,7 @@ def run_specification_suite(
                 for lag in (2, 3, 4, 5):
                     specs.append((PanelSpec(dependent, lag, cumulative, name), name, None))
     elif suite == "attention":
-        groups = compute_attention_groups(inputs)
+        groups = compute_attention_groups(inputs.sentiment[lexica[0]])
         members: dict[AttentionGroup, list[str]] = {g: [] for g in AttentionGroup}
         for symbol, group in groups.items():
             members[group].append(symbol)
@@ -623,13 +594,10 @@ def run_specification_suite(
     return cells
 
 
-def compute_attention_groups(inputs: PanelInputs) -> dict[str, AttentionGroup]:
-    first = inputs.records_by_lexicon[sorted(inputs.records_by_lexicon)[0]]
-    by_symbol: dict[str, list[SentimentRecord]] = {}
-    for rec in first:
-        by_symbol.setdefault(rec.symbol, []).append(rec)
-    ratios = {sym: attention_ratio(recs, inputs.n_days) for sym, recs in by_symbol.items()}
-    return attention_groups(ratios)
+def compute_attention_groups(sentiment: SymbolDayArray) -> dict[str, AttentionGroup]:
+    """Attention group of each symbol of one projection's array."""
+    ratios = attention_ratio(sentiment.plane("active"), sentiment.values.shape[2])
+    return attention_groups(dict(zip(sentiment.symbols, ratios.tolist())))
 
 
 def suite_rows(cells: Sequence[SuiteCell]) -> list[tuple[str, str, object, object, object, str]]:

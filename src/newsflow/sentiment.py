@@ -12,11 +12,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import EmptyText, InputError, NoActiveRecords, WindowOutOfRange
 from .lexicon import Lexicon, LexiconEntry, Polarity, PosTag
 from .stemmer import porter_stem
+
+if TYPE_CHECKING:
+    from .panel import SymbolDayArray
 
 # Words whose trailing period does not terminate a sentence.
 _ABBREVIATIONS = frozenset({
@@ -375,17 +378,20 @@ def _summary(values: list[float]) -> SummaryStats:
     )
 
 
-def sentiment_summary(records: Iterable[SentimentRecord]) -> SentimentSummary:
-    active = [r for r in records if r.active]
-    if not active:
+def sentiment_summary(sentiment: SymbolDayArray) -> SentimentSummary:
+    """Pos and Neg of one projection over its symbol-days with article arrival."""
+    active = sentiment.plane("active") == 1
+    pos = sentiment.plane("pos")[active].tolist()  # in (symbol, day) order
+    neg = sentiment.plane("neg")[active].tolist()
+    if not pos:
         raise NoActiveRecords("no records with article arrival")
-    n = len(active)
+    n = len(pos)
     return SentimentSummary(
         n_active=n,
-        pos=_summary([r.pos for r in active]),
-        neg=_summary([r.neg for r in active]),
-        share_pos_dominant=sum(1 for r in active if r.pos > r.neg) / n,
-        share_neg_dominant=sum(1 for r in active if r.neg > r.pos) / n,
+        pos=_summary(pos),
+        neg=_summary(neg),
+        share_pos_dominant=sum(1 for p, q in zip(pos, neg) if p > q) / n,
+        share_neg_dominant=sum(1 for p, q in zip(pos, neg) if q > p) / n,
     )
 
 
@@ -402,37 +408,37 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 
 
 def monthly_lexicon_correlation(
-    records_by_lexicon: Mapping[str, Sequence[SentimentRecord]],
+    sentiment: Mapping[str, SymbolDayArray],
     month_of_day: Mapping[int, tuple[int, int]],
 ) -> dict[tuple[str, str], dict[tuple[int, int], tuple[float | None, float | None]]]:
     """Monthly Pearson correlation of Pos and Neg between each lexicon pair.
 
-    Observations are symbol-days with article arrival under both lexica;
-    months with fewer than two paired observations (or zero variance) yield
-    ``None``.  ``month_of_day`` maps trading-day ordinals to (year, month).
+    Observations are symbol-days with article arrival under both lexica, in
+    (symbol, day) order; months with fewer than two paired observations (or
+    zero variance) yield ``None``.  ``month_of_day`` maps trading-day
+    ordinals to (year, month).
     """
-    names = sorted(records_by_lexicon)
-    indexed = {
-        name: {(r.symbol, r.day): r for r in records_by_lexicon[name] if r.active}
-        for name in names
-    }
+    names = sorted(sentiment)
     out: dict[tuple[str, str], dict[tuple[int, int], tuple[float | None, float | None]]] = {}
     for i, name_a in enumerate(names):
+        a = sentiment[name_a]
         for name_b in names[i + 1 :]:
-            keys = sorted(indexed[name_a].keys() & indexed[name_b].keys())
-            by_month: dict[tuple[int, int], list[tuple[str, int]]] = {}
-            for key in keys:
-                by_month.setdefault(month_of_day[key[1]], []).append(key)
+            # a symbol missing from a's axis is never active under both
+            b = sentiment[name_b].on(a.symbols)
+            both = (a.plane("active") == 1) & (b.plane("active") == 1)
+            pos_a, neg_a = a.plane("pos")[both], a.plane("neg")[both]
+            pos_b, neg_b = b.plane("pos")[both], b.plane("neg")[both]
+            by_month: dict[tuple[int, int], list[int]] = {}
+            for k, day in enumerate(both.nonzero()[1].tolist()):
+                by_month.setdefault(month_of_day[day], []).append(k)
             series: dict[tuple[int, int], tuple[float | None, float | None]] = {}
-            for month, month_keys in sorted(by_month.items()):
-                if len(month_keys) < 2:
+            for month, rows in sorted(by_month.items()):
+                if len(rows) < 2:
                     series[month] = (None, None)
                     continue
-                rec_a = [indexed[name_a][k] for k in month_keys]
-                rec_b = [indexed[name_b][k] for k in month_keys]
                 series[month] = (
-                    _pearson([r.pos for r in rec_a], [r.pos for r in rec_b]),
-                    _pearson([r.neg for r in rec_a], [r.neg for r in rec_b]),
+                    _pearson(pos_a[rows].tolist(), pos_b[rows].tolist()),
+                    _pearson(neg_a[rows].tolist(), neg_b[rows].tolist()),
                 )
             out[(name_a, name_b)] = series
     return out

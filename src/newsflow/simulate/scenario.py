@@ -14,16 +14,18 @@ excluded, and an idiosyncratic term resampled from the regression residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .._util import split_seed
 from ..errors import ConstantColumn, InputError, MissingComponent
-from ..sentiment import SentimentRecord
 from .copula import GaussianCopula, fit_gaussian_copula, sample_copula
 from .edf import EmpiricalDistribution, fit_edf
 from .garch import MA1Garch11Params, filter_ma1_garch11, fit_ma1_garch11, standardize_residuals
+
+if TYPE_CHECKING:
+    from ..panel import SymbolDayArray
 
 MARKET_LABEL = "__market__"
 
@@ -185,27 +187,28 @@ class SentimentModelDiagnostics:
 
 
 def build_sentiment_models(
-    records: Sequence[SentimentRecord],
-    n_days: int,
+    sentiment: SymbolDayArray,
     min_active: int = 30,
 ) -> tuple[list[SymbolSentimentModel], SentimentModelDiagnostics]:
     """Per-symbol arrival frequency, active-day marginals, and (Pos, Neg) copula.
 
-    Symbols with fewer than ``min_active`` active days are skipped; a constant
+    `sentiment` is one projection's array over the trading calendar.  Symbols
+    with fewer than ``min_active`` active days are skipped; a constant
     sentiment column falls back to an independence copula.
     """
     diagnostics = SentimentModelDiagnostics()
-    by_symbol: dict[str, list[SentimentRecord]] = {}
-    for rec in records:
-        by_symbol.setdefault(rec.symbol, []).append(rec)
+    active = sentiment.plane("active") == 1
+    pos, neg = sentiment.plane("pos"), sentiment.plane("neg")
+    n_days = active.shape[1]
 
     models = []
-    for symbol in sorted(by_symbol):
-        active = [r for r in by_symbol[symbol] if r.active]
-        if len(active) < min_active:
+    for i, symbol in enumerate(sentiment.symbols):
+        days = active[i]
+        n_active = int(days.sum())
+        if n_active < min_active:
             diagnostics.skipped_symbols.append(symbol)
             continue
-        data = np.array([[r.pos, r.neg] for r in active])
+        data = np.column_stack([pos[i, days], neg[i, days]])
         try:
             copula = fit_gaussian_copula(data)
         except ConstantColumn:
@@ -213,7 +216,7 @@ def build_sentiment_models(
             diagnostics.identity_copulas.append(symbol)
         models.append(SymbolSentimentModel(
             symbol=symbol,
-            arrival_prob=len({r.day for r in active}) / n_days,
+            arrival_prob=n_active / n_days,
             copula=copula,
             pos_marginal=fit_edf(data[:, 0]),
             neg_marginal=fit_edf(data[:, 1]),

@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from newsflow.panel import INDICATOR_FIELDS, SENTIMENT_FIELDS, SymbolDayArray
+
 FIXTURE_SEED = 20090
 
 POSITIVE_WORDS = [
@@ -40,6 +42,18 @@ def trading_days(n: int, start: dt.date = dt.date(2020, 1, 6)) -> list[dt.date]:
 
 def write_calendar(path, days):
     path.write_text("\n".join(d.isoformat() for d in days) + "\n", encoding="utf-8")
+
+
+def sentiment_array(records, n_days=None) -> SymbolDayArray:
+    """SentimentRecords of one lexicon as a SymbolDayArray; n_days defaults to the last day + 1."""
+    rows = [(r.symbol, r.day, r.active, r.pos, r.neg, r.n_articles) for r in records]
+    return SymbolDayArray.from_rows(SENTIMENT_FIELDS, rows, n_days or max(row[1] for row in rows) + 1)
+
+
+def indicator_array(points, n_days) -> SymbolDayArray:
+    """IndicatorPoints as a SymbolDayArray."""
+    rows = [(p.symbol, p.day, p.log_vol, p.detrended_volume, p.ret) for p in points]
+    return SymbolDayArray.from_rows(INDICATOR_FIELDS, rows, n_days)
 
 
 def make_article_body(rng: np.random.Generator, n_words: int) -> str:

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import newsflow
 from conftest import build_fixture, trading_days, write_calendar
@@ -192,6 +196,14 @@ def _set_cell(path, line, column, value):
                  id="sentiment_pos_inf"),
     pytest.param(["panel"], lambda root: _set_cell(root / "market.csv", 3, 2, "-inf"),
                  id="market_vix_minus_inf"),
+    pytest.param(["report"], lambda root: _set_cell(root / "out" / "sentiment.csv", 4, 3, "7"),
+                 id="sentiment_I_out_of_range"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "out" / "sentiment.csv", 4, 6, "-5"),
+                 id="sentiment_n_articles_negative"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "out" / "sentiment.csv", 4, 3, "1"),
+                 id="sentiment_active_without_articles"),
+    pytest.param(["panel"], lambda root: _set_cell(root / "out" / "sentiment.csv", 4, 4, "-3.0"),
+                 id="sentiment_pos_negative"),
 ])
 def test_malformed_panel_input_exits_2(distilled_fixture, tmp_path, capsys, command, corrupt):
     root = tmp_path / "run"
@@ -202,6 +214,55 @@ def test_malformed_panel_input_exits_2(distilled_fixture, tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("ERROR ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+# one row of a stage file changed: (kind, *arguments), cell indices taken
+# modulo the row's length; "set" puts a value into one cell
+STAGE_ROW_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 6)),
+    st.tuples(st.just("swap"), st.integers(0, 6), st.integers(0, 6)),
+    st.tuples(st.just("set"), st.integers(2, 6), st.sampled_from(["nan", "inf", "-inf"])),
+    st.tuples(st.just("repeat")),
+    st.tuples(st.just("set"), st.just(1), st.sampled_from(["2020-01-04", "2031-01-02", "2020-02-30"])),
+    st.tuples(st.just("set"), st.sampled_from([3, 6]), st.sampled_from(["-1", "2", "7", "0", "1", "-5", "1.5"])),
+)
+
+
+def _mutate_row(lines, row, mutation):
+    kind, *args = mutation
+    line = 1 + row % (len(lines) - 1)
+    cells = lines[line].split(",")
+    if kind == "truncate":
+        cells = cells[: args[0] % len(cells)]
+    elif kind == "swap":
+        i, j = (k % len(cells) for k in args)
+        cells[i], cells[j] = cells[j], cells[i]
+    elif kind == "set":
+        cells[args[0] % len(cells)] = args[1]
+    else:
+        return lines + [lines[line]]
+    return lines[:line] + [",".join(cells)] + lines[line + 1 :]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(["sentiment.csv", "indicators.csv"]),
+    row=st.integers(0, 10**6),
+    mutation=STAGE_ROW_MUTATIONS,
+)
+def test_stage_file_mutation_keeps_the_exit_code_contract(distilled_fixture, name, row, mutation):
+    with tempfile.TemporaryDirectory() as out:
+        for stage_file in ("sentiment.csv", "indicators.csv"):
+            shutil.copy(distilled_fixture / "out" / stage_file, Path(out) / stage_file)
+        _edit_lines(Path(out) / name, lambda lines: _mutate_row(lines, row, mutation))
+        for command in ("panel", "report"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run([command, "--config", distilled_fixture / "newsflow.ini", "--output", out])
+            assert code in (0, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("ERROR ") and len(err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize("text, read", [

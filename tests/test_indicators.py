@@ -25,7 +25,6 @@ from newsflow.indicators import (
     load_market_bars,
     log_return,
 )
-from newsflow.sentiment import SentimentRecord
 
 
 def bar(o, h, l, c, volume=1000.0, symbol="A", day=0):
@@ -247,17 +246,14 @@ def test_load_market_bars_date_not_in_calendar(tmp_path):
 
 # attention ---------------------------------------------------------------------
 
-def _records(symbol, active_days, n_days):
-    return [
-        SentimentRecord(symbol, d, "L", 1 if d in active_days else 0, 0.01, 0.01)
-        for d in range(n_days)
-    ]
+def _active(active_days, n_days):
+    return np.array([1.0 if d in active_days else 0.0 for d in range(n_days)])
 
 
 def test_attention_ratio():
-    assert attention_ratio(_records("A", set(), 10), 10) == 0.0
-    assert attention_ratio(_records("A", set(range(10)), 10), 10) == 1.0
-    assert attention_ratio(_records("A", set(range(1027)), 1255), 1255) == pytest.approx(0.818, abs=5e-4)
+    assert attention_ratio(_active(set(), 10), 10) == 0.0
+    assert attention_ratio(_active(set(range(10)), 10), 10) == 1.0
+    assert attention_ratio(_active(set(range(1027)), 1255), 1255) == pytest.approx(0.818, abs=5e-4)
 
 
 def test_attention_groups_quartile_example():

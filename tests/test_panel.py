@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import indicator_array, sentiment_array
 from newsflow._util import fmt_num
 from newsflow.errors import (
     CalendarMismatch,
@@ -22,12 +23,12 @@ from newsflow.panel import (
     PanelInputs,
     PanelSpec,
     SuiteCell,
+    SymbolDayArray,
+    _cluster_covariance_arrays,
     assemble_panel,
     build_pca_records,
-    clustered_covariance,
     fit_fixed_effects,
     format_suite_table,
-    lay_out,
     pca_sentiment_index,
     run_specification_suite,
     significance_stars,
@@ -150,7 +151,7 @@ def test_singleton_clusters_equal_scaled_hc0():
     panel = make_panel(y, x, entities, times)
     result = fit_fixed_effects(panel, ("a", "b"), ClusterMode.BY_ENTITY)
     # every observation its own cluster: use unique times trick is not possible
-    # here, so call internals through clustered_covariance with unique labels
+    # here, so call internals through _cluster_covariance_arrays with unique labels
     x_dm = result.demeaned_x
     u = result.residuals
     n, k = x_dm.shape
@@ -179,7 +180,7 @@ def test_by_entity_matches_bruteforce_meat():
         s = (x_dm[entities == e] * u[entities == e, None]).sum(axis=0)
         meat += np.outer(s, s)
     expected = (2 / 1) * ((n - 1) / (n - k)) * bread @ meat @ bread
-    cov = clustered_covariance(result, panel, ClusterMode.BY_ENTITY)
+    cov, _, _, _ = _cluster_covariance_arrays(x_dm, u, panel.entities, panel.times, ClusterMode.BY_ENTITY, k)
     assert cov == pytest.approx(expected, abs=1e-12)
 
 
@@ -387,10 +388,10 @@ def complete_inputs(n_symbols=2, n_days=10, seed=0):
 
 
 def assemble(records, points, market, spec, n_days, symbols=None):
-    """assemble_panel on records and points laid out on the union of their symbols."""
+    """assemble_panel on records and points put on the union of their symbols."""
     universe = sorted({sym for sym, _ in records} | {sym for sym, _ in points})
-    sentiment = lay_out(records.values(), SENTIMENT_FIELDS, universe, n_days)
-    indicators = lay_out(points.values(), INDICATOR_FIELDS, universe, n_days)
+    sentiment = sentiment_array(records.values(), n_days).on(universe)
+    indicators = indicator_array(points.values(), n_days).on(universe)
     return assemble_panel(sentiment, indicators, market, spec, symbols=symbols)
 
 
@@ -561,47 +562,47 @@ def suite_inputs(n_symbols=6, n_days=40, seed=5):
                 ))
     market = MarketSeries(rng.normal(0, 0.01, n_days), rng.uniform(0.1, 0.3, n_days))
     sectors = {sym: ("Financials" if i % 2 == 0 else "Health Care") for i, sym in enumerate(symbols)}
-    return PanelInputs(records_by_lexicon, points, market, n_days, sectors=sectors)
+    sentiment = {name: sentiment_array(records, n_days) for name, records in records_by_lexicon.items()}
+    return PanelInputs(sentiment, indicator_array(points.values(), n_days), market, sectors=sectors)
 
 
-@pytest.mark.parametrize("suite, n_projections", [("entire", 4), ("lags_cumulative", 3)])
-def test_each_input_is_laid_out_once_per_suite(monkeypatch, suite, n_projections):
-    import newsflow.panel as panel_mod
-
+@pytest.mark.parametrize("suite", ["entire", "lags_cumulative"])
+def test_each_input_is_reindexed_once_per_suite(monkeypatch, suite):
     calls = []
-    laid_out = panel_mod.lay_out
+    reindex = SymbolDayArray.on
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return laid_out(*args, **kwargs)
+    def counted(self, symbols):
+        calls.append(self.fields)
+        return reindex(self, symbols)
 
-    monkeypatch.setattr(panel_mod, "lay_out", counted)
+    monkeypatch.setattr(SymbolDayArray, "on", counted)
     cells = run_specification_suite(suite_inputs(n_days=30), suite)
     assert len(cells) in (12, 36)
-    # one sentiment layout per projection, one indicator layout
-    assert calls.count(SENTIMENT_FIELDS) == n_projections
+    # one sentiment re-indexing per lexicon, one indicator re-indexing; the
+    # PCA projection of the entire suite is built on the re-indexed lexica
+    assert calls.count(SENTIMENT_FIELDS) == 3
     assert calls.count(INDICATOR_FIELDS) == 1
-    assert len(calls) == n_projections + 1
+    assert len(calls) == 4
 
 
 def test_assemble_panel_rejects_layouts_that_do_not_line_up():
     records, points, market = complete_inputs()
     spec = PanelSpec("ret", 1, False, "BL")
-    sentiment = lay_out(records.values(), SENTIMENT_FIELDS, ["S0", "S1"], 10)
-    indicators = lay_out(points.values(), INDICATOR_FIELDS, ["S0", "S1"], 10)
+    sentiment = sentiment_array(records.values(), 10)
+    indicators = indicator_array(points.values(), 10)
     for pair in [
-        (sentiment, lay_out(points.values(), INDICATOR_FIELDS, ["S0", "S1", "S2"], 10)),
-        (sentiment, lay_out(points.values(), INDICATOR_FIELDS, ["S0", "S1"], 11)),
+        (sentiment, indicators.on(["S0", "S1", "S2"])),
+        (sentiment, indicator_array(points.values(), 11)),
         (indicators, sentiment),
     ]:
         with pytest.raises(InputError):
             assemble_panel(*pair, market, spec)
 
 
-def test_lay_out_rejects_a_day_outside_the_calendar():
+def test_from_rows_rejects_a_day_outside_the_calendar():
     records, _, _ = complete_inputs(n_days=10)
     with pytest.raises(CalendarMismatch):
-        lay_out(records.values(), SENTIMENT_FIELDS, ["S0", "S1"], 9)
+        sentiment_array(records.values(), 9)
 
 
 def test_entire_suite_cell_count():
@@ -643,11 +644,17 @@ def test_suite_rows_shape():
 
 def test_build_pca_records_convention():
     inputs = suite_inputs(seed=6)
-    pca_records, pos_index, neg_index = build_pca_records(inputs.records_by_lexicon)
+    pca, pos_index, neg_index = build_pca_records(inputs.sentiment)
     assert 0.0 < pos_index.explained_share <= 1.0
-    by_key = {(r.symbol, r.day): r for r in pca_records}
-    bl = {(r.symbol, r.day): r for r in inputs.records_by_lexicon["BL"]}
-    for key, rec in by_key.items():
-        assert rec.active == bl[key].active
-        if not rec.active:
-            assert rec.pos == 0.0 and rec.neg == 0.0
+    bl = inputs.sentiment["BL"]
+    assert pca.symbols == bl.symbols
+    assert np.array_equal(pca.plane("active"), bl.plane("active"), equal_nan=True)
+    inactive = pca.plane("active") == 0
+    assert (pca.plane("pos")[inactive] == 0.0).all() and (pca.plane("neg")[inactive] == 0.0).all()
+
+
+def test_build_pca_records_needs_one_symbol_axis():
+    sentiment = dict(suite_inputs(seed=6).sentiment)
+    sentiment["LM"] = sentiment["LM"].on(sentiment["LM"].symbols[1:])
+    with pytest.raises(InputError):
+        build_pca_records(sentiment)

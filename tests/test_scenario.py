@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import sentiment_array
 from newsflow.errors import InputError, MissingComponent
 from newsflow.sentiment import SentimentRecord
 from newsflow.simulate import (
@@ -195,7 +196,7 @@ def _records(symbol, rng, n_days, p, pos_scale=0.02):
 def test_build_sentiment_models_skips_sparse_symbols():
     rng = np.random.default_rng(4)
     records = _records("A", rng, 200, 0.5) + _records("B", rng, 200, 0.05)
-    models, diagnostics = build_sentiment_models(records, n_days=200, min_active=30)
+    models, diagnostics = build_sentiment_models(sentiment_array(records, n_days=200), min_active=30)
     assert [m.symbol for m in models] == ["A"]
     assert diagnostics.skipped_symbols == ["B"]
     assert models[0].arrival_prob == pytest.approx(0.5, abs=0.12)
@@ -206,7 +207,7 @@ def test_build_sentiment_models_constant_column_identity_fallback():
         SentimentRecord("A", day, "BL", 1, 0.03, float(0.01 + 0.001 * (day % 5)), 1)
         for day in range(60)
     ]
-    models, diagnostics = build_sentiment_models(records, n_days=60, min_active=30)
+    models, diagnostics = build_sentiment_models(sentiment_array(records, n_days=60), min_active=30)
     assert diagnostics.identity_copulas == ["A"]
     assert np.array_equal(models[0].copula.correlation, np.eye(2))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sentiment_array
 from newsflow.errors import EmptyText, InputError, NoActiveRecords, WindowOutOfRange
 from newsflow.lexicon import LexiconEntry, Polarity, PosTag, Strength, build_lexicon
 from newsflow.sentiment import (
@@ -292,7 +293,7 @@ def _rec(symbol, day, pos, neg, active=1, name="L"):
 
 
 def test_summary_mean_max():
-    summary = sentiment_summary([_rec("A", 0, 0.02, 0.01), _rec("A", 1, 0.04, 0.01)])
+    summary = sentiment_summary(sentiment_array([_rec("A", 0, 0.02, 0.01), _rec("A", 1, 0.04, 0.01)]))
     assert summary.pos.mean == pytest.approx(0.03)
     assert summary.pos.maximum == pytest.approx(0.04)
     assert summary.n_active == 2
@@ -300,21 +301,21 @@ def test_summary_mean_max():
 
 def test_summary_polarity_share():
     records = [_rec("A", d, 0.05, 0.01) for d in range(4)]
-    summary = sentiment_summary(records)
+    summary = sentiment_summary(sentiment_array(records))
     assert summary.share_pos_dominant == 1.0
     assert summary.share_neg_dominant == 0.0
 
 
 def test_summary_excludes_inactive():
     records = [_rec("A", 0, 0.02, 0.01), _rec("A", 1, 0.0, 0.0, active=0)]
-    summary = sentiment_summary(records)
+    summary = sentiment_summary(sentiment_array(records))
     assert summary.n_active == 1
 
 
 def test_summary_quartiles_linear_interpolation():
     values = [0.01, 0.02, 0.03, 0.05]
     records = [_rec("A", d, v, 0.0) for d, v in enumerate(values)]
-    summary = sentiment_summary(records)
+    summary = sentiment_summary(sentiment_array(records))
     assert summary.pos.q1 == pytest.approx(np.quantile(values, 0.25))
     assert summary.pos.q2 == pytest.approx(np.quantile(values, 0.5))
     assert summary.pos.q3 == pytest.approx(np.quantile(values, 0.75))
@@ -322,10 +323,14 @@ def test_summary_quartiles_linear_interpolation():
 
 def test_summary_no_active_records():
     with pytest.raises(NoActiveRecords):
-        sentiment_summary([_rec("A", 0, 0.0, 0.0, active=0)])
+        sentiment_summary(sentiment_array([_rec("A", 0, 0.0, 0.0, active=0)]))
 
 
 # monthly correlation ----------------------------------------------------------
+
+def _arrays(records_by_lexicon):
+    return {name: sentiment_array(records) for name, records in records_by_lexicon.items()}
+
 
 def _month_map(n_days):
     return {d: (2020, 1 + d // 21) for d in range(n_days)}
@@ -338,7 +343,7 @@ def test_monthly_correlation_identical_streams():
         for d in range(42)
     ]
     both = {"X": records, "Y": [SentimentRecord(r.symbol, r.day, "Y", r.active, r.pos, r.neg, r.n_articles) for r in records]}
-    out = monthly_lexicon_correlation(both, _month_map(42))
+    out = monthly_lexicon_correlation(_arrays(both), _month_map(42))
     for pos_corr, neg_corr in out[("X", "Y")].values():
         assert pos_corr == pytest.approx(1.0)
         assert neg_corr == pytest.approx(1.0)
@@ -354,7 +359,7 @@ def test_monthly_correlation_affine_anticorrelation():
         SentimentRecord(r.symbol, r.day, "Y", 1, r.pos, 0.2 - r.neg, r.n_articles)
         for r in records_x
     ]
-    out = monthly_lexicon_correlation({"X": records_x, "Y": records_y}, _month_map(21))
+    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), _month_map(21))
     (_, neg_corr), = out[("X", "Y")].values()
     assert neg_corr == pytest.approx(-1.0)
 
@@ -366,7 +371,7 @@ def test_monthly_correlation_matches_pearson_oracle():
     records_x = [_rec("A", d, float(base[d]), float(base[d])) for d in range(40)]
     records_y = [_rec("A", d, float(noisy[d]), float(noisy[d]), name="Y") for d in range(40)]
     month_map = {d: (2020, 1) for d in range(40)}
-    out = monthly_lexicon_correlation({"X": records_x, "Y": records_y}, month_map)
+    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), month_map)
     expected = float(np.corrcoef(base, noisy)[0, 1])
     pos_corr, neg_corr = out[("X", "Y")][(2020, 1)]
     assert pos_corr == pytest.approx(expected, abs=1e-12)
@@ -376,5 +381,5 @@ def test_monthly_correlation_matches_pearson_oracle():
 def test_monthly_correlation_small_months_missing():
     records_x = [_rec("A", 0, 0.02, 0.01)]
     records_y = [_rec("A", 0, 0.03, 0.02, name="Y")]
-    out = monthly_lexicon_correlation({"X": records_x, "Y": records_y}, {0: (2020, 1)})
+    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), {0: (2020, 1)})
     assert out[("X", "Y")][(2020, 1)] == (None, None)
