@@ -1,4 +1,5 @@
-"""Small shared helpers: checked CSV input, deterministic CSV output, atomic writes, seed streams."""
+"""Small shared helpers: checked CSV input, the symbol × day array it is read into,
+deterministic CSV output, atomic writes, seed streams."""
 
 from __future__ import annotations
 
@@ -6,10 +7,13 @@ import csv
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import InputError, MalformedRecord
+import numpy as np
+
+from .errors import CalendarMismatch, InputError, MalformedRecord
 
 T = TypeVar("T")
 
@@ -45,6 +49,45 @@ def read_csv_rows(
     return parsed
 
 
+@dataclass(frozen=True)
+class SymbolDayArray:
+    """Named fields as a (field, symbol, day) array, NaN where absent or None."""
+
+    fields: tuple[str, ...]
+    symbols: tuple[str, ...]
+    values: np.ndarray
+
+    @classmethod
+    def from_rows(cls, fields: Sequence[str], rows: Sequence[tuple], n_days: int) -> "SymbolDayArray":
+        """(symbol, day, *field values) rows, on their sorted symbols and a calendar of n_days.
+
+        A day outside the calendar raises CalendarMismatch.
+        """
+        symbols = sorted({row[0] for row in rows})
+        out = np.full((len(fields), len(symbols), n_days), np.nan)
+        if rows:
+            row_of = {sym: i for i, sym in enumerate(symbols)}
+            row_symbols, days, *columns = zip(*rows)
+            outside = [day for day in days if not 0 <= day < n_days]
+            if outside:
+                raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
+            out[:, [row_of[sym] for sym in row_symbols], days] = np.array(columns, dtype=float)
+        return cls(fields=tuple(fields), symbols=tuple(symbols), values=out)
+
+    def plane(self, name: str) -> np.ndarray:
+        """One field as a (symbol, day) array."""
+        return self.values[self.fields.index(name)]
+
+    def on(self, symbols: Sequence[str]) -> "SymbolDayArray":
+        """The same fields on another symbol axis; a symbol new to it gets a NaN row."""
+        row_of = {sym: i for i, sym in enumerate(self.symbols)}
+        out = np.full((len(self.fields), len(symbols), self.values.shape[2]), np.nan)
+        for i, sym in enumerate(symbols):
+            if sym in row_of:
+                out[:, i] = self.values[:, row_of[sym]]
+        return SymbolDayArray(fields=self.fields, symbols=tuple(symbols), values=out)
+
+
 def finite_float(text: str) -> float:
     """A CSV cell as a float; `inf`, `-inf` and `nan` raise InputError."""
     value = float(text)
@@ -64,6 +107,11 @@ def fmt_num(value: float | int | None) -> str:
     if value != value:  # NaN is a missing cell
         return ""
     return repr(float(value))
+
+
+def fmt_column(values: np.ndarray) -> list[str]:
+    """A float column as CSV cells, as fmt_num writes them: repr-exact, empty for NaN."""
+    return [repr(x) if x == x else "" for x in values.tolist()]
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

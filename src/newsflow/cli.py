@@ -19,7 +19,15 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import figures, indicators as ind_mod, lexicon as lex_mod, sentiment as sent_mod
-from ._util import atomic_write_text, finite_float, read_csv_rows, split_seed, write_csv
+from ._util import (
+    SymbolDayArray,
+    atomic_write_text,
+    finite_float,
+    fmt_column,
+    read_csv_rows,
+    split_seed,
+    write_csv,
+)
 from .config import RunConfig, config_fingerprint, load_config, parse_day_boundary
 from .corpus import TradingCalendar
 from .errors import (
@@ -29,13 +37,12 @@ from .errors import (
     NumericalError,
     TooFewBootstraps,
 )
+from .indicators import INDICATOR_FIELDS
 from .panel import (
-    INDICATOR_FIELDS,
     SENTIMENT_FIELDS,
     ClusterMode,
     MarketSeries,
     PanelInputs,
-    SymbolDayArray,
     compute_attention_groups,
     format_suite_table,
     run_specification_suite,
@@ -135,31 +142,25 @@ def cmd_distill(config: RunConfig) -> int:
 def cmd_indicators(config: RunConfig) -> int:
     config.validate(need=("prices", "calendar"))
     calendar = TradingCalendar.from_file(config.calendar_path)
-    grouped = ind_mod.load_market_bars(config.prices_path, calendar)
+    bars = ind_mod.load_market_bars(config.prices_path, calendar)
+    indicators, warnings = ind_mod.compute_indicators(bars, window=config.detrend_window)
 
-    rows = []
-    totals = ind_mod.IndicatorWarnings()
-    for symbol in sorted(grouped):
-        points, warnings = ind_mod.compute_indicators(
-            grouped[symbol], n_days=len(calendar), window=config.detrend_window
-        )
-        totals.degenerate_bars += warnings.degenerate_bars
-        totals.zero_volume_days += warnings.zero_volume_days
-        totals.warmup_days += warnings.warmup_days
-        for p in points:
-            rows.append((
-                p.symbol, calendar.days[p.day].isoformat(),
-                p.log_vol, p.detrended_volume, p.ret,
-            ))
-
+    # one row per bar, by symbol, then day
+    symbol_of, day_of = np.nonzero(~np.isnan(bars.plane("close")))
+    dates = [day.isoformat() for day in calendar.days]
+    rows = list(zip(
+        [bars.symbols[i] for i in symbol_of.tolist()],
+        [dates[t] for t in day_of.tolist()],
+        *(fmt_column(plane[symbol_of, day_of]) for plane in indicators.values),
+    ))
     write_csv(
         config.output_dir / INDICATORS_CSV,
-        ("symbol", "date", "log_vol", "detrended_volume", "ret"),
+        ("symbol", "date", *INDICATOR_FIELDS),
         rows,
     )
     _write_manifest(config, "indicators", [config.prices_path, config.calendar_path])
-    print(f"rows={len(rows)} degenerate_bars={totals.degenerate_bars} "
-          f"zero_volume={totals.zero_volume_days} warmup={totals.warmup_days}")
+    print(f"rows={len(rows)} degenerate_bars={warnings.degenerate_bars} "
+          f"zero_volume={warnings.zero_volume_days} warmup={warnings.warmup_days}")
     return 0
 
 
@@ -185,6 +186,8 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, Symb
         pos, neg = finite_float(row["pos"]), finite_float(row["neg"])
         if not (0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0):
             raise InputError(f"sentiment pos={pos!r} and neg={neg!r} must lie in [0, 1]")
+        if not active and (pos or neg):
+            raise InputError(f"sentiment I=0 with pos={pos!r} and neg={neg!r}; a day without articles has no sentiment")
         return row["lexicon"], (row["symbol"], day, active, pos, neg, n_articles)
 
     rows_by_lexicon: dict[str, list[tuple]] = {}

@@ -35,6 +35,7 @@ class NumericalError(NewsflowError):
 
 class MalformedRecord(InputError):
     def __init__(self, message: str, source: str = "", position: int | None = None):
+        self.detail = message
         self.source = source
         self.position = position
         where = f"{source}:{position}" if position is not None else source
@@ -89,14 +90,6 @@ class NoActiveRecords(InputError):
 
 
 # indicators -------------------------------------------------------------
-
-class DegenerateBar(NumericalError):
-    pass
-
-
-class MissingPrevious(InputError):
-    pass
-
 
 class InsufficientHistory(InputError):
     def __init__(self, needed: int, available: int):

@@ -3,13 +3,13 @@
 Three indicators per symbol-day: range-based log volatility from the
 open/high/low/close log ratios, detrended log trading volume (residual
 against a rolling out-of-sample quadratic time trend), and close-to-close
-log returns.  Degenerate bars and warm-up windows yield missing values,
-never silently clamped numbers.
+log returns.  All three are computed on symbol × day arrays that are NaN
+where a symbol has no bar.  Degenerate bars and warm-up windows yield
+missing values, never silently clamped numbers.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import enum
 import math
@@ -18,109 +18,81 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import finite_float
+from ._util import SymbolDayArray, finite_float, read_csv_rows
 from .corpus import TradingCalendar
-from .errors import (
-    DegenerateBar,
-    InputError,
-    InsufficientHistory,
-    MissingPrevious,
-    PriceParseError,
-    SingularFit,
-)
+from .errors import InputError, InsufficientHistory, MalformedRecord, PriceParseError, SingularFit
 
 DETREND_WINDOW = 120
+PRICE_FIELDS = ("open", "high", "low", "close", "volume")
+INDICATOR_FIELDS = ("log_vol", "detrended_volume", "ret")
 
 
-@dataclass(frozen=True)
-class MarketBar:
-    symbol: str
-    day: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
+def _log(values) -> np.ndarray:
+    """math.log of each element; NaN where an element is NaN or not positive.
 
-    def __post_init__(self):
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise InputError(f"{self.symbol} day {self.day}: prices must be positive")
-        if self.volume < 0:
-            raise InputError(f"{self.symbol} day {self.day}: negative volume")
-        body_low = min(self.open, self.close)
-        body_high = max(self.open, self.close)
-        if not (self.low <= body_low <= body_high <= self.high):
-            raise InputError(
-                f"{self.symbol} day {self.day}: OHLC ordering violated "
-                f"(low {self.low}, open {self.open}, close {self.close}, high {self.high})"
-            )
-
-
-@dataclass(frozen=True)
-class IndicatorPoint:
-    symbol: str
-    day: int
-    log_vol: float | None
-    detrended_volume: float | None
-    ret: float | None
-
-
-def garman_klass_log_vol(bar: MarketBar) -> float:
-    """Log of the range-based daily volatility; DegenerateBar when var <= 0."""
-    u = math.log(bar.high) - math.log(bar.open)
-    d = math.log(bar.low) - math.log(bar.open)
-    c = math.log(bar.close) - math.log(bar.open)
-    var = 0.511 * (u - d) ** 2 - 0.019 * (c * (u + d) - 2.0 * u * d) - 0.383 * c**2
-    if var <= 0.0:
-        raise DegenerateBar(f"{bar.symbol} day {bar.day}: nonpositive variance {var!r}")
-    return 0.5 * math.log(var)
-
-
-def log_return(close_t: float | None, close_prev: float | None) -> float:
-    if close_prev is None or close_t is None:
-        raise MissingPrevious("previous close unavailable")
-    return math.log(close_t) - math.log(close_prev)
-
-
-@dataclass(frozen=True)
-class DetrendModel:
-    """Quadratic trend fitted on the window of past observations ending at t-1."""
-
-    t0: int
-    alpha: float
-    beta1: float
-    beta2: float
-    window: int
-
-    def forecast(self, t: int) -> float:
-        x = float(t - self.t0)
-        return self.alpha + self.beta1 * x + self.beta2 * x * x
-
-
-def fit_detrend_model(
-    raw_log_volume: Sequence[float],
-    t: int,
-    window: int = DETREND_WINDOW,
-) -> DetrendModel:
-    """OLS quadratic trend on the last `window` finite observations before t.
-
-    Missing values (NaN) are skipped, so the window slides over the available
-    history; it never reads data at or after day t.
+    One pass in Python rather than np.log, which differs from the libm log
+    by one ulp on some prices: log_vol and ret are pinned to the libm values.
     """
-    values = np.asarray(raw_log_volume, dtype=float)
-    history = np.flatnonzero(~np.isnan(values[:max(t, 0)]))
-    if len(history) < window:
-        raise InsufficientHistory(needed=window, available=len(history))
-    support = history[-window:]
-    t0 = int(support[0])
-    x = support.astype(float) - t0
-    design = np.column_stack([np.ones_like(x), x, x * x])
-    y = values[support]
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 3:
-        raise SingularFit(f"rank-deficient trend design at t={t}")
-    return DetrendModel(t0=t0, alpha=coef[0], beta1=coef[1], beta2=coef[2], window=window)
+    values = np.asarray(values, dtype=float)
+    logs = [math.log(x) if x > 0 else math.nan for x in values.ravel().tolist()]
+    return np.array(logs, dtype=float).reshape(values.shape)
+
+
+def garman_klass_log_vol(open_, high, low, close) -> np.ndarray:
+    """Log of the range-based daily volatility of each bar, on price arrays of one shape.
+
+    NaN where the bar is absent (NaN prices) or degenerate (variance <= 0).
+    """
+    log_open = _log(open_)
+    up, down, body = (_log(price) - log_open for price in (high, low, close))
+    # squared by Python's float ** (libm pow), to which log_vol is pinned: numpy's
+    # x * x differs from it in the last bit for about 1 value in 1,000
+    var = [
+        0.511 * (u - d) ** 2 - 0.019 * (c * (u + d) - 2.0 * u * d) - 0.383 * c**2
+        for u, d, c in zip(up.ravel().tolist(), down.ravel().tolist(), body.ravel().tolist())
+    ]
+    return 0.5 * _log(np.array(var, dtype=float).reshape(up.shape))
+
+
+def log_returns(close) -> np.ndarray:
+    """Close-to-close log returns along the last (day) axis; NaN on the first day and after a missing close."""
+    log_close = _log(close)
+    out = np.full(log_close.shape, np.nan)
+    out[..., 1:] = log_close[..., 1:] - log_close[..., :-1]
+    return out
+
+
+def fit_detrend_model(log_volume: Sequence[float], window: int = DETREND_WINDOW) -> np.ndarray:
+    """One-step-ahead forecast of every day's log volume from a rolling quadratic time trend.
+
+    Day t's trend is the OLS quadratic on the last `window` finite
+    observations before t; NaN days are skipped, so the window slides over
+    the available history, and no forecast reads day t or later.  A day
+    with fewer than `window` finite observations before it gets NaN.
+
+    All days are fitted in one batch: x is centred and scaled to [-1, 1] in
+    each window, and the (window, 3) designs are solved by QR.
+    """
+    if window < 3:
+        raise SingularFit(f"a quadratic trend needs a window of at least 3 days, got {window}")
+    values = np.asarray(log_volume, dtype=float)
+    forecast = np.full(len(values), np.nan)
+    finite = np.flatnonzero(~np.isnan(values))
+    history = np.searchsorted(finite, np.arange(len(values)))  # finite days before each day
+    days = np.flatnonzero(history >= window)
+    if len(days) == 0:
+        return forecast
+    support = sliding_window_view(finite, window)[history[days] - window]
+    centre = (support[:, :1] + support[:, -1:]) / 2.0
+    half_width = (support[:, -1:] - support[:, :1]) / 2.0
+    x = (support - centre) / half_width
+    q, r = np.linalg.qr(np.stack([np.ones_like(x), x, x * x], axis=-1))
+    coef = np.linalg.solve(r, q.transpose(0, 2, 1) @ values[support][..., None])[..., 0]
+    x_t = (days - centre[:, 0]) / half_width[:, 0]
+    forecast[days] = coef[:, 0] + coef[:, 1] * x_t + coef[:, 2] * x_t * x_t
+    return forecast
 
 
 def detrended_volume(
@@ -128,11 +100,17 @@ def detrended_volume(
     t: int,
     window: int = DETREND_WINDOW,
 ) -> float:
-    """Out-of-sample residual of log volume against the rolling quadratic trend."""
-    if t >= len(raw_log_volume) or math.isnan(raw_log_volume[t]):
+    """Out-of-sample residual of day t's log volume against the rolling quadratic trend.
+
+    The forecast comes from the series cut after day t, so it cannot see a later day.
+    """
+    values = np.asarray(raw_log_volume, dtype=float)[: t + 1]
+    if t >= len(raw_log_volume) or math.isnan(values[t]):
         raise InputError(f"no log-volume observation at t={t}")
-    model = fit_detrend_model(raw_log_volume, t, window)
-    return raw_log_volume[t] - model.forecast(t)
+    forecast = fit_detrend_model(values, window)[t]
+    if math.isnan(forecast):
+        raise InsufficientHistory(needed=window, available=int(np.count_nonzero(~np.isnan(values[:t]))))
+    return float(values[t] - forecast)
 
 
 @dataclass
@@ -143,73 +121,74 @@ class IndicatorWarnings:
 
 
 def compute_indicators(
-    bars: Sequence[MarketBar],
-    n_days: int,
+    bars: SymbolDayArray,
     window: int = DETREND_WINDOW,
-) -> tuple[list[IndicatorPoint], IndicatorWarnings]:
-    """All three indicators for one symbol's bars (any day order, one per day)."""
-    by_day = {bar.day: bar for bar in bars}
-    if len(by_day) != len(bars):
-        raise InputError("duplicate bar for a trading day")
-    warnings = IndicatorWarnings()
+) -> tuple[SymbolDayArray, IndicatorWarnings]:
+    """INDICATOR_FIELDS on the symbol and day axes of `bars` (PRICE_FIELDS, NaN where no bar).
 
-    log_volume = np.full(n_days, np.nan)
-    for day, bar in by_day.items():
-        if bar.volume > 0:
-            log_volume[day] = math.log(bar.volume)
-        else:
-            warnings.zero_volume_days += 1
-
-    points = []
-    for day in sorted(by_day):
-        bar = by_day[day]
-        try:
-            log_vol = garman_klass_log_vol(bar)
-        except DegenerateBar:
-            warnings.degenerate_bars += 1
-            log_vol = None
-        prev = by_day.get(day - 1)
-        ret = log_return(bar.close, prev.close) if prev is not None else None
-        try:
-            detrended = detrended_volume(log_volume, day, window)
-        except (InsufficientHistory, InputError):
-            warnings.warmup_days += 1
-            detrended = None
-        points.append(IndicatorPoint(bar.symbol, day, log_vol, detrended, ret))
-    return points, warnings
+    Besides the days without a bar, a cell is NaN for log_vol on a
+    degenerate bar, for ret when the day before has no bar, and for
+    detrended_volume on a zero-volume day or before `window` days with volume.
+    """
+    open_, high, low, close, volume = (bars.plane(name) for name in PRICE_FIELDS)
+    present = ~np.isnan(close)
+    log_vol = garman_klass_log_vol(open_, high, low, close)
+    log_volume = _log(volume)
+    detrended = np.full(log_volume.shape, np.nan)
+    for i, series in enumerate(log_volume):
+        detrended[i] = series - fit_detrend_model(series, window)
+    warnings = IndicatorWarnings(
+        degenerate_bars=int(np.count_nonzero(present & np.isnan(log_vol))),
+        zero_volume_days=int(np.count_nonzero(present & ~(volume > 0))),
+        warmup_days=int(np.count_nonzero(present & np.isnan(detrended))),
+    )
+    values = np.stack([log_vol, detrended, log_returns(close)])
+    return SymbolDayArray(INDICATOR_FIELDS, bars.symbols, values), warnings
 
 
-def load_market_bars(path: str | Path, calendar: TradingCalendar) -> dict[str, list[MarketBar]]:
-    """Price CSV (symbol,date,open,high,low,close,volume) grouped by symbol."""
+def load_market_bars(path: str | Path, calendar: TradingCalendar) -> SymbolDayArray:
+    """Price CSV (symbol,date,open,high,low,close,volume) as PRICE_FIELDS on symbol × day axes.
+
+    Symbols are upper-cased.  A row with the wrong number of fields, an empty
+    symbol, a date off the calendar, a second row for a (symbol, date), a
+    non-finite or nonpositive price, a negative volume, or prices out of the
+    order low <= open, close <= high raise PriceParseError with the line.
+    """
     path = Path(path)
     if not path.exists():
         raise PriceParseError(f"price file does not exist: {path}")
-    grouped: dict[str, list[MarketBar]] = {}
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"symbol", "date", "open", "high", "low", "close", "volume"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise PriceParseError(f"price CSV must have columns {sorted(required)}")
-        for lineno, row in enumerate(reader, 2):
-            try:
-                date = dt.date.fromisoformat(row["date"])
-                if date not in calendar.index:
-                    raise InputError(f"date {date} not in trading calendar")
-                bar = MarketBar(
-                    symbol=row["symbol"].upper(),
-                    day=calendar.index[date],
-                    open=finite_float(row["open"]),
-                    high=finite_float(row["high"]),
-                    low=finite_float(row["low"]),
-                    close=finite_float(row["close"]),
-                    volume=finite_float(row["volume"]),
-                )
-            except (ValueError, InputError) as exc:
-                raise PriceParseError(str(exc), line=lineno) from exc
-            grouped.setdefault(bar.symbol, []).append(bar)
-    if not grouped:
+    seen: set[tuple[str, int]] = set()
+
+    def parse(row):
+        symbol = row["symbol"].upper()
+        if not symbol.strip():
+            raise InputError("empty symbol")
+        date = dt.date.fromisoformat(row["date"])
+        day = calendar.index.get(date)
+        if day is None:
+            raise InputError(f"date {date} not in trading calendar")
+        if (symbol, day) in seen:
+            raise InputError(f"second bar for {symbol} on {date}")
+        seen.add((symbol, day))
+        open_, high, low, close, volume = (finite_float(row[name]) for name in PRICE_FIELDS)
+        if min(open_, high, low, close) <= 0:
+            raise InputError(f"{symbol} {date}: prices must be positive")
+        if volume < 0:
+            raise InputError(f"{symbol} {date}: negative volume")
+        if not low <= min(open_, close) <= max(open_, close) <= high:
+            raise InputError(
+                f"{symbol} {date}: OHLC ordering violated "
+                f"(low {low}, open {open_}, close {close}, high {high})"
+            )
+        return symbol, day, open_, high, low, close, volume
+
+    try:
+        rows = read_csv_rows(path, ("symbol", "date", *PRICE_FIELDS), parse)
+    except MalformedRecord as exc:
+        raise PriceParseError(exc.detail, line=exc.position) from exc
+    if not rows:
         raise PriceParseError("price CSV has no data rows")
-    return grouped
+    return SymbolDayArray.from_rows(PRICE_FIELDS, rows, len(calendar))
 
 
 class AttentionGroup(enum.Enum):

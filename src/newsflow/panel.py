@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from ._util import finite_float, read_csv_rows
+from ._util import SymbolDayArray, finite_float, read_csv_rows
 from .corpus import TradingCalendar
 from .errors import (
     CalendarMismatch,
@@ -29,7 +29,7 @@ from .errors import (
     SingleCluster,
     TooFewObservations,
 )
-from .indicators import AttentionGroup, attention_groups, attention_ratio
+from .indicators import INDICATOR_FIELDS, AttentionGroup, attention_groups, attention_ratio
 
 SENTIMENT_VARS = ("I", "Pos", "Neg")
 CONTROL_VARS = ("R_M", "VIX", "log_vol_t", "ret_t", "dvol_t")
@@ -138,46 +138,6 @@ class PanelDataset:
 
 
 SENTIMENT_FIELDS = ("active", "pos", "neg", "n_articles")
-INDICATOR_FIELDS = ("log_vol", "detrended_volume", "ret")
-
-
-@dataclass(frozen=True)
-class SymbolDayArray:
-    """Named fields as a (field, symbol, day) array, NaN where absent or None."""
-
-    fields: tuple[str, ...]
-    symbols: tuple[str, ...]
-    values: np.ndarray
-
-    @classmethod
-    def from_rows(cls, fields: Sequence[str], rows: Sequence[tuple], n_days: int) -> "SymbolDayArray":
-        """(symbol, day, *field values) rows, on their sorted symbols and a calendar of n_days.
-
-        A day outside the calendar raises CalendarMismatch.
-        """
-        symbols = sorted({row[0] for row in rows})
-        out = np.full((len(fields), len(symbols), n_days), np.nan)
-        if rows:
-            row_of = {sym: i for i, sym in enumerate(symbols)}
-            row_symbols, days, *columns = zip(*rows)
-            outside = [day for day in days if not 0 <= day < n_days]
-            if outside:
-                raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
-            out[:, [row_of[sym] for sym in row_symbols], days] = np.array(columns, dtype=float)
-        return cls(fields=tuple(fields), symbols=tuple(symbols), values=out)
-
-    def plane(self, name: str) -> np.ndarray:
-        """One field as a (symbol, day) array."""
-        return self.values[self.fields.index(name)]
-
-    def on(self, symbols: Sequence[str]) -> "SymbolDayArray":
-        """The same fields on another symbol axis; a symbol new to it gets a NaN row."""
-        row_of = {sym: i for i, sym in enumerate(self.symbols)}
-        out = np.full((len(self.fields), len(symbols), self.values.shape[2]), np.nan)
-        for i, sym in enumerate(symbols):
-            if sym in row_of:
-                out[:, i] = self.values[:, row_of[sym]]
-        return SymbolDayArray(fields=self.fields, symbols=tuple(symbols), values=out)
 
 
 def assemble_panel(

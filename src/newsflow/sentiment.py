@@ -19,7 +19,7 @@ from .lexicon import Lexicon, LexiconEntry, Polarity, PosTag
 from .stemmer import porter_stem
 
 if TYPE_CHECKING:
-    from .panel import SymbolDayArray
+    from ._util import SymbolDayArray
 
 # Words whose trailing period does not terminate a sentence.
 _ABBREVIATIONS = frozenset({

@@ -25,7 +25,7 @@ from .edf import EmpiricalDistribution, fit_edf
 from .garch import MA1Garch11Params, filter_ma1_garch11, fit_ma1_garch11, standardize_residuals
 
 if TYPE_CHECKING:
-    from ..panel import SymbolDayArray
+    from .._util import SymbolDayArray
 
 MARKET_LABEL = "__market__"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import datetime as dt
 import json
 import math
@@ -48,6 +49,10 @@ def sentiment_array(records, n_days=None) -> SymbolDayArray:
     """SentimentRecords of one lexicon as a SymbolDayArray; n_days defaults to the last day + 1."""
     rows = [(r.symbol, r.day, r.active, r.pos, r.neg, r.n_articles) for r in records]
     return SymbolDayArray.from_rows(SENTIMENT_FIELDS, rows, n_days or max(row[1] for row in rows) + 1)
+
+
+# one indicators.csv row, for building test inputs; None is a missing cell
+IndicatorPoint = collections.namedtuple("IndicatorPoint", "symbol day log_vol detrended_volume ret")
 
 
 def indicator_array(points, n_days) -> SymbolDayArray:

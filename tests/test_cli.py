@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import newsflow
+from newsflow import indicators
 from conftest import build_fixture, trading_days, write_calendar
 from newsflow.cli import _read_entire_coefficients, _read_residual_pool, main
 from newsflow.errors import MalformedRecord
@@ -167,6 +168,13 @@ def _set_cell(path, line, column, value):
     _edit_lines(path, edit)
 
 
+def _set_inactive_cell(path, column, value):
+    """Set one cell of the first row with I=0 and n_articles=0."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines[1:], 2) if text.split(",")[3] == "0")
+    _set_cell(path, line, column, value)
+
+
 @pytest.mark.parametrize("command, corrupt", [
     pytest.param(["panel"], lambda root: _set_cell(root / "market.csv", 3, 1, "abc"),
                  id="market_cell_not_numeric"),
@@ -204,6 +212,10 @@ def _set_cell(path, line, column, value):
                  id="sentiment_active_without_articles"),
     pytest.param(["panel"], lambda root: _set_cell(root / "out" / "sentiment.csv", 4, 4, "-3.0"),
                  id="sentiment_pos_negative"),
+    pytest.param(["panel"], lambda root: _set_inactive_cell(root / "out" / "sentiment.csv", 4, "0.5"),
+                 id="sentiment_pos_without_articles"),
+    pytest.param(["panel"], lambda root: _set_inactive_cell(root / "out" / "sentiment.csv", 5, "0.25"),
+                 id="sentiment_neg_without_articles"),
 ])
 def test_malformed_panel_input_exits_2(distilled_fixture, tmp_path, capsys, command, corrupt):
     root = tmp_path / "run"
@@ -263,6 +275,68 @@ def test_stage_file_mutation_keeps_the_exit_code_contract(distilled_fixture, nam
             assert "Traceback" not in err.getvalue()
             if code == 2:
                 assert err.getvalue().startswith("ERROR ") and len(err.getvalue().splitlines()) == 1
+
+
+def _run_indicators_on(fixture, out, edit):
+    """`indicators` on the fixture's calendar and an edited copy of its prices.csv; (rc, stderr)."""
+    out = Path(out)
+    for name in ("newsflow.ini", "calendar.txt", "prices.csv"):
+        shutil.copy(fixture / name, out / name)
+    _edit_lines(out / "prices.csv", edit)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["indicators", "--config", out / "newsflow.ini", "--output", out / "out"])
+    return code, err.getvalue()
+
+
+def _replace_line(number, edit_cells):
+    def edit(lines):
+        lines[number - 1] = ",".join(edit_cells(lines[number - 1].split(",")))
+        return lines
+
+    return edit
+
+
+@pytest.mark.parametrize("edit, line", [
+    pytest.param(_replace_line(10, lambda cells: cells[:5]), 10, id="truncated_row"),
+    pytest.param(_replace_line(10, lambda cells: cells + ["1"]), 10, id="extra_field"),
+    pytest.param(_replace_line(10, lambda cells: ["", *cells[1:]]), 10, id="empty_symbol"),
+    pytest.param(lambda lines: lines + lines[9:10], 602, id="repeated_symbol_date"),
+    pytest.param(lambda lines: lines + [lines[9].lower()], 602, id="repeated_symbol_date_lower_case"),
+])
+def test_malformed_price_row_exits_2_with_its_line(distilled_fixture, tmp_path, edit, line):
+    code, err = _run_indicators_on(distilled_fixture, tmp_path, edit)
+    assert code == 2
+    assert err.startswith(f"ERROR PRICE_PARSE_ERROR: line {line}: ") and len(err.splitlines()) == 1
+
+
+def test_indicators_fits_the_detrend_once_per_symbol(distilled_fixture, tmp_path, monkeypatch):
+    calls = []
+    fit = indicators.fit_detrend_model
+    monkeypatch.setattr(indicators, "fit_detrend_model", lambda *args, **kwargs: calls.append(1) or fit(*args, **kwargs))
+    code, _ = _run_indicators_on(distilled_fixture, tmp_path, lambda lines: lines)
+    assert code == 0
+    assert len(calls) == 4  # the fixture's symbols
+
+
+# one row of prices.csv changed, as STAGE_ROW_MUTATIONS, or its symbol emptied or
+# lower-cased, or its high and low swapped
+PRICE_ROW_MUTATIONS = st.one_of(
+    STAGE_ROW_MUTATIONS,
+    st.tuples(st.just("set"), st.just(0), st.sampled_from(["", "sym00"])),
+    st.tuples(st.just("swap"), st.just(3), st.just(4)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(row=st.integers(0, 10**6), mutation=PRICE_ROW_MUTATIONS)
+def test_price_file_mutation_keeps_the_exit_code_contract(distilled_fixture, row, mutation):
+    with tempfile.TemporaryDirectory() as out:
+        code, err = _run_indicators_on(distilled_fixture, out, lambda lines: _mutate_row(lines, row, mutation))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.startswith("ERROR ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("text, read", [

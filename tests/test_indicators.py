@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from newsflow.corpus import TradingCalendar
+from newsflow._util import SymbolDayArray
 from newsflow.errors import (
-    DegenerateBar,
     InputError,
     InsufficientHistory,
-    MissingPrevious,
     PriceParseError,
 )
 from newsflow.indicators import (
+    PRICE_FIELDS,
     AttentionGroup,
-    MarketBar,
     attention_groups,
     attention_ratio,
     compute_indicators,
@@ -23,12 +22,16 @@ from newsflow.indicators import (
     fit_detrend_model,
     garman_klass_log_vol,
     load_market_bars,
-    log_return,
+    log_returns,
 )
 
 
-def bar(o, h, l, c, volume=1000.0, symbol="A", day=0):
-    return MarketBar(symbol=symbol, day=day, open=o, high=h, low=l, close=c, volume=volume)
+def load_bar(tmp_path, o, h, l, c, volume=1000.0):
+    """One bar read through the price CSV loader, which checks it."""
+    path = tmp_path / "p.csv"
+    path.write_text(f"symbol,date,open,high,low,close,volume\nA,2020-01-06,{o},{h},{l},{c},{volume}\n",
+                    encoding="utf-8")
+    return load_market_bars(path, _calendar())
 
 
 def gk_oracle(o, h, l, c):
@@ -43,45 +46,49 @@ def gk_oracle(o, h, l, c):
 
 
 def test_gk_spec_example():
-    value = garman_klass_log_vol(bar(100, 102, 99, 101))
+    value = garman_klass_log_vol(100, 102, 99, 101)
     assert value == pytest.approx(-3.90202879526, abs=1e-9)
     assert math.exp(2 * value) == pytest.approx(4.08075810603e-4, rel=1e-9)
 
 
 def test_gk_matches_oracle():
-    value = garman_klass_log_vol(bar(100, 102, 99, 101))
+    value = garman_klass_log_vol(100, 102, 99, 101)
     assert value == pytest.approx(gk_oracle(100, 102, 99, 101), rel=1e-12)
 
 
 def test_gk_degenerate_bar():
-    with pytest.raises(DegenerateBar):
-        garman_klass_log_vol(bar(100, 100, 100, 100))
+    # a degenerate bar has no volatility: a missing cell, counted by compute_indicators
+    assert np.isnan(garman_klass_log_vol(100, 100, 100, 100))
 
 
 def test_gk_scale_invariance():
-    base = garman_klass_log_vol(bar(100, 102, 99, 101))
+    base = garman_klass_log_vol(100, 102, 99, 101)
     for lam in (0.5, 2.0, 10.0):
-        scaled = garman_klass_log_vol(bar(100 * lam, 102 * lam, 99 * lam, 101 * lam))
+        scaled = garman_klass_log_vol(100 * lam, 102 * lam, 99 * lam, 101 * lam)
         assert scaled == pytest.approx(base, abs=1e-12)
 
 
-def test_bar_invariants():
+def test_bar_invariants(tmp_path):
     with pytest.raises(InputError):
-        bar(100, 99, 98, 100)  # high below open
+        load_bar(tmp_path, 100, 99, 98, 100)  # high below open
     with pytest.raises(InputError):
-        bar(100, 102, 101, 100)  # low above open
+        load_bar(tmp_path, 100, 102, 101, 100)  # low above open
     with pytest.raises(InputError):
-        bar(-1, 102, 99, 101)
+        load_bar(tmp_path, -1, 102, 99, 101)
     with pytest.raises(InputError):
-        bar(100, 102, 99, 101, volume=-5)
+        load_bar(tmp_path, 100, 102, 99, 101, volume=-5)
+
+
+def log_return(close_t, close_prev):
+    return log_returns([close_prev, close_t])[1]
 
 
 def test_log_return():
     assert log_return(100, 100) == 0.0
     assert log_return(101, 100) == pytest.approx(math.log(1.01))
     assert log_return(101, 100) == pytest.approx(0.00995, abs=5e-6)
-    with pytest.raises(MissingPrevious):
-        log_return(100, None)
+    # no previous close, no return
+    assert np.isnan(log_return(100, np.nan))
 
 
 def test_log_return_telescoping():
@@ -149,8 +156,8 @@ def test_detrend_skips_missing_history():
     series[5] = np.nan
     series[60] = np.nan
     # window takes the last 120 finite observations before t
-    model = fit_detrend_model(series, 128)
-    assert model.window == 120
+    forecast = fit_detrend_model(series)
+    assert np.isnan(forecast[121]) and not np.isnan(forecast[122])  # 119, then 120 finite days before
     assert abs(detrended_volume(series, 128)) < 1e-8
 
 
@@ -163,9 +170,57 @@ def test_detrend_trend_invariance():
     assert v_trended == pytest.approx(v_base, abs=1e-9)
 
 
+def gapped_log_volume(n, seed):
+    """Log volume with days missing and zero-volume days, both NaN."""
+    rng = np.random.default_rng(seed)
+    log_volume = quad_series(n, a=13.0) + rng.normal(0, 0.4, n)
+    log_volume[rng.random(n) < 0.08] = np.nan
+    return log_volume
+
+
+def normal_equation_forecast(log_volume, t, window=120):
+    """Day t's forecast from the explicit normal equations on its window."""
+    finite = np.flatnonzero(~np.isnan(log_volume))
+    support = finite[finite < t][-window:]
+    x = (support - support[0]).astype(float)
+    X = np.column_stack([np.ones_like(x), x, x * x])
+    coef = np.linalg.solve(X.T @ X, X.T @ log_volume[support])
+    x_t = t - support[0]
+    return coef[0] + coef[1] * x_t + coef[2] * x_t * x_t
+
+
+def test_detrend_forecast_matches_mpmath_oracle_on_gapped_windows():
+    log_volume = gapped_log_volume(200, seed=17)
+    forecast = fit_detrend_model(log_volume)
+    finite = np.flatnonzero(~np.isnan(log_volume))
+    mp.mp.dps = 50
+    worst = 0.0
+    for t in range(len(log_volume)):
+        support = finite[finite < t][-120:]
+        if len(support) < 120:
+            assert np.isnan(forecast[t])
+            continue
+        assert np.diff(support).max() > 1  # every window here spans a gap
+        X = mp.matrix([[1, int(s), int(s) ** 2] for s in support])
+        y = mp.matrix([mp.mpf(float(log_volume[s])) for s in support])
+        coef = mp.lu_solve(X.T * X, X.T * y)
+        worst = max(worst, abs(float(coef[0] + coef[1] * t + coef[2] * t * t) - forecast[t]))
+    assert worst <= 1e-13
+
+
+def test_detrend_no_look_ahead_in_the_batch():
+    log_volume = gapped_log_volume(180, seed=18)
+    forecast = fit_detrend_model(log_volume)
+    for t in range(120, 180, 7):
+        poisoned = log_volume.copy()
+        poisoned[t:] = 1e3
+        assert np.array_equal(fit_detrend_model(poisoned)[: t + 1], forecast[: t + 1], equal_nan=True)
+
+
 # compute_indicators -----------------------------------------------------------
 
 def make_bars(symbol, n, rng):
+    """(symbol, day, *PRICE_FIELDS) rows of a random walk."""
     bars = []
     close = 100.0
     for day in range(n):
@@ -174,30 +229,89 @@ def make_bars(symbol, n, rng):
         open_ = prev
         hi = max(open_, close) * math.exp(abs(rng.normal(0, 0.004)) + 1e-5)
         lo = min(open_, close) * math.exp(-abs(rng.normal(0, 0.004)) - 1e-5)
-        bars.append(MarketBar(symbol, day, open_, hi, lo, close, float(rng.uniform(1e5, 2e5))))
+        bars.append((symbol, day, open_, hi, lo, close, float(rng.uniform(1e5, 2e5))))
     return bars
+
+
+def bar_array(bars, n_days):
+    return SymbolDayArray.from_rows(PRICE_FIELDS, bars, n_days)
 
 
 def test_compute_indicators_warmup_130_days():
     rng = np.random.default_rng(5)
-    points, warnings = compute_indicators(make_bars("A", 130, rng), n_days=130)
-    assert len(points) == 130
-    missing_v = [p.day for p in points if p.detrended_volume is None]
+    points, warnings = compute_indicators(bar_array(make_bars("A", 130, rng), 130))
+    assert points.values.shape == (3, 1, 130)
+    missing_v = np.flatnonzero(np.isnan(points.plane("detrended_volume")[0])).tolist()
     assert missing_v == list(range(120))  # defined from ordinal 120 onward
     assert warnings.warmup_days == 120
-    assert points[0].ret is None
-    assert all(p.ret is not None for p in points[1:])
+    ret = points.plane("ret")[0]
+    assert np.isnan(ret[0])
+    assert not np.isnan(ret[1:]).any()
 
 
 def test_compute_indicators_degenerate_and_zero_volume():
     rng = np.random.default_rng(6)
     bars = make_bars("A", 20, rng)
-    bars[3] = MarketBar("A", 3, 50, 50, 50, 50, 1000.0)
-    bars[5] = MarketBar("A", 5, *(b := (100, 101, 99, 100.5)), 0.0)
-    points, warnings = compute_indicators(bars, n_days=20)
+    bars[3] = ("A", 3, 50, 50, 50, 50, 1000.0)
+    bars[5] = ("A", 5, *(b := (100, 101, 99, 100.5)), 0.0)
+    points, warnings = compute_indicators(bar_array(bars, 20))
     assert warnings.degenerate_bars == 1
     assert warnings.zero_volume_days == 1
-    assert points[3].log_vol is None
+    assert np.isnan(points.plane("log_vol")[0, 3])
+
+
+def per_bar_log_vol(open_, high, low, close):
+    """The Garman-Klass formula in Python floats, one bar at a time."""
+    u = math.log(high) - math.log(open_)
+    d = math.log(low) - math.log(open_)
+    c = math.log(close) - math.log(open_)
+    var = 0.511 * (u - d) ** 2 - 0.019 * (c * (u + d) - 2.0 * u * d) - 0.383 * c**2
+    return 0.5 * math.log(var)
+
+
+def test_gk_and_returns_equal_the_per_bar_formulas_to_the_last_bit():
+    # np.log and numpy's x * x each differ from libm in the last bit on some
+    # of these bars; the stage keeps the per-bar values exactly
+    rng = np.random.default_rng(20)
+    n = 50_000
+    open_ = rng.uniform(5, 500, n)
+    close = open_ * np.exp(rng.normal(0, 0.02, n))
+    high = np.maximum(open_, close) * np.exp(np.abs(rng.normal(0, 0.01, n)) + 1e-6)
+    low = np.minimum(open_, close) * np.exp(-np.abs(rng.normal(0, 0.01, n)) - 1e-6)
+    prices = [p.tolist() for p in (open_, high, low, close)]
+    assert garman_klass_log_vol(open_, high, low, close).tolist() == [per_bar_log_vol(*bar) for bar in zip(*prices)]
+    closes = prices[3]
+    expected = [math.log(c) - math.log(prev) for c, prev in zip(closes[1:], closes)]
+    assert log_returns(close)[1:].tolist() == expected
+
+
+def test_compute_indicators_on_gapped_bars_with_zero_volume_days_match_per_day_references():
+    rng = np.random.default_rng(19)
+    bars = make_bars("A", 220, rng)
+    for day in (30, 95, 150, 181, 200):
+        bars[day] = (*bars[day][:6], 0.0)
+    bars = [bar for bar in bars if rng.random() > 0.05]  # days without a bar
+    points, warnings = compute_indicators(bar_array(bars, 220))
+
+    log_vol, detrended, ret = points.values[:, 0]
+    close_of = {day: close for _, day, _, _, _, close, _ in bars}
+    log_volume = np.full(220, np.nan)
+    for _, day, *_, volume in bars:
+        if volume > 0:
+            log_volume[day] = math.log(volume)
+    expected = np.full(220, np.nan)
+    for _, day, open_, high, low, close, _ in bars:
+        assert log_vol[day] == per_bar_log_vol(open_, high, low, close)
+        if day - 1 in close_of:
+            assert ret[day] == math.log(close) - math.log(close_of[day - 1])
+        else:
+            assert np.isnan(ret[day])
+        if not np.isnan(log_volume[day]) and np.count_nonzero(~np.isnan(log_volume[:day])) >= 120:
+            expected[day] = log_volume[day] - normal_equation_forecast(log_volume, day)
+    assert np.array_equal(np.isnan(detrended), np.isnan(expected))
+    assert np.nanmax(np.abs(detrended - expected)) <= 1e-12
+    assert warnings.zero_volume_days == sum(bar[6] == 0.0 for bar in bars)
+    assert warnings.warmup_days == len(bars) - np.count_nonzero(~np.isnan(expected))
 
 
 # csv loading ------------------------------------------------------------------
@@ -216,8 +330,8 @@ def test_load_market_bars(tmp_path):
         encoding="utf-8",
     )
     grouped = load_market_bars(path, _calendar())
-    assert set(grouped) == {"AAPL"}
-    assert [b.day for b in grouped["AAPL"]] == [0, 1]
+    assert grouped.symbols == ("AAPL",)
+    assert np.flatnonzero(~np.isnan(grouped.plane("close")[0])).tolist() == [0, 1]
 
 
 def test_load_market_bars_bad_row_line_number(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import indicator_array, sentiment_array
+from conftest import IndicatorPoint, indicator_array, sentiment_array
 from newsflow._util import fmt_num
 from newsflow.errors import (
     CalendarMismatch,
@@ -12,7 +12,6 @@ from newsflow.errors import (
     RankDeficient,
     SingleCluster,
 )
-from newsflow.indicators import IndicatorPoint
 from newsflow.panel import (
     DEPENDENTS,
     INDICATOR_FIELDS,
