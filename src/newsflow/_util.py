@@ -1,9 +1,11 @@
-"""Small shared helpers: checked CSV input, the symbol × day array it is read into,
-deterministic CSV output, atomic writes, seed streams."""
+"""Small shared helpers: checked text and CSV input, the symbol × day array it is
+read into, deterministic CSV output, atomic writes, seed streams."""
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import os
 import tempfile
@@ -18,6 +20,20 @@ from .errors import CalendarMismatch, InputError, MalformedRecord
 T = TypeVar("T")
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file, with or without a byte-order mark.
+
+    Bytes that are not UTF-8 raise MalformedRecord with the file and line.
+    """
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRecord(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                              source=str(path), position=line) from None
+
+
 def read_csv_rows(
     path: str | Path,
     required: Sequence[str],
@@ -25,27 +41,29 @@ def read_csv_rows(
 ) -> list[T]:
     """`parse` applied to each non-blank data row, as a column -> cell mapping.
 
-    A missing required column, a row whose field count differs from the
-    header's, or a ValueError or InputError from `parse` raises MalformedRecord
-    with the file and line.
+    The file is read by read_text.  A file without a header, a missing
+    required column, a row whose field count differs from the header's, or a
+    ValueError or InputError from `parse` raises MalformedRecord with the file
+    and line.
     """
-    path = Path(path)
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, [])
-            missing = [name for name in required if name not in header]
-            if missing:
-                raise InputError(f"missing column(s) {', '.join(missing)}")
-            parsed = []
-            for cells in reader:
-                if not cells:
-                    continue
-                if len(cells) != len(header):
-                    raise InputError(f"{len(cells)} fields where the header has {len(header)}")
-                parsed.append(parse(dict(zip(header, cells))))
-        except (ValueError, InputError, csv.Error) as exc:
-            raise MalformedRecord(str(exc), source=str(path), position=reader.line_num) from exc
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, [])
+        if not header:
+            raise InputError("no header")
+        missing = [name for name in required if name not in header]
+        if missing:
+            raise InputError(f"missing column(s) {', '.join(missing)}")
+        parsed = []
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise InputError(f"{len(cells)} fields where the header has {len(header)}")
+            parsed.append(parse(dict(zip(header, cells))))
+    except (ValueError, InputError, csv.Error) as exc:
+        # an empty file has read no line yet
+        raise MalformedRecord(str(exc), source=str(path), position=max(reader.line_num, 1)) from exc
     return parsed
 
 

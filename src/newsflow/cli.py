@@ -39,7 +39,6 @@ from .errors import (
 )
 from .indicators import INDICATOR_FIELDS
 from .panel import (
-    SENTIMENT_FIELDS,
     ClusterMode,
     MarketSeries,
     PanelInputs,
@@ -107,26 +106,23 @@ def cmd_distill(config: RunConfig) -> int:
         tokenized[article.id] = tok
 
     universe = sorted(config.symbols) if config.symbols else sorted(assigned.symbols)
-    article_ids = sorted(tokenized)
+    n_days = len(calendar)
+    symbol_column = [symbol for symbol in universe for _ in range(n_days)]
+    date_column = [day.isoformat() for day in calendar.days] * len(universe)
     rows = []
     for name in sorted(lexica):
         lex = lexica[name]
         score_of = {
-            i: sent_mod.score_article(tokenized[i], lex, config.negation, article_id=i)
-            for i in article_ids
+            i: sent_mod.score_article(tok, lex, config.negation, article_id=i)
+            for i, tok in sorted(tokenized.items())
         }
-        for symbol in universe:
-            for day in range(len(calendar)):
-                day_scores = [
-                    score_of[i]
-                    for i in assigned.by_symbol_day.get((symbol, day), ())
-                    if i in score_of
-                ]
-                rec = sent_mod.aggregate_daily(day_scores, symbol, day, lexicon_name=name)
-                rows.append((
-                    symbol, calendar.days[day].isoformat(), name,
-                    rec.active, rec.pos, rec.neg, rec.n_articles,
-                ))
+        active, pos, neg, n_articles = sent_mod.aggregate_daily(
+            score_of, assigned.by_symbol_day, universe, n_days
+        ).values.reshape(len(sent_mod.SENTIMENT_FIELDS), -1)
+        rows.extend(zip(
+            symbol_column, date_column, [name] * len(symbol_column),
+            active.astype(int).tolist(), fmt_column(pos), fmt_column(neg), n_articles.astype(int).tolist(),
+        ))
 
     write_csv(
         config.output_dir / SENTIMENT_CSV,
@@ -196,7 +192,7 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, Symb
     if not rows_by_lexicon:
         raise MissingInput(f"sentiment file {path} is empty")
     return {
-        lexicon: SymbolDayArray.from_rows(SENTIMENT_FIELDS, rows, len(calendar))
+        lexicon: SymbolDayArray.from_rows(sent_mod.SENTIMENT_FIELDS, rows, len(calendar))
         for lexicon, rows in rows_by_lexicon.items()
     }
 

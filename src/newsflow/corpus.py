@@ -11,12 +11,14 @@ holiday articles fall back to the previous trading day.
 from __future__ import annotations
 
 import datetime as dt
+import io
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from ._util import read_text
 from .errors import DuplicateId, EmptyCorpus, InputError, MalformedRecord
 
 _MIDNIGHT = dt.time(0, 0)
@@ -68,7 +70,7 @@ class TradingCalendar:
     @classmethod
     def from_file(cls, path: str | Path) -> "TradingCalendar":
         days = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -115,20 +117,26 @@ def _article_from_record(record: dict, source: str, position: int) -> Article:
     for key in ("id", "published_at", "symbols", "title", "body"):
         if key not in record:
             raise MalformedRecord(f"missing field {key!r}", source=source, position=position)
+    # an integer id reads as its digits; str() of null, a float or a container would make one up
+    if isinstance(record["id"], bool) or not isinstance(record["id"], (str, int)):
+        raise MalformedRecord("id must be a string or an integer", source=source, position=position)
+    for key in ("published_at", "title", "body"):
+        if not isinstance(record[key], str):
+            raise MalformedRecord(f"{key} must be a string", source=source, position=position)
+    symbols = record["symbols"]
+    if not isinstance(symbols, list) or not all(isinstance(s, str) and s.strip() for s in symbols):
+        raise MalformedRecord("symbols must be an array of non-blank strings", source=source, position=position)
     try:
         published = _parse_timestamp(record["published_at"])
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise MalformedRecord(f"bad published_at: {exc}", source=source, position=position) from exc
-    symbols = record["symbols"]
-    if not isinstance(symbols, (list, tuple)):
-        raise MalformedRecord("symbols must be an array", source=source, position=position)
     try:
         return Article(
             id=str(record["id"]),
             published_at=published,
-            symbols=frozenset(str(s).upper() for s in symbols),
-            title=str(record["title"]),
-            body=str(record["body"]),
+            symbols=frozenset(s.upper() for s in symbols),
+            title=record["title"],
+            body=record["body"],
             contributor=record.get("contributor"),
         )
     except MalformedRecord as exc:
@@ -158,18 +166,18 @@ def load_articles(path: str | Path, format: str = "jsonl") -> ArticleSet:
 
 def _load_jsonl(path: Path) -> list[Article]:
     articles = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"bad JSON: {exc}", source=str(path), position=lineno) from exc
-            if not isinstance(record, dict):
-                raise MalformedRecord("record is not an object", source=str(path), position=lineno)
-            articles.append(_article_from_record(record, str(path), lineno))
+    # lines end where a text-mode file's do, not at every str.splitlines() boundary
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(f"bad JSON: {exc}", source=str(path), position=lineno) from exc
+        if not isinstance(record, dict):
+            raise MalformedRecord("record is not an object", source=str(path), position=lineno)
+        articles.append(_article_from_record(record, str(path), lineno))
     return articles
 
 
@@ -181,10 +189,12 @@ def _load_directory(path: Path) -> list[Article]:
         if not body_path.exists():
             raise MalformedRecord("missing .txt body for sidecar", source=str(meta_path))
         try:
-            record = json.loads(meta_path.read_text(encoding="utf-8"))
+            record = json.loads(read_text(meta_path))
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"bad JSON: {exc}", source=str(meta_path)) from exc
-        record["body"] = body_path.read_text(encoding="utf-8")
+        if not isinstance(record, dict):
+            raise MalformedRecord("record is not an object", source=str(meta_path))
+        record["body"] = read_text(body_path)
         articles.append(_article_from_record(record, str(meta_path), 1))
     return articles
 

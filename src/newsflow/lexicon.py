@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from ._util import read_text
 from .errors import EmptyList, InputError, InvalidValue, LexiconNotFound, MissingField
 
 
@@ -144,7 +145,7 @@ def parse_mpqa_file(path: str | Path) -> tuple[list[LexiconEntry], int]:
         raise LexiconNotFound(str(path))
     entries = []
     warnings = 0
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         raw = raw.strip()
         if not raw or raw.startswith(";"):
             continue
@@ -163,7 +164,7 @@ def load_wordlist(path: str | Path, polarity: Polarity) -> list[LexiconEntry]:
         raise LexiconNotFound(str(path))
     seen: set[str] = set()
     entries: list[LexiconEntry] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         raw = raw.strip()
         if not raw or raw.startswith(";"):
             continue

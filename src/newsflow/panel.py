@@ -30,6 +30,7 @@ from .errors import (
     TooFewObservations,
 )
 from .indicators import INDICATOR_FIELDS, AttentionGroup, attention_groups, attention_ratio
+from .sentiment import SENTIMENT_FIELDS
 
 SENTIMENT_VARS = ("I", "Pos", "Neg")
 CONTROL_VARS = ("R_M", "VIX", "log_vol_t", "ret_t", "dvol_t")
@@ -137,9 +138,6 @@ class PanelDataset:
         return np.rec.fromarrays([self.entities, self.times, self.y, self.x], dtype=dtype)
 
 
-SENTIMENT_FIELDS = ("active", "pos", "neg", "n_articles")
-
-
 def assemble_panel(
     sentiment: SymbolDayArray,
     indicators: SymbolDayArray,
@@ -173,8 +171,9 @@ def assemble_panel(
     span = max(n_days - h, 0)  # regressor days t = 0 .. n_days-h-1
     dependent = {"log_vol": log_vol, "dvol": dvol, "ret": ret}[spec.dependent][:, h:]
     if spec.cumulative and h > 1:
-        # summed slice by slice in day order, as cumulative_record sums its window;
-        # n is NaN where a day of the window has no record, and so is sign(n)
+        # summed slice by slice in day order, as the tests' reference
+        # cumulative_record sums its window; n is NaN where a day of the
+        # window has no record, and so is sign(n)
         windows = [slice(lag, lag + span) for lag in range(h)]
         n = sum(n_articles[:, w] for w in windows)
         pos_sum = sum(n_articles[:, w] * pos[:, w] for w in windows)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import EmptyText, InputError, NoActiveRecords, WindowOutOfRange
+import numpy as np
+
+from ._util import SymbolDayArray
+from .errors import EmptyText, InputError, NoActiveRecords
 from .lexicon import Lexicon, LexiconEntry, Polarity, PosTag
 from .stemmer import porter_stem
-
-if TYPE_CHECKING:
-    from ._util import SymbolDayArray
 
 # Words whose trailing period does not terminate a sentence.
 _ABBREVIATIONS = frozenset({
@@ -258,76 +258,44 @@ def score_article(
     )
 
 
-def classify_article(score: ArticleScore) -> Polarity:
-    if score.pos_prop > score.neg_prop:
-        return Polarity.POSITIVE
-    if score.pos_prop < score.neg_prop:
-        return Polarity.NEGATIVE
-    return Polarity.NEUTRAL
-
-
-@dataclass(frozen=True)
-class SentimentRecord:
-    """Per symbol-day sentiment variables for one lexicon projection."""
-
-    symbol: str
-    day: int
-    lexicon_name: str
-    active: int  # article-arrival indicator, 0 or 1
-    pos: float
-    neg: float
-    n_articles: int = 0
+SENTIMENT_FIELDS = ("active", "pos", "neg", "n_articles")
 
 
 def aggregate_daily(
-    scores: Sequence[ArticleScore],
-    symbol: str,
-    day: int,
-    lexicon_name: str | None = None,
-) -> SentimentRecord:
-    """Unweighted mean of article proportions; zeros when no articles."""
-    if lexicon_name is None:
-        if not scores:
-            raise ValueError("lexicon_name required when scores is empty")
-        lexicon_name = scores[0].lexicon_name
-    if not scores:
-        return SentimentRecord(symbol, day, lexicon_name, active=0, pos=0.0, neg=0.0)
-    n = len(scores)
-    return SentimentRecord(
-        symbol=symbol,
-        day=day,
-        lexicon_name=lexicon_name,
-        active=1,
-        pos=sum(s.pos_prop for s in scores) / n,
-        neg=sum(s.neg_prop for s in scores) / n,
-        n_articles=n,
-    )
+    scores: Mapping[str, ArticleScore],
+    by_symbol_day: Mapping[tuple[str, int], Sequence[str]],
+    symbols: Sequence[str],
+    n_days: int,
+) -> SymbolDayArray:
+    """SENTIMENT_FIELDS of one lexicon on `symbols` × a calendar of n_days.
 
-
-def cumulative_record(
-    records: Mapping[int, SentimentRecord],
-    t: int,
-    h: int,
-) -> SentimentRecord:
-    """Pool article proportions over trading days t .. t+h-1.
-
-    Pooling weights each day by its article count, which equals averaging
-    per-article proportions over every article in the window.
+    Pos and Neg are the unweighted means of the article proportions of each
+    symbol-day, summed in `by_symbol_day` order; a day without articles is
+    all zeros.  Ids without a score and symbols outside `symbols` are skipped.
     """
-    if h < 1:
-        raise WindowOutOfRange(f"h must be >= 1, got {h}")
-    window = []
-    for day in range(t, t + h):
-        if day not in records:
-            raise WindowOutOfRange(f"no record for day {day}")
-        window.append(records[day])
-    base = window[0]
-    n = sum(r.n_articles for r in window)
-    if n == 0:
-        return SentimentRecord(base.symbol, t, base.lexicon_name, active=0, pos=0.0, neg=0.0)
-    pos = sum(r.n_articles * r.pos for r in window) / n
-    neg = sum(r.n_articles * r.neg for r in window) / n
-    return SentimentRecord(base.symbol, t, base.lexicon_name, active=1, pos=pos, neg=neg, n_articles=n)
+    row_of = {sym: i for i, sym in enumerate(symbols)}
+    cells, pos, neg = [], [], []
+    for (symbol, day), ids in by_symbol_day.items():
+        row = row_of.get(symbol)
+        if row is None:
+            continue
+        for i in ids:
+            score = scores.get(i)
+            if score is not None:
+                cells.append(row * n_days + day)
+                pos.append(score.pos_prop)
+                neg.append(score.neg_prop)
+    size = len(symbols) * n_days
+    cells = np.asarray(cells, dtype=np.intp)
+    n = np.bincount(cells, minlength=size).astype(float)
+
+    def mean(props):
+        # bincount adds each cell's weights one at a time in input order, as sum() does
+        total = np.bincount(cells, np.asarray(props, dtype=float), minlength=size)
+        return np.divide(total, n, out=np.zeros(size), where=n > 0)
+
+    values = np.stack([np.sign(n), mean(pos), mean(neg), n]).reshape(len(SENTIMENT_FIELDS), len(symbols), n_days)
+    return SymbolDayArray(SENTIMENT_FIELDS, tuple(symbols), values)
 
 
 @dataclass(frozen=True)

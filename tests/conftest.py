@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from newsflow.errors import WindowOutOfRange
 from newsflow.panel import INDICATOR_FIELDS, SENTIMENT_FIELDS, SymbolDayArray
 
 FIXTURE_SEED = 20090
@@ -43,6 +44,35 @@ def trading_days(n: int, start: dt.date = dt.date(2020, 1, 6)) -> list[dt.date]:
 
 def write_calendar(path, days):
     path.write_text("\n".join(d.isoformat() for d in days) + "\n", encoding="utf-8")
+
+
+# one sentiment.csv row, for building test inputs
+SentimentRecord = collections.namedtuple(
+    "SentimentRecord", "symbol day lexicon_name active pos neg n_articles", defaults=(0,)
+)
+
+
+def cumulative_record(records, t, h) -> SentimentRecord:
+    """Pool article proportions over trading days t .. t+h-1 of one symbol's records by day.
+
+    Pooling weights each day by its article count, which equals averaging
+    per-article proportions over every article in the window.  This is the
+    reference the cumulative panel specifications are checked against.
+    """
+    if h < 1:
+        raise WindowOutOfRange(f"h must be >= 1, got {h}")
+    window = []
+    for day in range(t, t + h):
+        if day not in records:
+            raise WindowOutOfRange(f"no record for day {day}")
+        window.append(records[day])
+    base = window[0]
+    n = sum(r.n_articles for r in window)
+    if n == 0:
+        return SentimentRecord(base.symbol, t, base.lexicon_name, active=0, pos=0.0, neg=0.0)
+    pos = sum(r.n_articles * r.pos for r in window) / n
+    neg = sum(r.n_articles * r.neg for r in window) / n
+    return SentimentRecord(base.symbol, t, base.lexicon_name, active=1, pos=pos, neg=neg, n_articles=n)
 
 
 def sentiment_array(records, n_days=None) -> SymbolDayArray:

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import newsflow
-from newsflow import indicators
+from newsflow import indicators, sentiment
 from conftest import build_fixture, trading_days, write_calendar
 from newsflow.cli import _read_entire_coefficients, _read_residual_pool, main
 from newsflow.errors import MalformedRecord
@@ -337,6 +338,123 @@ def test_price_file_mutation_keeps_the_exit_code_contract(distilled_fixture, row
     assert "Traceback" not in err
     if code != 0:
         assert err.startswith("ERROR ") and len(err.splitlines()) == 1
+
+
+def _copy_of(fixture, root):
+    shutil.copytree(fixture, root)
+    return root
+
+
+def test_empty_price_file_is_reported_at_line_1_without_a_header(distilled_fixture, tmp_path, capsys):
+    root = _copy_of(distilled_fixture, tmp_path / "run")
+    (root / "prices.csv").write_bytes(b"")
+    code = run(["indicators", "--config", root / "newsflow.ini", "--output", root / "out"])
+    assert code == 2
+    assert capsys.readouterr().err == "ERROR PRICE_PARSE_ERROR: line 1: no header\n"
+
+
+def test_price_file_with_a_byte_order_mark_reads_as_without_one(distilled_fixture, tmp_path):
+    root = _copy_of(distilled_fixture, tmp_path / "run")
+    prices = root / "prices.csv"
+    prices.write_bytes(codecs.BOM_UTF8 + prices.read_bytes())
+    assert run(["indicators", "--config", root / "newsflow.ini", "--output", root / "out"]) == 0
+    assert (root / "out" / "indicators.csv").read_bytes() == (distilled_fixture / "out" / "indicators.csv").read_bytes()
+
+
+def _corpus_as_directory(root):
+    """Rewrite the fixture's jsonl corpus as JSON sidecars and text bodies, and point the config at them."""
+    corpus = root / "corpus"
+    corpus.mkdir()
+    for line in (root / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        (corpus / f"{record['id']}.txt").write_text(record.pop("body"), encoding="utf-8")
+        (corpus / f"{record['id']}.json").write_text(json.dumps(record), encoding="utf-8")
+    ini = root / "newsflow.ini"
+    ini.write_text(ini.read_text(encoding="utf-8").replace(
+        "path = corpus.jsonl\nformat = jsonl", "path = corpus\nformat = directory_of_text_files"
+    ), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, line", [
+    ("calendar.txt", 3), ("corpus.jsonl", 3), ("corpus/art-00004.txt", 1), ("corpus/art-00004.json", 1),
+    ("bl_neg.txt", 3), ("mpqa.tff", 3),
+])
+def test_text_input_that_is_not_utf8_exits_2_naming_the_file(distilled_fixture, tmp_path, capsys, name, line):
+    root = _copy_of(distilled_fixture, tmp_path / "run")
+    if name.startswith("corpus/"):
+        _corpus_as_directory(root)
+    lines = (root / name).read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    (root / name).write_bytes(b"\n".join(lines))
+    code = run(["distill", "--config", root / "newsflow.ini", "--output", root / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR MALFORMED_RECORD: {root / name}:{line}: not UTF-8: byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
+def test_distill_aggregates_once_per_lexicon(distilled_fixture, tmp_path, monkeypatch):
+    calls = []
+    aggregate = sentiment.aggregate_daily
+    monkeypatch.setattr(sentiment, "aggregate_daily", lambda *args: calls.append(1) or aggregate(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["distill", "--config", distilled_fixture / "newsflow.ini", "--output", tmp_path]) == 0
+    assert len(calls) == 3  # BL, LM and MPQA
+    assert (tmp_path / "sentiment.csv").read_bytes() == (distilled_fixture / "out" / "sentiment.csv").read_bytes()
+
+
+# one line of corpus.jsonl changed: (kind, *arguments), positions taken modulo
+# the line's length; "set" gives one field a value of another JSON type
+CORPUS_LINE_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(["id", "published_at", "symbols", "title", "body", "contributor"])),
+    st.tuples(
+        st.just("set"),
+        st.sampled_from(["id", "published_at", "symbols", "title", "body", "contributor"]),
+        st.sampled_from([None, 0, 20200106, 1.5, True, [], ["SYM00"], [None, {}], {}, {"text": "x"}]),
+    ),
+    st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("repeat")),
+    st.tuples(st.just("byte"), st.integers(0, 10**4), st.sampled_from([b"\xff", b"\xc3", b"\x80"])),
+)
+
+
+def _mutate_corpus_line(lines, row, mutation):
+    kind, *args = mutation
+    line = row % len(lines)
+    text = lines[line]
+    if kind == "repeat":
+        return lines + [text]
+    if kind == "truncate":
+        text = text[: args[0] % len(text)]
+    elif kind == "byte":
+        at = args[0] % len(text)
+        text = text[:at] + args[1] + text[at:]
+    else:
+        record = json.loads(text)
+        if kind == "drop":
+            del record[args[0]]
+        else:
+            record[args[0]] = args[1]
+        text = json.dumps(record, sort_keys=True).encode("utf-8")
+    return lines[:line] + [text] + lines[line + 1 :]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(row=st.integers(0, 10**6), mutation=CORPUS_LINE_MUTATIONS)
+def test_corpus_mutation_keeps_the_exit_code_contract(distilled_fixture, row, mutation):
+    lines = (distilled_fixture / "corpus.jsonl").read_bytes().splitlines()
+    with tempfile.TemporaryDirectory() as out:
+        out = Path(out)
+        for name in ("newsflow.ini", "calendar.txt", "bl_pos.txt", "bl_neg.txt", "lm_pos.txt", "lm_neg.txt", "mpqa.tff"):
+            shutil.copy(distilled_fixture / name, out / name)
+        (out / "corpus.jsonl").write_bytes(b"\n".join(_mutate_corpus_line(lines, row, mutation)) + b"\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["distill", "--config", out / "newsflow.ini", "--output", out / "out"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("ERROR ") and len(err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize("text, read", [

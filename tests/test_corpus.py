@@ -59,6 +59,33 @@ def test_missing_published_at_names_field(tmp_path):
         load_articles(path, "jsonl")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("published_at", 20200106), ("published_at", None),
+    ("title", None), ("title", 7), ("title", ["a"]),
+    ("body", None), ("body", {"text": "Stocks fell."}),
+    ("symbols", [None, {}]), ("symbols", ["AAPL", 1]), ("symbols", "AAPL"), ("symbols", ["AAPL", " "]),
+    ("id", None), ("id", 1.5), ("id", True), ("id", ["a1"]),
+])
+def test_field_of_the_wrong_type_is_malformed_with_its_line(tmp_path, key, value):
+    bad = {**record(2), key: value}
+    path = write_jsonl(tmp_path / "c.jsonl", [record(1), bad])
+    with pytest.raises(MalformedRecord, match=key) as err:
+        load_articles(path, "jsonl")
+    assert err.value.position == 2
+
+
+def test_integer_id_reads_as_its_digits(tmp_path):
+    path = write_jsonl(tmp_path / "c.jsonl", [{**record(1), "id": 17}])
+    assert load_articles(path, "jsonl").articles[0].id == "17"
+
+
+def test_directory_sidecar_that_is_not_an_object_is_malformed(tmp_path):
+    (tmp_path / "art7.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "art7.txt").write_text("Body text here.", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="not an object"):
+        load_articles(tmp_path, "directory_of_text_files")
+
+
 def test_empty_corpus(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text("", encoding="utf-8")

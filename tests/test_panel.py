@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import IndicatorPoint, indicator_array, sentiment_array
+from conftest import IndicatorPoint, SentimentRecord, cumulative_record, indicator_array, sentiment_array
 from newsflow._util import fmt_num
 from newsflow.errors import (
     CalendarMismatch,
@@ -33,7 +33,6 @@ from newsflow.panel import (
     significance_stars,
     suite_rows,
 )
-from newsflow.sentiment import SentimentRecord, cumulative_record
 
 
 def make_panel(y, x, entities, times, coef_names=None):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import sentiment_array
+from conftest import SentimentRecord, sentiment_array
 from newsflow.errors import InputError, MissingComponent
-from newsflow.sentiment import SentimentRecord
 from newsflow.simulate import (
     GaussianCopula,
     MA1Garch11Params,

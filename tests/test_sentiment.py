@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sentiment_array
+from conftest import SentimentRecord, cumulative_record, sentiment_array
 from newsflow.errors import EmptyText, InputError, NoActiveRecords, WindowOutOfRange
 from newsflow.lexicon import LexiconEntry, Polarity, PosTag, Strength, build_lexicon
 from newsflow.sentiment import (
+    SENTIMENT_FIELDS,
+    ArticleScore,
     MatchPolicy,
     NegationConfig,
-    SentimentRecord,
     aggregate_daily,
-    classify_article,
-    cumulative_record,
     monthly_lexicon_correlation,
     score_article,
     sentiment_summary,
@@ -208,56 +207,80 @@ def test_strict_pos_policy_requires_tagger():
         MatchPolicy(strict_pos=True)
 
 
-# classify -------------------------------------------------------------------
-
-def test_classify_trichotomy():
-    make = lambda p, n: score_article(
-        tokenize(" ".join(["good"] * p + ["bad"] * n + ["filler"] * 5)),
-        lex(positive=("good",), negative=("bad",)),
-    )
-    assert classify_article(make(3, 1)) is Polarity.POSITIVE
-    assert classify_article(make(1, 2)) is Polarity.NEGATIVE
-    assert classify_article(make(0, 0)) is Polarity.NEUTRAL
-    assert classify_article(make(2, 2)) is Polarity.NEUTRAL
-
-
 # aggregation ----------------------------------------------------------------
 
 def _score(pos_count, neg_count, word_count, article="a", name="L"):
-    from newsflow.sentiment import ArticleScore
-
     return ArticleScore(article, name, pos_count, neg_count, word_count)
 
 
+def _day_record(scores, symbol, day, lexicon_name="L"):
+    """aggregate_daily of one symbol-day's scores, read back as a SentimentRecord."""
+    by_id = {f"a{k}": score for k, score in enumerate(scores)}
+    sentiment = aggregate_daily(by_id, {(symbol, day): tuple(by_id)}, [symbol], day + 1)
+    active, pos, neg, n_articles = sentiment.values[:, 0, day].tolist()
+    return SentimentRecord(symbol, day, lexicon_name, int(active), pos, neg, int(n_articles))
+
+
 def test_aggregate_daily_mean():
-    rec = aggregate_daily([_score(2, 0, 100), _score(4, 0, 100)], "AAPL", 3)
+    rec = _day_record([_score(2, 0, 100), _score(4, 0, 100)], "AAPL", 3)
     assert rec.active == 1
     assert rec.pos == pytest.approx(0.03)
     assert rec.n_articles == 2
 
 
 def test_aggregate_daily_empty():
-    rec = aggregate_daily([], "AAPL", 3, lexicon_name="L")
+    rec = _day_record([], "AAPL", 3)
     assert (rec.active, rec.pos, rec.neg, rec.n_articles) == (0, 0.0, 0.0, 0)
 
 
 def test_aggregate_daily_singleton():
-    rec = aggregate_daily([_score(3, 1, 50)], "AAPL", 3)
+    rec = _day_record([_score(3, 1, 50)], "AAPL", 3)
     assert rec.pos == pytest.approx(0.06)
     assert rec.neg == pytest.approx(0.02)
 
 
+def test_aggregate_daily_equals_the_mean_in_by_symbol_day_order():
+    rng = np.random.default_rng(9)
+    symbols, n_days = [f"S{i}" for i in range(8)], 150  # 1,200 cells
+    scores, by_symbol_day, ids_made = {}, {}, 0
+    for symbol in symbols + ["ELSEWHERE"]:
+        for day in range(n_days):
+            ids = []
+            for _ in range(int(rng.integers(0, 21))):
+                article, ids_made = f"a{ids_made}", ids_made + 1
+                ids.append(article)
+                if rng.random() < 0.9:  # the rest are unscored, as zero-word articles are
+                    words = int(rng.integers(1, 400))
+                    pos = int(rng.integers(0, words + 1))
+                    scores[article] = ArticleScore(article, "L", pos, int(rng.integers(0, words - pos + 1)), words)
+            by_symbol_day[(symbol, day)] = tuple(ids)
+    cells = list(by_symbol_day.items())
+    shuffled = {cells[k][0]: tuple(rng.permutation(cells[k][1]).tolist()) for k in rng.permutation(len(cells))}
+
+    sentiment = aggregate_daily(scores, shuffled, symbols, n_days)
+    assert sentiment.fields == SENTIMENT_FIELDS and sentiment.symbols == tuple(symbols)
+    assert sentiment.values.shape == (4, len(symbols), n_days)
+    active, pos, neg, n_articles = sentiment.values
+    for row, symbol in enumerate(symbols):
+        for day in range(n_days):
+            day_scores = [scores[i] for i in shuffled[(symbol, day)] if i in scores]
+            n = len(day_scores)
+            assert (active[row, day], n_articles[row, day]) == (float(n > 0), n)
+            assert pos[row, day] == (sum(s.pos_prop for s in day_scores) / n if n else 0.0)
+            assert neg[row, day] == (sum(s.neg_prop for s in day_scores) / n if n else 0.0)
+
+
 def test_cumulative_h1_equals_daily():
     day_records = {
-        4: aggregate_daily([_score(1, 0, 10), _score(3, 0, 10)], "A", 4),
+        4: _day_record([_score(1, 0, 10), _score(3, 0, 10)], "A", 4),
     }
     assert cumulative_record(day_records, 4, 1) == day_records[4]
 
 
 def test_cumulative_pooled_mean():
     day_records = {
-        0: aggregate_daily([], "A", 0, lexicon_name="L"),
-        1: aggregate_daily([_score(1, 0, 100), _score(3, 0, 100)], "A", 1),
+        0: _day_record([], "A", 0),
+        1: _day_record([_score(1, 0, 100), _score(3, 0, 100)], "A", 1),
     }
     rec = cumulative_record(day_records, 0, 2)
     assert rec.active == 1
@@ -267,21 +290,21 @@ def test_cumulative_pooled_mean():
 
 def test_cumulative_pooling_weights_by_article_count():
     day_records = {
-        0: aggregate_daily([_score(1, 0, 10)], "A", 0),                   # pos 0.1, 1 article
-        1: aggregate_daily([_score(4, 0, 10), _score(2, 0, 10)], "A", 1),  # pos 0.3, 2 articles
+        0: _day_record([_score(1, 0, 10)], "A", 0),                   # pos 0.1, 1 article
+        1: _day_record([_score(4, 0, 10), _score(2, 0, 10)], "A", 1),  # pos 0.3, 2 articles
     }
     rec = cumulative_record(day_records, 0, 2)
     assert rec.pos == pytest.approx((0.1 + 0.4 + 0.2) / 3)
 
 
 def test_cumulative_empty_window():
-    day_records = {d: aggregate_daily([], "A", d, lexicon_name="L") for d in range(3)}
+    day_records = {d: _day_record([], "A", d) for d in range(3)}
     rec = cumulative_record(day_records, 0, 3)
     assert (rec.active, rec.pos, rec.neg) == (0, 0.0, 0.0)
 
 
 def test_cumulative_out_of_range():
-    day_records = {0: aggregate_daily([], "A", 0, lexicon_name="L")}
+    day_records = {0: _day_record([], "A", 0)}
     with pytest.raises(WindowOutOfRange):
         cumulative_record(day_records, 0, 2)
 
