@@ -108,7 +108,7 @@ def _parse_number(raw: str, key: str, kind=int):
 
 
 def _get_range(section, lo_key, hi_key):
-    """Both bounds of a plot range, or None; a bound given without the other is an error."""
+    """Both bounds of a plot range, or None; one bound alone, or lo >= hi, is an error."""
     lo = section.get(lo_key, "").strip()
     hi = section.get(hi_key, "").strip()
     if not lo and not hi:
@@ -116,10 +116,11 @@ def _get_range(section, lo_key, hi_key):
     if not (lo and hi):
         missing = hi_key if lo else lo_key
         raise InvalidValue(f"[simulate] {missing}", "")
-    return (
-        _parse_number(lo, f"[simulate] {lo_key}", float),
-        _parse_number(hi, f"[simulate] {hi_key}", float),
-    )
+    low = _parse_number(lo, f"[simulate] {lo_key}", float)
+    high = _parse_number(hi, f"[simulate] {hi_key}", float)
+    if low >= high:
+        raise InvalidValue(f"[simulate] {lo_key}", f"{lo} (not below {hi_key} = {hi})")
+    return (low, high)
 
 
 def parse_day_boundary(raw: str) -> dt.time:
@@ -161,9 +162,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     def number(name, key, default):
         return _parse_number(section(name).get(key, default).strip(), f"[{name}] {key}")
 
-    window = number("negation", "window", "5")
-    if window < 0:
-        raise InvalidValue("[negation] window", str(window))
+    def at_least(name, key, default, low):
+        value = number(name, key, default)
+        if value < low:
+            raise InvalidValue(f"[{name}] {key}", str(value))
+        return value
+
+    window = at_least("negation", "window", "5", 0)
     bidirectional_raw = negation.get("bidirectional", "true").strip().lower()
     if bidirectional_raw not in parser.BOOLEAN_STATES:
         raise InvalidValue("[negation] bidirectional", bidirectional_raw)
@@ -204,13 +209,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         ),
         sim_n_days=number("simulate", "n_days", "300"),
         sim_n_boot=number("simulate", "n_boot", "500"),
-        sim_grid_points=number("simulate", "grid_points", "101"),
+        sim_grid_points=at_least("simulate", "grid_points", "101", 2),
         sim_min_active=number("simulate", "min_active", "30"),
         sim_results_csv=simulate.get("results", "results_entire.csv").strip(),
         plot_x_range=_get_range(simulate, "x_min", "x_max"),
         plot_y_range=_get_range(simulate, "y_min", "y_max"),
-        lexstats_min_count=number("lexstats", "min_count", "3"),
-        lexstats_top=number("lexstats", "top", "10"),
+        lexstats_min_count=at_least("lexstats", "min_count", "3", 1),
+        lexstats_top=at_least("lexstats", "top", "10", 1),
     )
     if overrides:
         clean = {k: v for k, v in overrides.items() if v is not None}

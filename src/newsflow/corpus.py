@@ -75,9 +75,13 @@ class TradingCalendar:
             if not line or line.startswith("#"):
                 continue
             try:
-                days.append(dt.date.fromisoformat(line))
+                day = dt.date.fromisoformat(line)
             except ValueError as exc:
                 raise MalformedRecord(str(exc), source=str(path), position=lineno) from exc
+            if days and day <= days[-1]:
+                raise MalformedRecord(f"calendar dates not strictly increasing at {day}",
+                                      source=str(path), position=lineno)
+            days.append(day)
         return cls(days=tuple(days))
 
     def month_of(self, day: int) -> tuple[int, int]:

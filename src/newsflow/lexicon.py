@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ._util import read_text
-from .errors import EmptyList, InputError, InvalidValue, LexiconNotFound, MissingField
+from .errors import EmptyList, InputError, InvalidValue, LexiconNotFound, MalformedRecord, MissingField
 
 
 class Polarity(enum.Enum):
@@ -145,11 +145,14 @@ def parse_mpqa_file(path: str | Path) -> tuple[list[LexiconEntry], int]:
         raise LexiconNotFound(str(path))
     entries = []
     warnings = 0
-    for raw in read_text(path).splitlines():
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         raw = raw.strip()
         if not raw or raw.startswith(";"):
             continue
-        entry, unknown = _parse_mpqa_line_counting(raw)
+        try:
+            entry, unknown = _parse_mpqa_line_counting(raw)
+        except InputError as exc:
+            raise MalformedRecord(str(exc), source=str(path), position=lineno) from exc
         entries.append(entry)
         warnings += unknown
     if not entries:
@@ -180,10 +183,12 @@ def load_wordlist(path: str | Path, polarity: Polarity) -> list[LexiconEntry]:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Entries split into an unstemmed and a stemmed lookup index.
+    """Entries plus an unstemmed and a stemmed index of the scoring ones.
 
     Index keys are the entry's first token so multiword entries can be
-    matched as contiguous token runs starting at a key hit.
+    matched as contiguous token runs starting at a key hit.  Each bucket
+    lists its entries longest first, in file order among equal lengths, so
+    the first entry that matches is the one that claims the tokens.
     """
 
     name: str
@@ -217,7 +222,8 @@ def build_lexicon(name: str, entries: Iterable[LexiconEntry]) -> Lexicon:
 
     unstemmed: dict[str, list[LexiconEntry]] = {}
     stemmed: dict[str, list[LexiconEntry]] = {}
-    for entry in unique:
+    # stable sort: among entries of equal length the first in file order wins
+    for entry in sorted((e for e in unique if e.is_scoring), key=lambda e: -e.length):
         target = stemmed if entry.stemmed else unstemmed
         target.setdefault(entry.tokens[0], []).append(entry)
     return Lexicon(

@@ -2,7 +2,9 @@
 
 Scoring runs two passes over each article: unstemmed lexicon entries match
 raw tokens first, then stemmed entries match the stems of whatever is still
-unclaimed, so no token is ever counted twice.  A negation word within the
+unclaimed, so no token is ever counted twice.  At each token the longest
+positive or negative entry whose tokens are all unclaimed claims them (the
+first in file order among equal lengths).  A negation word within the
 configured token distance of a matched word (same sentence) flips its
 polarity once.
 """
@@ -12,13 +14,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._util import SymbolDayArray
-from .errors import EmptyText, InputError, NoActiveRecords
-from .lexicon import Lexicon, LexiconEntry, Polarity, PosTag
+from .errors import EmptyText, NoActiveRecords
+from .lexicon import Lexicon, LexiconEntry, Polarity
 from .stemmer import porter_stem
 
 # Words whose trailing period does not terminate a sentence.
@@ -41,28 +43,6 @@ class NegationConfig:
     window: int = 5
     negators: frozenset[str] = frozenset(DEFAULT_NEGATORS)
     bidirectional: bool = True
-
-
-# A tagger maps a sentence's tokens to one part-of-speech tag per token.
-Tagger = Callable[[Sequence[str]], Sequence[PosTag]]
-
-
-@dataclass(frozen=True)
-class MatchPolicy:
-    """How part-of-speech constraints on lexicon entries are enforced.
-
-    The default ignores pos tags entirely.  Strict mode matches anypos and
-    unconstrained entries always, and tag-constrained entries only when the
-    pluggable tagger confirms the tag (for multiword entries, the tag of the
-    first token).
-    """
-
-    strict_pos: bool = False
-    tagger: Tagger | None = None
-
-    def __post_init__(self):
-        if self.strict_pos and self.tagger is None:
-            raise InputError("strict POS matching requires a tagger")
 
 
 @dataclass(frozen=True)
@@ -166,34 +146,22 @@ def _is_negated(span: tuple[int, int], negator_pos: Sequence[int], config: Negat
     return False
 
 
-def _pos_allows(entry: LexiconEntry, tags: Sequence[PosTag] | None, i: int) -> bool:
-    if tags is None or entry.pos_tag in (PosTag.ANYPOS, PosTag.UNCONSTRAINED):
-        return True
-    return tags[i] is entry.pos_tag
-
-
 def _match_at(
     tokens: Sequence[str],
     i: int,
     claimed: list[bool],
     entries: Sequence[LexiconEntry],
-    tags: Sequence[PosTag] | None = None,
-) -> tuple[LexiconEntry, int] | None:
-    """Longest scoring entry whose token run matches unclaimed tokens at i."""
-    best: tuple[LexiconEntry, int] | None = None
+) -> LexiconEntry | None:
+    """First entry of a longest-first bucket whose run matches unclaimed tokens at i."""
     for entry in entries:
-        if not entry.is_scoring or not _pos_allows(entry, tags, i):
-            continue
         width = entry.length
-        if best is not None and width <= best[1]:
-            continue
         if i + width > len(tokens):
             continue
         if any(claimed[i + k] for k in range(width)):
             continue
         if tuple(tokens[i : i + width]) == entry.tokens:
-            best = (entry, width)
-    return best
+            return entry
+    return None
 
 
 def score_article(
@@ -201,7 +169,6 @@ def score_article(
     lex: Lexicon,
     negation: NegationConfig = NegationConfig(),
     article_id: str = "",
-    policy: MatchPolicy = MatchPolicy(),
 ) -> ArticleScore:
     """Two-pass lexicon projection of one tokenized article."""
     if article.word_count < 1:
@@ -211,43 +178,23 @@ def score_article(
     for tokens in article.sentences:
         claimed = [False] * len(tokens)
         negator_pos = _negator_positions(tokens, negation.negators)
-        matches: list[tuple[LexiconEntry, tuple[int, int]]] = []
-        tags = tuple(policy.tagger(tokens)) if policy.strict_pos else None
-
-        # pass 1: unstemmed entries against raw tokens
-        for i, token in enumerate(tokens):
-            if claimed[i]:
-                continue
-            hit = _match_at(tokens, i, claimed, lex.unstemmed_index.get(token, ()), tags)
-            if hit is None:
-                continue
-            entry, width = hit
-            for k in range(width):
-                claimed[i + k] = True
-            matches.append((entry, (i, i + width)))
-
-        # pass 2: stemmed entries against stems of unclaimed tokens; a
-        # lexicon without stemmed entries has nothing to match, so skip stemming
-        stems = tuple(porter_stem(tok) for tok in tokens) if lex.stemmed_index else ()
-        for i, stem in enumerate(stems):
-            if claimed[i]:
-                continue
-            hit = _match_at(stems, i, claimed, lex.stemmed_index.get(stem, ()), tags)
-            if hit is None:
-                continue
-            entry, width = hit
-            for k in range(width):
-                claimed[i + k] = True
-            matches.append((entry, (i, i + width)))
-
-        for entry, span in matches:
-            polarity = entry.polarity
-            if _is_negated(span, negator_pos, negation):
-                polarity = Polarity.NEGATIVE if polarity is Polarity.POSITIVE else Polarity.POSITIVE
-            if polarity is Polarity.POSITIVE:
-                pos_count += 1
-            else:
-                neg_count += 1
+        passes = [(tokens, lex.unstemmed_index)]
+        # a lexicon without scoring stemmed entries has nothing to match, so skip stemming
+        if lex.stemmed_index:
+            passes.append((tuple(porter_stem(tok) for tok in tokens), lex.stemmed_index))
+        for words, index in passes:
+            for i, word in enumerate(words):
+                if claimed[i]:
+                    continue
+                entry = _match_at(words, i, claimed, index.get(word, ()))
+                if entry is None:
+                    continue
+                end = i + entry.length
+                claimed[i:end] = [True] * (end - i)
+                if (entry.polarity is Polarity.POSITIVE) != _is_negated((i, end), negator_pos, negation):
+                    pos_count += 1
+                else:
+                    neg_count += 1
 
     return ArticleScore(
         article_id=article_id,

@@ -129,6 +129,14 @@ def test_bad_config_h(mini_fixture, capsys):
     pytest.param("[simulate]\nx_min = 0.5\n", [], id="x_min_without_x_max"),
     pytest.param("[panel]\ncluster = bogus\n", [], id="cluster=bogus"),
     pytest.param("[negation]\nwindow = -3\n", [], id="negation_window=-3"),
+    pytest.param("[simulate]\nx_min = 1\nx_max = 0\n", [], id="x_min_above_x_max"),
+    pytest.param("[simulate]\ny_min = 0.5\ny_max = 0.5\n", [], id="y_min_equal_y_max"),
+    pytest.param("[simulate]\ngrid_points = -1\n", [], id="grid_points=-1"),
+    pytest.param("[simulate]\ngrid_points = 0\n", [], id="grid_points=0"),
+    pytest.param("[simulate]\ngrid_points = 1\n", [], id="grid_points=1"),
+    pytest.param("[lexstats]\ntop = -1\n", [], id="top=-1"),
+    pytest.param("[lexstats]\ntop = 0\n", [], id="top=0"),
+    pytest.param("[lexstats]\nmin_count = 0\n", [], id="min_count=0"),
     pytest.param("[negation]\nbidirectional = flase\n", [], id="bidirectional=flase"),
     pytest.param("", ["--day-boundary", "25:00"], id="day_boundary_flag=25:00"),
     pytest.param("", ["--day-boundary", "12:00+05:00"], id="day_boundary_flag_with_offset"),
@@ -455,6 +463,80 @@ def test_corpus_mutation_keeps_the_exit_code_contract(distilled_fixture, row, mu
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert err.getvalue().startswith("ERROR ") and len(err.getvalue().splitlines()) == 1
+
+
+# one line of a lexicon file changed: (kind, *arguments); "set" gives one key
+# of an MPQA line a new value, "line" replaces the whole line
+MPQA_KEYS = ("type", "len", "word1", "pos1", "stemmed1", "priorpolarity")
+MPQA_LINE_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(MPQA_KEYS)),
+    st.tuples(
+        st.just("set"),
+        st.sampled_from(["type", "len", "pos1", "stemmed1", "priorpolarity"]),
+        st.sampled_from(["", "weak", "Noun", "yes", "positve", "0", "2", "-1", "x"]),
+    ),
+    st.tuples(st.just("set"), st.just("word1"), st.sampled_from(["", "GOOD", "Good_News", "=", "a__b"])),
+    st.tuples(st.just("line"), st.sampled_from(["=", "word1", "; comment", ""])),
+    st.tuples(st.just("token"), st.sampled_from(["=", "word1", "extra=1"])),
+    st.tuples(st.just("repeat")),
+)
+WORDLIST_LINE_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop")),
+    st.tuples(st.just("upper")),
+    st.tuples(st.just("line"), st.sampled_from(["=", "", "; comment", "Good News", "word1=good"])),
+    st.tuples(st.just("repeat")),
+)
+
+
+def _mutate_lexicon_line(lines, line, mutation):
+    kind, *args = mutation
+    text = lines[line]
+    if kind == "repeat":
+        return lines + [text]
+    if kind == "drop" and not args:
+        return lines[:line] + lines[line + 1 :]
+    if kind == "upper":
+        text = text.upper()
+    elif kind == "line":
+        text = args[0]
+    elif kind == "token":
+        text = f"{text} {args[0]}"
+    else:
+        pairs = [token.partition("=") for token in text.split()]
+        if kind == "drop":
+            text = " ".join(f"{k}={v}" for k, _, v in pairs if k != args[0])
+        else:
+            text = " ".join(f"{k}={args[1] if k == args[0] else v}" for k, _, v in pairs)
+    return lines[:line] + [text] + lines[line + 1 :]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    target=st.one_of(
+        st.tuples(st.just("mpqa.tff"), MPQA_LINE_MUTATIONS),
+        st.tuples(st.sampled_from(["bl_pos.txt", "lm_neg.txt"]), WORDLIST_LINE_MUTATIONS),
+    ),
+    row=st.integers(0, 10**6),
+)
+def test_lexicon_mutation_keeps_the_exit_code_contract(distilled_fixture, target, row):
+    name, mutation = target
+    lines = (distilled_fixture / name).read_text(encoding="utf-8").splitlines()
+    line = row % len(lines)
+    with tempfile.TemporaryDirectory() as out:
+        out = Path(out)
+        for other in ("newsflow.ini", "calendar.txt", "corpus.jsonl", "bl_pos.txt", "bl_neg.txt",
+                      "lm_pos.txt", "lm_neg.txt", "mpqa.tff"):
+            shutil.copy(distilled_fixture / other, out / other)
+        (out / name).write_text("\n".join(_mutate_lexicon_line(lines, line, mutation)) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["distill", "--config", out / "newsflow.ini", "--output", out / "out"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("ERROR ") and len(err.getvalue().splitlines()) == 1
+        if name == "mpqa.tff":
+            assert f"mpqa.tff:{line + 1}: " in err.getvalue()
 
 
 @pytest.mark.parametrize("text, read", [

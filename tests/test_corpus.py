@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import re
 
 import pytest
 
@@ -208,6 +209,14 @@ def test_calendar_from_file(tmp_path):
     bad.write_text("2020-01-06\nnot-a-date\n", encoding="utf-8")
     with pytest.raises(MalformedRecord):
         TradingCalendar.from_file(bad)
+
+
+@pytest.mark.parametrize("second", ["2020-01-06", "2020-01-03"])
+def test_calendar_file_out_of_order_names_the_file_and_line(tmp_path, second):
+    path = tmp_path / "cal.txt"
+    path.write_text(f"2020-01-06\n# holiday below\n\n{second}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=re.escape(f"{path}:4: calendar dates not strictly increasing")):
+        TradingCalendar.from_file(path)
 
 
 def test_article_set_rejects_unknown_reference():

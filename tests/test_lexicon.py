@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from newsflow.errors import EmptyList, InputError, InvalidValue, MissingField
+from newsflow.errors import EmptyList, InputError, InvalidValue, MalformedRecord, MissingField
 from newsflow.lexicon import (
     LexiconEntry,
     Polarity,
@@ -12,6 +13,7 @@ from newsflow.lexicon import (
     compare_lexica,
     format_mpqa_line,
     load_wordlist,
+    parse_mpqa_file,
     parse_mpqa_line,
 )
 
@@ -66,6 +68,20 @@ def test_parse_multiword_entry():
 def test_parse_len_mismatch():
     with pytest.raises(InvalidValue):
         parse_mpqa_line("type=weaksubj len=3 word1=pay_off pos1=verb stemmed1=n priorpolarity=positive")
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("type=weak len=1 word1=x pos1=noun stemmed1=n priorpolarity=negative",
+     "invalid value 'weak' for key 'type'"),
+    ("type=weaksubj len=1 word1=x pos1=noun stemmed1=n", "missing required key 'priorpolarity'"),
+    ("type=weaksubj len=1 word1= pos1=noun stemmed1=n priorpolarity=negative", "lexicon entry word is empty"),
+])
+def test_parse_mpqa_file_names_the_file_and_line(tmp_path, bad_line, message):
+    path = tmp_path / "mpqa.tff"
+    path.write_text("\n".join([PAPER_LINES[0][0], "; a comment", bad_line, PAPER_LINES[1][0]]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecord, match=re.escape(f"{path}:3: {message}")):
+        parse_mpqa_file(path)
 
 
 def _random_entry(rng: random.Random) -> LexiconEntry:
@@ -133,6 +149,25 @@ def test_build_lexicon_neutral_non_scoring():
     lex = build_lexicon("X", entries)
     assert {e.word for e in lex.scoring_entries()} == {"good"}
     assert len(lex.entries) == 3  # retained, just not scoring
+
+
+def test_build_lexicon_indexes_scoring_entries_longest_first():
+    entries = [
+        LexiconEntry("pay", Polarity.NEGATIVE),
+        LexiconEntry("pay off", Polarity.NEUTRAL),
+        LexiconEntry("pay off", Polarity.POSITIVE, pos_tag=PosTag.VERB, strength=Strength.WEAKSUBJ),
+        LexiconEntry("pay the bill", Polarity.BOTH),
+        LexiconEntry("pay off", Polarity.NEGATIVE, pos_tag=PosTag.NOUN, strength=Strength.WEAKSUBJ),
+        LexiconEntry("pay back debt", Polarity.NEGATIVE),
+    ]
+    lex = build_lexicon("X", entries)
+    assert len(lex.entries) == 6
+    assert [(e.word, e.polarity) for e in lex.unstemmed_index["pay"]] == [
+        ("pay back debt", Polarity.NEGATIVE),
+        ("pay off", Polarity.POSITIVE),
+        ("pay off", Polarity.NEGATIVE),
+        ("pay", Polarity.NEGATIVE),
+    ]
 
 
 def test_build_lexicon_duplicates_keep_first():

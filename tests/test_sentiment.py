@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import SentimentRecord, cumulative_record, sentiment_array
-from newsflow.errors import EmptyText, InputError, NoActiveRecords, WindowOutOfRange
+from newsflow.errors import EmptyText, NoActiveRecords, WindowOutOfRange
 from newsflow.lexicon import LexiconEntry, Polarity, PosTag, Strength, build_lexicon
 from newsflow.sentiment import (
     SENTIMENT_FIELDS,
     ArticleScore,
-    MatchPolicy,
     NegationConfig,
     aggregate_daily,
     monthly_lexicon_correlation,
@@ -160,6 +159,71 @@ def test_multiword_entry_contiguous():
     assert score_article(tokenize("pay the man off"), lexicon).pos_count == 0
 
 
+def test_longer_entry_beats_shorter_entry_at_the_same_position():
+    lexicon = build_lexicon("MW", [
+        LexiconEntry("pay", Polarity.NEGATIVE),  # first in file order, but shorter
+        LexiconEntry("pay off", Polarity.POSITIVE),
+    ])
+    score = score_article(tokenize("the deal will pay off"), lexicon)
+    assert (score.pos_count, score.neg_count) == (1, 0)
+    # where the longer entry does not match, the shorter one still does
+    score = score_article(tokenize("they pay late"), lexicon)
+    assert (score.pos_count, score.neg_count) == (0, 1)
+
+
+@pytest.mark.parametrize("first", [Polarity.POSITIVE, Polarity.NEGATIVE])
+def test_equal_length_entries_first_in_file_order_wins(first):
+    second = Polarity.NEGATIVE if first is Polarity.POSITIVE else Polarity.POSITIVE
+    lexicon = build_lexicon("EQ", [
+        LexiconEntry("pay off", first, pos_tag=PosTag.VERB, strength=Strength.WEAKSUBJ),
+        LexiconEntry("pay off", second, pos_tag=PosTag.NOUN, strength=Strength.WEAKSUBJ),
+    ])
+    assert len(lexicon.entries) == 2  # different pos_tag, so both are kept
+    score = score_article(tokenize("it will pay off"), lexicon)
+    expected = (1, 0) if first is Polarity.POSITIVE else (0, 1)
+    assert (score.pos_count, score.neg_count) == expected
+
+
+@pytest.mark.parametrize("polarity", [Polarity.NEUTRAL, Polarity.BOTH])
+def test_non_scoring_multiword_entry_never_claims_tokens(polarity):
+    lexicon = build_lexicon("NS", [
+        LexiconEntry("strong growth", polarity),
+        LexiconEntry("strong", Polarity.POSITIVE),
+        LexiconEntry("growth", Polarity.POSITIVE),
+        LexiconEntry("weak growth", polarity),
+    ])
+    score = score_article(tokenize("strong growth. weak growth"), lexicon)
+    assert (score.pos_count, score.neg_count) == (3, 0)
+
+
+def test_non_scoring_stemmed_entries_change_no_count():
+    text = "Not improving. Improved results, good debt and gains."
+    plain = lex(positive=("good", "gains"), negative=("debt",))
+    with_stemmed = build_lexicon("L", list(plain.entries) + [
+        LexiconEntry("improv", Polarity.NEUTRAL, stemmed=True, pos_tag=PosTag.VERB,
+                     strength=Strength.WEAKSUBJ),
+        LexiconEntry("result", Polarity.BOTH, stemmed=True, pos_tag=PosTag.NOUN,
+                     strength=Strength.WEAKSUBJ),
+    ])
+    expected = score_article(tokenize(text), plain)
+    assert score_article(tokenize(text), with_stemmed) == expected
+    assert (expected.pos_count, expected.neg_count) == (2, 1)
+
+
+def test_pos_tags_do_not_restrict_matching():
+    lexicon = build_lexicon("POS", [
+        LexiconEntry(word, polarity, pos_tag=tag, strength=Strength.WEAKSUBJ)
+        for word, polarity, tag in [
+            ("gain", Polarity.POSITIVE, PosTag.VERB),
+            ("debt", Polarity.NEGATIVE, PosTag.NOUN),
+            ("badly", Polarity.NEGATIVE, PosTag.ADVERB),
+            ("winner", Polarity.POSITIVE, PosTag.ANYPOS),
+        ]
+    ])
+    score = score_article(tokenize("gain debt badly winner"), lexicon)
+    assert (score.pos_count, score.neg_count) == (2, 2)
+
+
 def test_score_deterministic():
     lexicon = lex(positive=("good", "great"), negative=("bad",))
     tok = tokenize("good bad great. not good.")
@@ -173,38 +237,6 @@ def test_score_proportions_use_word_count():
     # word tokens: good, words, and, numbers -> 4
     assert score.word_count == 4
     assert score.pos_prop == 0.25
-
-
-def _noun_tagger(tokens):
-    # toy tagger: everything is a noun except -ly adverbs
-    return [PosTag.ADVERB if t.endswith("ly") else PosTag.NOUN for t in tokens]
-
-
-def test_strict_pos_policy_filters_mismatched_tags():
-    entries = [
-        LexiconEntry("gain", Polarity.POSITIVE, pos_tag=PosTag.VERB,
-                     strength=Strength.WEAKSUBJ),
-        LexiconEntry("debt", Polarity.NEGATIVE, pos_tag=PosTag.NOUN,
-                     strength=Strength.WEAKSUBJ),
-        LexiconEntry("badly", Polarity.NEGATIVE, pos_tag=PosTag.ADVERB,
-                     strength=Strength.WEAKSUBJ),
-        LexiconEntry("winner", Polarity.POSITIVE, pos_tag=PosTag.ANYPOS,
-                     strength=Strength.WEAKSUBJ),
-    ]
-    lexicon = build_lexicon("POS", entries)
-    tok = tokenize("gain debt badly winner")
-    lenient = score_article(tok, lexicon)
-    assert (lenient.pos_count, lenient.neg_count) == (2, 2)
-    strict = score_article(
-        tok, lexicon, policy=MatchPolicy(strict_pos=True, tagger=_noun_tagger)
-    )
-    # "gain" tagged noun but entry wants verb -> dropped; others confirmed
-    assert (strict.pos_count, strict.neg_count) == (1, 2)
-
-
-def test_strict_pos_policy_requires_tagger():
-    with pytest.raises(InputError):
-        MatchPolicy(strict_pos=True)
 
 
 # aggregation ----------------------------------------------------------------
