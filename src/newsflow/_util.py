@@ -6,12 +6,12 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import math
 import os
 import tempfile
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,17 +34,28 @@ def read_text(path: str | Path) -> str:
                               source=str(path), position=line) from None
 
 
-def read_csv_rows(
+class RowRejected(Exception):
+    """A columnar check rejected data row `row` (counted from 0, blank rows skipped)."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def read_csv_columns(
     path: str | Path,
     required: Sequence[str],
-    parse: Callable[[Mapping[str, str]], T],
-) -> list[T]:
-    """`parse` applied to each non-blank data row, as a column -> cell mapping.
+    convert: Callable[[Mapping[str, Sequence[str]]], T],
+) -> T:
+    """`convert` applied to the non-blank data rows, as a column -> cells mapping.
 
-    The file is read by read_text.  A file without a header, a missing
-    required column, a row whose field count differs from the header's, or a
-    ValueError or InputError from `parse` raises MalformedRecord with the file
-    and line.
+    The file is read by read_text and parsed once by csv.reader.  A file
+    without a header, or without a required column, raises MalformedRecord
+    with the file and line.  `convert` checks whole columns: for the first row
+    that breaks a rule it raises RowRejected, checking the rules of a row in a
+    fixed order.  Then, or when a row's field count differs from the header's
+    or csv cannot read a row, _first_fault raises MalformedRecord for the
+    first offending row in file order, with its line and message.
     """
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
@@ -54,17 +65,121 @@ def read_csv_rows(
         missing = [name for name in required if name not in header]
         if missing:
             raise InputError(f"missing column(s) {', '.join(missing)}")
-        parsed = []
+    except (InputError, csv.Error) as exc:
+        # an empty file has read no line yet
+        raise MalformedRecord(str(exc), source=str(path), position=max(reader.line_num, 1)) from exc
+    try:
+        rows = list(filter(None, reader))
+    except csv.Error:
+        rows = None
+    del reader  # and with it the parser's copy of the text
+    if rows is not None and set(map(len, rows)) <= {len(header)}:
+        columns = _transpose(header, rows)
+        del rows  # the cells live on in the columns
+        try:
+            return convert(columns)
+        except RowRejected:
+            pass
+    _first_fault(path, header, convert)
+
+
+def _transpose(header: Sequence[str], rows: Sequence[Sequence[str]]) -> dict[str, list[str]]:
+    # one map per column: zip(*rows) would make an iterator per row for the
+    # cyclic garbage collector to scan again and again on large files
+    return {name: list(map(itemgetter(j), rows)) for j, name in enumerate(header)}
+
+
+def _first_fault(path: str | Path, header: Sequence[str], convert: Callable) -> NoReturn:
+    """MalformedRecord for the first row in file order that read_csv_columns rejects.
+
+    Rows are read again one at a time, up to the first that has the wrong
+    field count or that csv cannot read.  `convert` then runs on shorter and
+    shorter leading runs of the rows before it: a run that ends just before
+    a row `convert` rejected holds no offending row if `convert` accepts it.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    next(reader)
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    fault: tuple[str, int] | None = None  # (message, line)
+    try:
         for cells in reader:
             if not cells:
                 continue
             if len(cells) != len(header):
-                raise InputError(f"{len(cells)} fields where the header has {len(header)}")
-            parsed.append(parse(dict(zip(header, cells))))
-    except (ValueError, InputError, csv.Error) as exc:
-        # an empty file has read no line yet
-        raise MalformedRecord(str(exc), source=str(path), position=max(reader.line_num, 1)) from exc
-    return parsed
+                fault = (f"{len(cells)} fields where the header has {len(header)}", reader.line_num)
+                break
+            rows.append(cells)
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        fault = (str(exc), reader.line_num)
+    n_rows = len(rows)
+    while True:
+        try:
+            convert(_transpose(header, rows[:n_rows]))
+            break
+        except RowRejected as exc:
+            fault, n_rows = (str(exc), lines[exc.row]), exc.row
+    assert fault is not None, "read_csv_columns rejected rows that its error path accepts"
+    message, line = fault
+    raise MalformedRecord(message, source=str(path), position=line)
+
+
+def reject(bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """RowRejected for the first row where `bad` holds, worded by message(row)."""
+    if bad.any():
+        row = int(bad.argmax())
+        raise RowRejected(row, message(row))
+
+
+def reject_repeats(keys: np.ndarray, message: Callable[[int], str]) -> None:
+    """RowRejected for the first row whose nonnegative integer key an earlier row has."""
+    if keys.size and np.bincount(keys).max() > 1:
+        first = np.zeros(keys.size, dtype=bool)
+        first[np.unique(keys, return_index=True)[1]] = True
+        reject(~first, message)
+
+
+def float_column(cells: Sequence[str], blank: bool = False) -> np.ndarray:
+    """Finite float cells as an array, converted by one float() per cell.
+
+    With `blank`, an empty cell is NaN.  The first cell float() rejects, or
+    the first non-finite one, raises RowRejected.
+    """
+    text = [cell or "nan" for cell in cells] if blank else cells
+    try:
+        values = np.array(list(map(float, text)), dtype=float)
+    except ValueError:
+        _reject_first(float, text)
+    bad = ~np.isfinite(values)
+    if blank:
+        bad &= np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    reject(bad, lambda row: f"non-finite number {cells[row]!r}")
+    return values
+
+
+def int_column(cells: Sequence[str]) -> np.ndarray:
+    """Integer cells as a float array, converted by one int() per cell; RowRejected as float_column."""
+    try:
+        return np.array(list(map(int, cells)), dtype=float)
+    except ValueError:
+        _reject_first(int, cells)
+
+
+def _reject_first(parse: Callable[[str], object], cells: Sequence[str]) -> NoReturn:
+    for row, cell in enumerate(cells):
+        try:
+            parse(cell)
+        except ValueError as exc:
+            raise RowRejected(row, str(exc)) from None
+    raise AssertionError("no cell to reject")
+
+
+def column_codes(cells: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct cells of a column, and each cell's index into them."""
+    distinct = sorted(set(cells))
+    code_of = {cell: code for code, cell in enumerate(distinct)}
+    return distinct, np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
 @dataclass(frozen=True)
@@ -81,15 +196,22 @@ class SymbolDayArray:
 
         A day outside the calendar raises CalendarMismatch.
         """
-        symbols = sorted({row[0] for row in rows})
+        symbols, symbol_index = column_codes([row[0] for row in rows])
+        days = np.array([row[1] for row in rows], dtype=np.intp)
+        outside = days[(days < 0) | (days >= n_days)]
+        if outside.size:
+            raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
+        values = np.array([row[2:] for row in rows], dtype=float).reshape(len(rows), len(fields)).T
+        return cls.from_columns(fields, symbols, symbol_index, days, values, n_days)
+
+    @classmethod
+    def from_columns(
+        cls, fields: Sequence[str], symbols: Sequence[str], symbol_index: np.ndarray,
+        days: np.ndarray, values: np.ndarray, n_days: int,
+    ) -> "SymbolDayArray":
+        """Rows as columns: each row's index into `symbols`, its day, and a (field, row) array of values."""
         out = np.full((len(fields), len(symbols), n_days), np.nan)
-        if rows:
-            row_of = {sym: i for i, sym in enumerate(symbols)}
-            row_symbols, days, *columns = zip(*rows)
-            outside = [day for day in days if not 0 <= day < n_days]
-            if outside:
-                raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
-            out[:, [row_of[sym] for sym in row_symbols], days] = np.array(columns, dtype=float)
+        out[:, symbol_index, days] = values
         return cls(fields=tuple(fields), symbols=tuple(symbols), values=out)
 
     def plane(self, name: str) -> np.ndarray:
@@ -106,30 +228,18 @@ class SymbolDayArray:
         return SymbolDayArray(fields=self.fields, symbols=tuple(symbols), values=out)
 
 
-def finite_float(text: str) -> float:
-    """A CSV cell as a float; `inf`, `-inf` and `nan` raise InputError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise InputError(f"non-finite number {text!r}")
-    return value
+def fmt_column(values: Sequence[float | None] | np.ndarray) -> list[str]:
+    """Floats as CSV cells: repr-exact, and empty for NaN or None (a missing value)."""
+    values = np.asarray(values, dtype=float)
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
 
 
-def fmt_num(value: float | int | None) -> str:
-    """Format a cell for CSV output: empty for missing, repr-exact for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if value != value:  # NaN is a missing cell
-        return ""
-    return repr(float(value))
-
-
-def fmt_column(values: np.ndarray) -> list[str]:
-    """A float column as CSV cells, as fmt_num writes them: repr-exact, empty for NaN."""
-    return [repr(x) if x == x else "" for x in values.tolist()]
+def fmt_int_column(values: Sequence[int] | np.ndarray) -> list[str]:
+    """Integers (or integral floats, or bools) as CSV cells, by str of the int."""
+    return list(map(str, np.asarray(values).astype(np.int64).tolist()))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -147,10 +257,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt_num(cell) for cell in row))
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """A CSV file from columns of cells of equal length, one ",".join per row."""
+    lines = [",".join(header), *map(",".join, zip(*columns, strict=True))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

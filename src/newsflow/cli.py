@@ -9,7 +9,6 @@ written atomically and re-runs are byte-identical.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import json
 import math
 import sys
@@ -22,9 +21,14 @@ from . import figures, indicators as ind_mod, lexicon as lex_mod, sentiment as s
 from ._util import (
     SymbolDayArray,
     atomic_write_text,
-    finite_float,
+    column_codes,
+    float_column,
     fmt_column,
-    read_csv_rows,
+    fmt_int_column,
+    int_column,
+    read_csv_columns,
+    reject,
+    reject_repeats,
     split_seed,
     write_csv,
 )
@@ -60,6 +64,11 @@ from .simulate import (
 
 SENTIMENT_CSV = "sentiment.csv"
 INDICATORS_CSV = "indicators.csv"
+
+
+def _columns(rows: list[tuple], width: int) -> list[tuple]:
+    """Row tuples of `width` cells as `width` columns."""
+    return list(zip(*rows)) or [()] * width
 
 
 def _write_manifest(config: RunConfig, command: str, inputs: list[Path]) -> None:
@@ -107,31 +116,31 @@ def cmd_distill(config: RunConfig) -> int:
 
     universe = sorted(config.symbols) if config.symbols else sorted(assigned.symbols)
     n_days = len(calendar)
-    symbol_column = [symbol for symbol in universe for _ in range(n_days)]
-    date_column = [day.isoformat() for day in calendar.days] * len(universe)
-    rows = []
-    for name in sorted(lexica):
-        lex = lexica[name]
+    names = sorted(lexica)
+    values = []
+    for name in names:
         score_of = {
-            i: sent_mod.score_article(tok, lex, config.negation, article_id=i)
+            i: sent_mod.score_article(tok, lexica[name], config.negation, article_id=i)
             for i, tok in sorted(tokenized.items())
         }
-        active, pos, neg, n_articles = sent_mod.aggregate_daily(
+        values.append(sent_mod.aggregate_daily(
             score_of, assigned.by_symbol_day, universe, n_days
-        ).values.reshape(len(sent_mod.SENTIMENT_FIELDS), -1)
-        rows.extend(zip(
-            symbol_column, date_column, [name] * len(symbol_column),
-            active.astype(int).tolist(), fmt_column(pos), fmt_column(neg), n_articles.astype(int).tolist(),
-        ))
-
+        ).values.reshape(len(sent_mod.SENTIMENT_FIELDS), -1))
+    active, pos, neg, n_articles = np.concatenate(values, axis=1)
+    n_cells = len(universe) * n_days
     write_csv(
         config.output_dir / SENTIMENT_CSV,
         ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"),
-        rows,
+        [
+            [symbol for symbol in universe for _ in range(n_days)] * len(names),
+            [day.isoformat() for day in calendar.days] * len(universe) * len(names),
+            [name for name in names for _ in range(n_cells)],
+            fmt_int_column(active), fmt_column(pos), fmt_column(neg), fmt_int_column(n_articles),
+        ],
     )
     _write_manifest(config, "distill", [config.corpus_path, config.calendar_path])
     print(f"articles={len(assigned.articles)} assigned={len(usable)} "
-          f"unassigned={assigned.unassigned_count} zero_word={zero_word} rows={len(rows)}")
+          f"unassigned={assigned.unassigned_count} zero_word={zero_word} rows={n_cells * len(names)}")
     return 0
 
 
@@ -144,18 +153,17 @@ def cmd_indicators(config: RunConfig) -> int:
     # one row per bar, by symbol, then day
     symbol_of, day_of = np.nonzero(~np.isnan(bars.plane("close")))
     dates = [day.isoformat() for day in calendar.days]
-    rows = list(zip(
-        [bars.symbols[i] for i in symbol_of.tolist()],
-        [dates[t] for t in day_of.tolist()],
-        *(fmt_column(plane[symbol_of, day_of]) for plane in indicators.values),
-    ))
     write_csv(
         config.output_dir / INDICATORS_CSV,
         ("symbol", "date", *INDICATOR_FIELDS),
-        rows,
+        [
+            [bars.symbols[i] for i in symbol_of.tolist()],
+            [dates[t] for t in day_of.tolist()],
+            *(fmt_column(plane[symbol_of, day_of]) for plane in indicators.values),
+        ],
     )
     _write_manifest(config, "indicators", [config.prices_path, config.calendar_path])
-    print(f"rows={len(rows)} degenerate_bars={warnings.degenerate_bars} "
+    print(f"rows={len(symbol_of)} degenerate_bars={warnings.degenerate_bars} "
           f"zero_volume={warnings.zero_volume_days} warmup={warnings.warmup_days}")
     return 0
 
@@ -164,68 +172,71 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, Symb
     """One SENTIMENT_FIELDS array per lexicon, on the symbols that lexicon's rows name."""
     if not path.exists():
         raise MissingInput(f"sentiment output not found: {path} (run distill first)")
-    seen: set[tuple[str, str, int]] = set()
 
-    def parse(row):
-        day = calendar.index.get(dt.date.fromisoformat(row["date"]))
-        if day is None:
-            raise InputError(f"sentiment date {row['date']} not in calendar")
-        key = (row["lexicon"], row["symbol"], day)
-        if key in seen:
-            raise InputError(f"duplicate sentiment row for {row['lexicon']} {row['symbol']} {row['date']}")
-        seen.add(key)
-        active, n_articles = int(row["I"]), int(row["n_articles"])
-        if n_articles < 0:
-            raise InputError(f"negative sentiment n_articles {n_articles}")
-        if active != (n_articles > 0):
-            raise InputError(f"sentiment I={active} with n_articles={n_articles}; I is 1 exactly when n_articles > 0")
-        pos, neg = finite_float(row["pos"]), finite_float(row["neg"])
-        if not (0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0):
-            raise InputError(f"sentiment pos={pos!r} and neg={neg!r} must lie in [0, 1]")
-        if not active and (pos or neg):
-            raise InputError(f"sentiment I=0 with pos={pos!r} and neg={neg!r}; a day without articles has no sentiment")
-        return row["lexicon"], (row["symbol"], day, active, pos, neg, n_articles)
+    def convert(columns):
+        day = calendar.days_of(columns["date"], lambda cell, date: f"sentiment date {cell} not in calendar")
+        symbols, symbol = column_codes(columns["symbol"])
+        lexica, lexicon = column_codes(columns["lexicon"])
+        reject_repeats((lexicon * len(symbols) + symbol) * len(calendar) + day, lambda row: (
+            f"duplicate sentiment row for {columns['lexicon'][row]} {columns['symbol'][row]} {columns['date'][row]}"
+        ))
+        active, n_articles = int_column(columns["I"]), int_column(columns["n_articles"])
 
-    rows_by_lexicon: dict[str, list[tuple]] = {}
-    for lexicon, row in read_csv_rows(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), parse):
-        rows_by_lexicon.setdefault(lexicon, []).append(row)
-    if not rows_by_lexicon:
+        def counts(row):
+            return int(columns["I"][row]), int(columns["n_articles"][row])
+
+        reject(n_articles < 0, lambda row: f"negative sentiment n_articles {counts(row)[1]}")
+        reject(active != (n_articles > 0), lambda row: (
+            "sentiment I={} with n_articles={}; I is 1 exactly when n_articles > 0".format(*counts(row))
+        ))
+        pos, neg = float_column(columns["pos"]), float_column(columns["neg"])
+
+        def shares(row):
+            return f"pos={pos[row].item()!r} and neg={neg[row].item()!r}"
+
+        reject(~((0 <= pos) & (pos <= 1) & (0 <= neg) & (neg <= 1)),
+               lambda row: f"sentiment {shares(row)} must lie in [0, 1]")
+        reject((active == 0) & ((pos != 0) | (neg != 0)),
+               lambda row: f"sentiment I=0 with {shares(row)}; a day without articles has no sentiment")
+        values = np.stack([active, pos, neg, n_articles])
+        out = {}
+        for code, name in enumerate(lexica):
+            rows = lexicon == code
+            present, symbol_index = np.unique(symbol[rows], return_inverse=True)
+            out[name] = SymbolDayArray.from_columns(
+                sent_mod.SENTIMENT_FIELDS, [symbols[i] for i in present.tolist()], symbol_index,
+                day[rows], values[:, rows], len(calendar),
+            )
+        return out
+
+    sentiment = read_csv_columns(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), convert)
+    if not sentiment:
         raise MissingInput(f"sentiment file {path} is empty")
-    return {
-        lexicon: SymbolDayArray.from_rows(sent_mod.SENTIMENT_FIELDS, rows, len(calendar))
-        for lexicon, rows in rows_by_lexicon.items()
-    }
+    return sentiment
 
 
 def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> SymbolDayArray:
     if not path.exists():
         raise MissingInput(f"indicator output not found: {path} (run indicators first)")
-    seen: set[tuple[str, int]] = set()
 
-    def parse(row):
-        day = calendar.index.get(dt.date.fromisoformat(row["date"]))
-        if day is None:
-            raise InputError(f"indicator date {row['date']} not in calendar")
-        if (row["symbol"], day) in seen:
-            raise InputError(f"duplicate indicator row for {row['symbol']} {row['date']}")
-        seen.add((row["symbol"], day))
-        return (row["symbol"], day, *(finite_float(row[name]) if row[name] else None for name in INDICATOR_FIELDS))
+    def convert(columns):
+        day = calendar.days_of(columns["date"], lambda cell, date: f"indicator date {cell} not in calendar")
+        symbols, symbol = column_codes(columns["symbol"])
+        reject_repeats(symbol * len(calendar) + day,
+                       lambda row: f"duplicate indicator row for {columns['symbol'][row]} {columns['date'][row]}")
+        values = np.stack([float_column(columns[name], blank=True) for name in INDICATOR_FIELDS])
+        return SymbolDayArray.from_columns(INDICATOR_FIELDS, symbols, symbol, day, values, len(calendar))
 
-    rows = read_csv_rows(path, ("symbol", "date", *INDICATOR_FIELDS), parse)
-    return SymbolDayArray.from_rows(INDICATOR_FIELDS, rows, len(calendar))
+    return read_csv_columns(path, ("symbol", "date", *INDICATOR_FIELDS), convert)
 
 
 def _load_sectors(path: Path) -> dict[str, str]:
-    seen: set[str] = set()
+    def convert(columns):
+        symbols = list(map(str.upper, columns["symbol"]))
+        reject_repeats(column_codes(symbols)[1], lambda row: f"duplicate sector row for {symbols[row]}")
+        return dict(zip(symbols, columns["sector"]))
 
-    def parse(row):
-        symbol = row["symbol"].upper()
-        if symbol in seen:
-            raise InputError(f"duplicate sector row for {symbol}")
-        seen.add(symbol)
-        return symbol, row["sector"]
-
-    return dict(read_csv_rows(path, ("symbol", "sector"), parse))
+    return read_csv_columns(path, ("symbol", "sector"), convert)
 
 
 def _panel_inputs(config: RunConfig, need_sectors: bool) -> tuple[TradingCalendar, PanelInputs]:
@@ -247,10 +258,11 @@ def cmd_panel(config: RunConfig) -> int:
 
     for suite in config.suites:
         cells = run_specification_suite(inputs, suite, h=config.lag_h, cluster_mode=cluster)
+        spec, variable, estimate, std_error, p_value, stars = _columns(suite_rows(cells), 6)
         write_csv(
             config.output_dir / f"results_{suite}.csv",
             ("spec", "variable", "estimate", "std_error", "p_value", "stars"),
-            suite_rows(cells),
+            [spec, variable, fmt_column(estimate), fmt_column(std_error), fmt_column(p_value), stars],
         )
         atomic_write_text(config.output_dir / f"table_{suite}.txt", format_suite_table(cells))
         if suite == "entire":
@@ -258,14 +270,10 @@ def cmd_panel(config: RunConfig) -> int:
                 if cell.result is None or cell.spec.dependent != "log_vol":
                     continue
                 res = cell.result
-                rows = [
-                    (ent, int(t), float(r))
-                    for ent, t, r in zip(res.entity_labels, res.time_labels, res.residuals)
-                ]
                 write_csv(
                     config.output_dir / f"residuals_log_vol_{cell.spec.projection}.csv",
                     ("symbol", "day", "residual"),
-                    rows,
+                    [res.entity_labels.tolist(), fmt_int_column(res.time_labels), fmt_column(res.residuals)],
                 )
         fitted = [c.result for c in cells if c.result is not None]
         repaired = sum(res.psd_repaired for res in fitted)
@@ -283,9 +291,10 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
     if not path.exists():
         raise MissingInput(f"panel results not found: {path} (run panel first)")
     wanted = f"log_vol/{projection}/h=1"
-    rows = read_csv_rows(
+    rows = read_csv_columns(
         path, ("spec", "variable", "estimate"),
-        lambda row: (row["spec"], row["variable"], finite_float(row["estimate"]) if row["estimate"] else None),
+        lambda columns: list(zip(columns["spec"], columns["variable"],
+                                 float_column(columns["estimate"], blank=True).tolist())),
     )
     alpha = None
     coefficients = {}
@@ -293,9 +302,9 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
         if spec != wanted:
             continue
         if variable == "(intercept)":
-            alpha = estimate
+            alpha = None if math.isnan(estimate) else estimate
         elif variable != "(error)":
-            coefficients[variable] = estimate
+            coefficients[variable] = None if math.isnan(estimate) else estimate
     if alpha is None or not coefficients:
         raise MissingInput(f"no fitted coefficients for spec {wanted!r} in {path}")
     return alpha, coefficients
@@ -304,16 +313,18 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
 def _read_residual_pool(path: Path) -> np.ndarray:
     if not path.exists():
         raise MissingInput(f"residual file not found: {path} (run panel first)")
-    values = read_csv_rows(path, ("residual",), lambda row: finite_float(row["residual"]))
-    if not values:
+    values = read_csv_columns(path, ("residual",), lambda columns: float_column(columns["residual"]))
+    if not len(values):
         raise MissingInput(f"residual file {path} is empty")
-    return np.array(values)
+    return values
 
 
 def cmd_simulate(config: RunConfig) -> int:
     config.validate(need=("calendar", "market"))
     if config.sim_n_boot < 100:
         raise TooFewBootstraps(f"n_boot must be >= 100, got {config.sim_n_boot}")
+    if config.sim_n_days < 1:
+        raise InputError("n_days must be >= 1")
     calendar = TradingCalendar.from_file(config.calendar_path)
     sentiment = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
     indicators = _read_indicators_csv(config.output_dir / INDICATORS_CSV, calendar)
@@ -377,25 +388,25 @@ def cmd_simulate(config: RunConfig) -> int:
         write_csv(
             config.output_dir / f"simulated_{projection}.csv",
             ("symbol", "day", "I", "pos", "neg", "r_m", "r_i", "log_vol"),
-            panel.rows(),
+            panel.columns(),
         )
-        curve_rows = []
-        for which in ("pos", "neg"):
-            fit = fits[which]
-            for g, m, lo_b, hi_b in zip(fit.grid, fit.curve, fit.band_lower, fit.band_upper):
-                curve_rows.append((which, float(g),
-                                   float(m) if math.isfinite(m) else None,
-                                   float(lo_b) if math.isfinite(lo_b) else None,
-                                   float(hi_b) if math.isfinite(hi_b) else None))
+        grid, fitted, lower, upper = (
+            np.concatenate([getattr(fits[which], name) for which in ("pos", "neg")])
+            for name in ("grid", "curve", "band_lower", "band_upper")
+        )
         write_csv(
             config.output_dir / f"curves_{projection}.csv",
             ("curve", "grid", "fitted", "band_lower", "band_upper"),
-            curve_rows,
+            [
+                [which for which in ("pos", "neg") for _ in fits[which].grid],
+                fmt_column(grid),
+                *(fmt_column(np.where(np.isfinite(v), v, np.nan)) for v in (fitted, lower, upper)),
+            ],
         )
         write_csv(
             config.output_dir / f"overlap_{projection}.csv",
             ("start", "end"),
-            [(s, e) for s, e in overlap],
+            [fmt_column([s for s, _ in overlap]), fmt_column([e for _, e in overlap])],
         )
         svg = figures.scatter_band_figure(
             f"Simulated volatility vs sentiment ({projection})",
@@ -445,10 +456,11 @@ def cmd_lexstats(config: RunConfig) -> int:
                             f"{name_a}-{name_b}", polarity.value, category,
                             rank, word, freq.get(word, 0),
                         ))
+    pairs, polarities, categories, ranks, words, frequencies = _columns(rows, 6)
     write_csv(
         config.output_dir / "lexstats.csv",
         ("pair", "polarity", "category", "rank", "word", "frequency"),
-        rows,
+        [pairs, polarities, categories, fmt_int_column(ranks), words, fmt_int_column(frequencies)],
     )
     _write_manifest(config, "lexstats", [config.corpus_path])
     print(f"pairs={len(names) * (len(names) - 1) // 2} rows={len(rows)}")
@@ -469,10 +481,11 @@ def cmd_report(config: RunConfig) -> int:
                 stats_.q1, stats_.q2, stats_.q3,
                 summary.share_pos_dominant if side == "pos" else summary.share_neg_dominant,
             ))
+    lexica, sides, n_active, *stats = _columns(summary_rows, 10)
     write_csv(
         config.output_dir / "report_summary.csv",
         ("lexicon", "side", "n_active", "mean", "sd", "max", "q1", "q2", "q3", "dominance_share"),
-        summary_rows,
+        [lexica, sides, fmt_int_column(n_active), *map(fmt_column, stats)],
     )
 
     month_of_day = {day: calendar.month_of(day) for day in range(len(calendar))}
@@ -481,26 +494,23 @@ def cmd_report(config: RunConfig) -> int:
     for (name_a, name_b), series in sorted(correlations.items()):
         for (year, month), (pos_corr, neg_corr) in sorted(series.items()):
             corr_rows.append((name_a, name_b, year, month, pos_corr, neg_corr))
+    lexica_a, lexica_b, years, months, pos_corrs, neg_corrs = _columns(corr_rows, 6)
     write_csv(
         config.output_dir / "report_monthly_correlation.csv",
         ("lexicon_a", "lexicon_b", "year", "month", "pos_correlation", "neg_correlation"),
-        corr_rows,
+        [lexica_a, lexica_b, fmt_int_column(years), fmt_int_column(months), fmt_column(pos_corrs), fmt_column(neg_corrs)],
     )
 
     first = sentiment[sorted(sentiment)[0]]
     groups = compute_attention_groups(first)
     ratios = ind_mod.attention_ratio(first.plane("active"), len(calendar))
-    group_rows = [
-        (symbol, ratio, groups[symbol].value)
-        for symbol, ratio in zip(first.symbols, ratios.tolist())
-    ]
     write_csv(
         config.output_dir / "report_attention.csv",
         ("symbol", "attention_ratio", "group"),
-        group_rows,
+        [first.symbols, fmt_column(ratios), [groups[symbol].value for symbol in first.symbols]],
     )
     _write_manifest(config, "report", [config.output_dir / SENTIMENT_CSV])
-    print(f"lexica={len(sentiment)} correlation_rows={len(corr_rows)} symbols={len(group_rows)}")
+    print(f"lexica={len(sentiment)} correlation_rows={len(corr_rows)} symbols={len(first.symbols)}")
     return 0
 
 

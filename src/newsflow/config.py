@@ -207,7 +207,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         sim_projections=tuple(
             s.strip().upper() for s in simulate.get("projections", "").split(",") if s.strip()
         ),
-        sim_n_days=number("simulate", "n_days", "300"),
+        sim_n_days=at_least("simulate", "n_days", "300", 1),
         sim_n_boot=number("simulate", "n_boot", "500"),
         sim_grid_points=at_least("simulate", "grid_points", "101", 2),
         sim_min_active=number("simulate", "min_active", "30"),

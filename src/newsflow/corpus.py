@@ -16,9 +16,11 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
-from ._util import read_text
+import numpy as np
+
+from ._util import RowRejected, read_text
 from .errors import DuplicateId, EmptyCorpus, InputError, MalformedRecord
 
 _MIDNIGHT = dt.time(0, 0)
@@ -83,6 +85,28 @@ class TradingCalendar:
                                       source=str(path), position=lineno)
             days.append(day)
         return cls(days=tuple(days))
+
+    def days_of(self, dates: Sequence[str], off_calendar: Callable[[str, dt.date], str]) -> np.ndarray:
+        """The ordinal of each ISO date cell, parsing each distinct cell once.
+
+        The first cell that is not an ISO date, or whose date is not a trading
+        day, raises RowRejected; off_calendar(cell, date) words the latter.
+        """
+        day_of = {}
+        for cell in set(dates):
+            try:
+                day_of[cell] = self.index.get(dt.date.fromisoformat(cell), -1)
+            except ValueError:
+                day_of[cell] = -1
+        days = np.fromiter(map(day_of.__getitem__, dates), dtype=np.intp, count=len(dates))
+        if (days < 0).any():
+            row = int((days < 0).argmax())
+            try:
+                date = dt.date.fromisoformat(dates[row])
+            except ValueError as exc:
+                raise RowRejected(row, str(exc)) from None
+            raise RowRejected(row, off_calendar(dates[row], date))
+        return days
 
     def month_of(self, day: int) -> tuple[int, int]:
         d = self.days[day]

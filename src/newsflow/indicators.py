@@ -10,7 +10,6 @@ missing values, never silently clamped numbers.
 
 from __future__ import annotations
 
-import datetime as dt
 import enum
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import SymbolDayArray, finite_float, read_csv_rows
+from ._util import SymbolDayArray, column_codes, float_column, read_csv_columns, reject, reject_repeats
 from .corpus import TradingCalendar
 from .errors import InputError, InsufficientHistory, MalformedRecord, PriceParseError, SingularFit
 
@@ -157,38 +156,35 @@ def load_market_bars(path: str | Path, calendar: TradingCalendar) -> SymbolDayAr
     path = Path(path)
     if not path.exists():
         raise PriceParseError(f"price file does not exist: {path}")
-    seen: set[tuple[str, int]] = set()
 
-    def parse(row):
-        symbol = row["symbol"].upper()
-        if not symbol.strip():
-            raise InputError("empty symbol")
-        date = dt.date.fromisoformat(row["date"])
-        day = calendar.index.get(date)
-        if day is None:
-            raise InputError(f"date {date} not in trading calendar")
-        if (symbol, day) in seen:
-            raise InputError(f"second bar for {symbol} on {date}")
-        seen.add((symbol, day))
-        open_, high, low, close, volume = (finite_float(row[name]) for name in PRICE_FIELDS)
-        if min(open_, high, low, close) <= 0:
-            raise InputError(f"{symbol} {date}: prices must be positive")
-        if volume < 0:
-            raise InputError(f"{symbol} {date}: negative volume")
-        if not low <= min(open_, close) <= max(open_, close) <= high:
-            raise InputError(
-                f"{symbol} {date}: OHLC ordering violated "
-                f"(low {low}, open {open_}, close {close}, high {high})"
-            )
-        return symbol, day, open_, high, low, close, volume
+    def convert(columns):
+        symbols, symbol = column_codes(list(map(str.upper, columns["symbol"])))
+        blank = [code for code, name in enumerate(symbols) if not name.strip()]
+        reject(np.isin(symbol, blank), lambda row: "empty symbol")
+        day = calendar.days_of(columns["date"], lambda cell, date: f"date {date} not in trading calendar")
+
+        def where(row):
+            return f"{symbols[symbol[row]]} {calendar.days[day[row]]}"
+
+        reject_repeats(symbol * len(calendar) + day,
+                       lambda row: f"second bar for {symbols[symbol[row]]} on {calendar.days[day[row]]}")
+        values = np.stack([float_column(columns[name]) for name in PRICE_FIELDS])
+        open_, high, low, close, volume = values
+        reject(values[:4].min(axis=0) <= 0, lambda row: f"{where(row)}: prices must be positive")
+        reject(volume < 0, lambda row: f"{where(row)}: negative volume")
+        reject(~((low <= np.minimum(open_, close)) & (np.maximum(open_, close) <= high)), lambda row: (
+            f"{where(row)}: OHLC ordering violated (low {low[row].item()}, open {open_[row].item()}, "
+            f"close {close[row].item()}, high {high[row].item()})"
+        ))
+        return SymbolDayArray.from_columns(PRICE_FIELDS, symbols, symbol, day, values, len(calendar))
 
     try:
-        rows = read_csv_rows(path, ("symbol", "date", *PRICE_FIELDS), parse)
+        bars = read_csv_columns(path, ("symbol", "date", *PRICE_FIELDS), convert)
     except MalformedRecord as exc:
         raise PriceParseError(exc.detail, line=exc.position) from exc
-    if not rows:
+    if not bars.symbols:
         raise PriceParseError("price CSV has no data rows")
-    return SymbolDayArray.from_rows(PRICE_FIELDS, rows, len(calendar))
+    return bars
 
 
 class AttentionGroup(enum.Enum):

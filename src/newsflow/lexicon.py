@@ -50,20 +50,18 @@ class LexiconEntry:
     stemmed: bool = False
     pos_tag: PosTag = PosTag.UNCONSTRAINED
     strength: Strength = Strength.UNSPECIFIED
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)  # word split at its spaces
 
     def __post_init__(self):
         if not self.word:
             raise InputError("lexicon entry word is empty")
         if self.word != self.word.lower():
             raise InputError(f"lexicon entry word must be lowercase: {self.word!r}")
+        object.__setattr__(self, "tokens", tuple(self.word.split(" ")))
 
     @property
     def length(self) -> int:
         return len(self.tokens)
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.word.split(" "))
 
     @property
     def is_scoring(self) -> bool:

@@ -9,7 +9,6 @@ heteroskedasticity-robust intersection term).
 
 from __future__ import annotations
 
-import datetime as dt
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from ._util import SymbolDayArray, finite_float, read_csv_rows
+from ._util import SymbolDayArray, float_column, read_csv_columns, reject_repeats
 from .corpus import TradingCalendar
 from .errors import (
     CalendarMismatch,
@@ -60,24 +59,17 @@ class MarketSeries:
     @classmethod
     def from_csv(cls, path: str | Path, calendar: TradingCalendar) -> "MarketSeries":
         """One row per trading day; a date outside the calendar or repeated is an error."""
-        ret = np.full(len(calendar), np.nan)
-        vix = np.full(len(calendar), np.nan)
-        seen: set[int] = set()
 
-        def parse(row):
-            date = dt.date.fromisoformat(row["date"])
-            if date not in calendar.index:
-                raise CalendarMismatch(f"market date {date} not in trading calendar")
-            day = calendar.index[date]
-            if day in seen:
-                raise InputError(f"duplicate market date {date}")
-            seen.add(day)
-            return day, finite_float(row["market_return"]), finite_float(row["vix"])
+        def convert(columns):
+            day = calendar.days_of(columns["date"], lambda cell, date: f"market date {date} not in trading calendar")
+            reject_repeats(day, lambda row: f"duplicate market date {calendar.days[day[row]]}")
+            ret = np.full(len(calendar), np.nan)
+            vix = np.full(len(calendar), np.nan)
+            ret[day] = float_column(columns["market_return"])
+            vix[day] = float_column(columns["vix"])
+            return cls(market_return=ret, vix=vix)
 
-        for day, market_return, level in read_csv_rows(path, ("date", "market_return", "vix"), parse):
-            ret[day] = market_return
-            vix[day] = level
-        return cls(market_return=ret, vix=vix)
+        return read_csv_columns(path, ("date", "market_return", "vix"), convert)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .._util import split_seed
+from .._util import fmt_column, fmt_int_column, split_seed
 from ..errors import ConstantColumn, InputError, MissingComponent
 from .copula import GaussianCopula, fit_gaussian_copula, sample_copula
 from .edf import EmpiricalDistribution, fit_edf
@@ -101,14 +101,16 @@ class SimulatedPanel:
         values = {"pos": self.pos, "neg": self.neg}[which]
         return values[mask], self.log_vol[mask]
 
-    def rows(self):
-        for i, symbol in enumerate(self.symbols):
-            for t in range(self.active.shape[1]):
-                yield (
-                    symbol, t, int(self.active[i, t]), float(self.pos[i, t]),
-                    float(self.neg[i, t]), float(self.market_return[t]),
-                    float(self.firm_return[i, t]), float(self.log_vol[i, t]),
-                )
+    def columns(self) -> list[list[str]]:
+        """symbol, day, I, pos, neg, r_m, r_i and log_vol as CSV cell columns, by symbol, then day."""
+        n_symbols, n_days = self.active.shape
+        return [
+            [symbol for symbol in self.symbols for _ in range(n_days)],
+            fmt_int_column(np.tile(np.arange(n_days), n_symbols)),
+            fmt_int_column(self.active.ravel()),
+            *map(fmt_column, (self.pos.ravel(), self.neg.ravel(), np.tile(self.market_return, n_symbols),
+                              self.firm_return.ravel(), self.log_vol.ravel())),
+        ]
 
 
 def simulate_scenario(config: ScenarioConfig) -> SimulatedPanel:

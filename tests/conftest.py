@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import collections
+import csv
 import datetime as dt
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from newsflow.errors import WindowOutOfRange
-from newsflow.panel import INDICATOR_FIELDS, SENTIMENT_FIELDS, SymbolDayArray
+from newsflow._util import atomic_write_text, read_text
+from newsflow.errors import CalendarMismatch, InputError, MalformedRecord, PriceParseError, WindowOutOfRange
+from newsflow.indicators import PRICE_FIELDS
+from newsflow.panel import INDICATOR_FIELDS, SENTIMENT_FIELDS, MarketSeries, SymbolDayArray
 
 FIXTURE_SEED = 20090
 
@@ -89,6 +93,229 @@ def indicator_array(points, n_days) -> SymbolDayArray:
     """IndicatorPoints as a SymbolDayArray."""
     rows = [(p.symbol, p.day, p.log_vol, p.detrended_volume, p.ret) for p in points]
     return SymbolDayArray.from_rows(INDICATOR_FIELDS, rows, n_days)
+
+
+# Row-wise CSV readers and writer: the reference the columnar ones in
+# newsflow._util are checked against.  Each parses one row at a time and
+# raises at the first row that breaks a rule.
+
+def read_csv_rows(path, required, parse):
+    """`parse` applied to each non-blank data row, as a column -> cell mapping.
+
+    A file without a header, a missing required column, a row whose field
+    count differs from the header's, or a ValueError or InputError from
+    `parse` raises MalformedRecord with the file and line.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, [])
+        if not header:
+            raise InputError("no header")
+        missing = [name for name in required if name not in header]
+        if missing:
+            raise InputError(f"missing column(s) {', '.join(missing)}")
+        parsed = []
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise InputError(f"{len(cells)} fields where the header has {len(header)}")
+            parsed.append(parse(dict(zip(header, cells))))
+    except (ValueError, InputError, csv.Error) as exc:
+        # an empty file has read no line yet
+        raise MalformedRecord(str(exc), source=str(path), position=max(reader.line_num, 1)) from exc
+    return parsed
+
+
+def finite_float(text):
+    """A CSV cell as a float; `inf`, `-inf` and `nan` raise InputError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InputError(f"non-finite number {text!r}")
+    return value
+
+
+def read_sentiment_rows(path, calendar):
+    """sentiment.csv as one SENTIMENT_FIELDS array per lexicon (cli._read_sentiment_csv)."""
+    seen = set()
+
+    def parse(row):
+        day = calendar.index.get(dt.date.fromisoformat(row["date"]))
+        if day is None:
+            raise InputError(f"sentiment date {row['date']} not in calendar")
+        key = (row["lexicon"], row["symbol"], day)
+        if key in seen:
+            raise InputError(f"duplicate sentiment row for {row['lexicon']} {row['symbol']} {row['date']}")
+        seen.add(key)
+        active, n_articles = int(row["I"]), int(row["n_articles"])
+        if n_articles < 0:
+            raise InputError(f"negative sentiment n_articles {n_articles}")
+        if active != (n_articles > 0):
+            raise InputError(f"sentiment I={active} with n_articles={n_articles}; I is 1 exactly when n_articles > 0")
+        pos, neg = finite_float(row["pos"]), finite_float(row["neg"])
+        if not (0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0):
+            raise InputError(f"sentiment pos={pos!r} and neg={neg!r} must lie in [0, 1]")
+        if not active and (pos or neg):
+            raise InputError(f"sentiment I=0 with pos={pos!r} and neg={neg!r}; a day without articles has no sentiment")
+        return row["lexicon"], (row["symbol"], day, active, pos, neg, n_articles)
+
+    rows_by_lexicon = {}
+    for lexicon, row in read_csv_rows(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), parse):
+        rows_by_lexicon.setdefault(lexicon, []).append(row)
+    return {
+        lexicon: SymbolDayArray.from_rows(SENTIMENT_FIELDS, rows, len(calendar))
+        for lexicon, rows in rows_by_lexicon.items()
+    }
+
+
+def read_indicator_rows(path, calendar):
+    """indicators.csv as an INDICATOR_FIELDS array (cli._read_indicators_csv)."""
+    seen = set()
+
+    def parse(row):
+        day = calendar.index.get(dt.date.fromisoformat(row["date"]))
+        if day is None:
+            raise InputError(f"indicator date {row['date']} not in calendar")
+        if (row["symbol"], day) in seen:
+            raise InputError(f"duplicate indicator row for {row['symbol']} {row['date']}")
+        seen.add((row["symbol"], day))
+        return (row["symbol"], day, *(finite_float(row[name]) if row[name] else None for name in INDICATOR_FIELDS))
+
+    rows = read_csv_rows(path, ("symbol", "date", *INDICATOR_FIELDS), parse)
+    return SymbolDayArray.from_rows(INDICATOR_FIELDS, rows, len(calendar))
+
+
+def load_market_bar_rows(path, calendar):
+    """prices.csv as a PRICE_FIELDS array (indicators.load_market_bars)."""
+    seen = set()
+
+    def parse(row):
+        symbol = row["symbol"].upper()
+        if not symbol.strip():
+            raise InputError("empty symbol")
+        date = dt.date.fromisoformat(row["date"])
+        day = calendar.index.get(date)
+        if day is None:
+            raise InputError(f"date {date} not in trading calendar")
+        if (symbol, day) in seen:
+            raise InputError(f"second bar for {symbol} on {date}")
+        seen.add((symbol, day))
+        open_, high, low, close, volume = (finite_float(row[name]) for name in PRICE_FIELDS)
+        if min(open_, high, low, close) <= 0:
+            raise InputError(f"{symbol} {date}: prices must be positive")
+        if volume < 0:
+            raise InputError(f"{symbol} {date}: negative volume")
+        if not low <= min(open_, close) <= max(open_, close) <= high:
+            raise InputError(
+                f"{symbol} {date}: OHLC ordering violated "
+                f"(low {low}, open {open_}, close {close}, high {high})"
+            )
+        return symbol, day, open_, high, low, close, volume
+
+    try:
+        rows = read_csv_rows(path, ("symbol", "date", *PRICE_FIELDS), parse)
+    except MalformedRecord as exc:
+        raise PriceParseError(exc.detail, line=exc.position) from exc
+    if not rows:
+        raise PriceParseError("price CSV has no data rows")
+    return SymbolDayArray.from_rows(PRICE_FIELDS, rows, len(calendar))
+
+
+def read_market_rows(path, calendar):
+    """market.csv as a MarketSeries (MarketSeries.from_csv)."""
+    ret = np.full(len(calendar), np.nan)
+    vix = np.full(len(calendar), np.nan)
+    seen = set()
+
+    def parse(row):
+        date = dt.date.fromisoformat(row["date"])
+        if date not in calendar.index:
+            raise CalendarMismatch(f"market date {date} not in trading calendar")
+        day = calendar.index[date]
+        if day in seen:
+            raise InputError(f"duplicate market date {date}")
+        seen.add(day)
+        return day, finite_float(row["market_return"]), finite_float(row["vix"])
+
+    for day, market_return, level in read_csv_rows(path, ("date", "market_return", "vix"), parse):
+        ret[day] = market_return
+        vix[day] = level
+    return MarketSeries(market_return=ret, vix=vix)
+
+
+def read_sector_rows(path):
+    """sectors.csv as symbol -> sector (cli._load_sectors)."""
+    seen = set()
+
+    def parse(row):
+        symbol = row["symbol"].upper()
+        if symbol in seen:
+            raise InputError(f"duplicate sector row for {symbol}")
+        seen.add(symbol)
+        return symbol, row["sector"]
+
+    return dict(read_csv_rows(path, ("symbol", "sector"), parse))
+
+
+def read_residual_rows(path):
+    """A residuals_*.csv pool (cli._read_residual_pool)."""
+    return np.array(read_csv_rows(path, ("residual",), lambda row: finite_float(row["residual"])))
+
+
+def _outcome(read, path):
+    try:
+        return "ok", read(path)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_same(actual, expected):
+    if isinstance(expected, SymbolDayArray):
+        assert (actual.fields, actual.symbols) == (expected.fields, expected.symbols)
+        _assert_same(actual.values, expected.values)
+    elif isinstance(expected, MarketSeries):
+        _assert_same(actual.market_return, expected.market_return)
+        _assert_same(actual.vix, expected.vix)
+    elif isinstance(expected, np.ndarray):
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(actual), np.signbit(expected))
+    elif isinstance(expected, dict) and expected and isinstance(next(iter(expected.values())), SymbolDayArray):
+        assert sorted(actual) == sorted(expected)
+        for name in expected:
+            _assert_same(actual[name], expected[name])
+    else:
+        assert list(actual.items()) == list(expected.items())
+
+
+def assert_readers_agree(columnar, row_wise, path):
+    got, want = _outcome(columnar, path), _outcome(row_wise, path)
+    assert got[0] == want[0], (got, want)
+    if want[0] == "ok":
+        _assert_same(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+def fmt_num(value):
+    """A cell as CSV output: empty for missing, repr-exact for floats."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    if value != value:  # NaN is a missing cell
+        return ""
+    return repr(float(value))
+
+
+def write_csv_rows(path, header, rows):
+    """A CSV file from rows, each cell a label or formatted by fmt_num."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell if isinstance(cell, str) else fmt_num(cell) for cell in row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def make_article_body(rng: np.random.Generator, n_words: int) -> str:

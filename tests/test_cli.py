@@ -137,6 +137,7 @@ def test_bad_config_h(mini_fixture, capsys):
     pytest.param("[lexstats]\ntop = -1\n", [], id="top=-1"),
     pytest.param("[lexstats]\ntop = 0\n", [], id="top=0"),
     pytest.param("[lexstats]\nmin_count = 0\n", [], id="min_count=0"),
+    pytest.param("[simulate]\nn_days = 0\n", [], id="n_days=0"),
     pytest.param("[negation]\nbidirectional = flase\n", [], id="bidirectional=flase"),
     pytest.param("", ["--day-boundary", "25:00"], id="day_boundary_flag=25:00"),
     pytest.param("", ["--day-boundary", "12:00+05:00"], id="day_boundary_flag_with_offset"),
@@ -182,6 +183,14 @@ def _set_inactive_cell(path, column, value):
     lines = path.read_text(encoding="utf-8").splitlines()
     line = next(i for i, text in enumerate(lines[1:], 2) if text.split(",")[3] == "0")
     _set_cell(path, line, column, value)
+
+
+def _replace_line(number, edit_cells):
+    def edit(lines):
+        lines[number - 1] = ",".join(edit_cells(lines[number - 1].split(",")))
+        return lines
+
+    return edit
 
 
 @pytest.mark.parametrize("command, corrupt", [
@@ -237,6 +246,131 @@ def test_malformed_panel_input_exits_2(distilled_fixture, tmp_path, capsys, comm
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def paneled_fixture(distilled_fixture, tmp_path_factory):
+    """The distilled fixture with its panel outputs (results_entire.csv, residuals_*.csv) written."""
+    root = tmp_path_factory.mktemp("paneled") / "run"
+    shutil.copytree(distilled_fixture, root)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["panel", "--config", root / "newsflow.ini", "--output", root / "out"]) == 0
+    return root
+
+
+def _truncate(line, n_fields):
+    return _replace_line(line, lambda cells: cells[:n_fields])
+
+
+def _set(line, column, value):
+    return _replace_line(line, lambda cells: cells[:column] + [value] + cells[column + 1:])
+
+
+def _repeat(line):
+    return lambda lines: lines + lines[line - 1:line]
+
+
+def _then(*edits):
+    def edit(lines):
+        for one in edits:
+            lines = one(lines)
+        return lines
+
+    return edit
+
+
+def _quote_all(lines):
+    return [",".join(f'"{cell}"' for cell in line.split(",")) for line in lines]
+
+
+SENTIMENT_ACTIVE_LINE = 50  # the first I=1 row of the distilled fixture's sentiment.csv
+SENTIMENT_RANGE_ERROR = ("ERROR MALFORMED_RECORD: {root}/out/sentiment.csv:50: "
+                         "sentiment pos=1.5 and neg=0.04854368932038835 must lie in [0, 1]")
+
+
+# The stderr line of each edit, as the row-wise readers printed it; {root} is the tree.
+@pytest.mark.parametrize("command, name, edit, expected", [
+    pytest.param(["report"], "out/sentiment.csv", _truncate(300, 4),
+                 "ERROR MALFORMED_RECORD: {root}/out/sentiment.csv:300: 4 fields where the header has 7",
+                 id="sentiment_truncated"),
+    pytest.param(["report"], "out/sentiment.csv", _set(SENTIMENT_ACTIVE_LINE, 4, "inf"),
+                 "ERROR MALFORMED_RECORD: {root}/out/sentiment.csv:50: non-finite number 'inf'",
+                 id="sentiment_pos_inf"),
+    pytest.param(["report"], "out/sentiment.csv", _set(300, 1, "2020-01-04"),
+                 "ERROR MALFORMED_RECORD: {root}/out/sentiment.csv:300: sentiment date 2020-01-04 not in calendar",
+                 id="sentiment_off_calendar"),
+    pytest.param(["report"], "out/sentiment.csv", _repeat(200),
+                 "ERROR MALFORMED_RECORD: {root}/out/sentiment.csv:1802: "
+                 "duplicate sentiment row for BL SYM01 2020-03-12",
+                 id="sentiment_key_repeated"),
+    pytest.param(["report"], "out/sentiment.csv", _set(2, 3, "1"),
+                 "ERROR MALFORMED_RECORD: {root}/out/sentiment.csv:2: "
+                 "sentiment I=1 with n_articles=0; I is 1 exactly when n_articles > 0",
+                 id="sentiment_active_without_articles"),
+    pytest.param(["report"], "out/sentiment.csv", _set(SENTIMENT_ACTIVE_LINE, 4, "1.5"), SENTIMENT_RANGE_ERROR,
+                 id="sentiment_pos_above_1"),
+    pytest.param(["report"], "out/sentiment.csv",
+                 _then(_set(SENTIMENT_ACTIVE_LINE, 4, "1.5"), _set(300, 1, "2020-01-04"), _truncate(400, 3)),
+                 SENTIMENT_RANGE_ERROR, id="sentiment_first_fault_in_file_order"),
+    pytest.param(["report"], "out/sentiment.csv", _then(_set(300, 4, "inf"), _set(300, 1, "2020-01-04")),
+                 "ERROR MALFORMED_RECORD: {root}/out/sentiment.csv:300: sentiment date 2020-01-04 not in calendar",
+                 id="sentiment_first_rule_in_the_row"),
+    pytest.param(["panel"], "out/indicators.csv", _truncate(300, 3),
+                 "ERROR MALFORMED_RECORD: {root}/out/indicators.csv:300: 3 fields where the header has 5",
+                 id="indicators_truncated"),
+    pytest.param(["panel"], "out/indicators.csv", _then(lambda lines: lines[:9] + [""] + lines[9:], _truncate(300, 3)),
+                 "ERROR MALFORMED_RECORD: {root}/out/indicators.csv:300: 3 fields where the header has 5",
+                 id="indicators_blank_line_then_truncated"),
+    pytest.param(["panel"], "out/indicators.csv", _set(300, 4, "nan"),
+                 "ERROR MALFORMED_RECORD: {root}/out/indicators.csv:300: non-finite number 'nan'",
+                 id="indicators_ret_nan"),
+    pytest.param(["panel"], "out/indicators.csv", _set(300, 1, "2031-01-02"),
+                 "ERROR MALFORMED_RECORD: {root}/out/indicators.csv:300: indicator date 2031-01-02 not in calendar",
+                 id="indicators_off_calendar"),
+    pytest.param(["panel"], "out/indicators.csv", _repeat(200),
+                 "ERROR MALFORMED_RECORD: {root}/out/indicators.csv:602: duplicate indicator row for SYM01 2020-03-12",
+                 id="indicators_key_repeated"),
+    pytest.param(["indicators"], "prices.csv", _truncate(300, 5),
+                 "ERROR PRICE_PARSE_ERROR: line 300: 5 fields where the header has 7", id="prices_truncated"),
+    pytest.param(["indicators"], "prices.csv", _set(300, 5, "inf"),
+                 "ERROR PRICE_PARSE_ERROR: line 300: non-finite number 'inf'", id="prices_close_inf"),
+    pytest.param(["indicators"], "prices.csv", _set(300, 1, "2020-01-04"),
+                 "ERROR PRICE_PARSE_ERROR: line 300: date 2020-01-04 not in trading calendar",
+                 id="prices_off_calendar"),
+    pytest.param(["indicators"], "prices.csv", _repeat(200),
+                 "ERROR PRICE_PARSE_ERROR: line 602: second bar for SYM01 on 2020-03-12", id="prices_key_repeated"),
+    pytest.param(["panel"], "market.csv", _truncate(30, 2),
+                 "ERROR MALFORMED_RECORD: {root}/market.csv:30: 2 fields where the header has 3", id="market_truncated"),
+    pytest.param(["panel"], "market.csv", _set(30, 2, "-inf"),
+                 "ERROR MALFORMED_RECORD: {root}/market.csv:30: non-finite number '-inf'", id="market_vix_inf"),
+    pytest.param(["panel"], "market.csv", _then(_set(30, 2, "-inf"), _quote_all),
+                 "ERROR MALFORMED_RECORD: {root}/market.csv:30: non-finite number '-inf'", id="market_quoted_vix_inf"),
+    pytest.param(["panel"], "market.csv", _set(30, 0, "2020-01-04"),
+                 "ERROR MALFORMED_RECORD: {root}/market.csv:30: market date 2020-01-04 not in trading calendar",
+                 id="market_off_calendar"),
+    pytest.param(["panel"], "market.csv", _repeat(20),
+                 "ERROR MALFORMED_RECORD: {root}/market.csv:152: duplicate market date 2020-01-30",
+                 id="market_date_repeated"),
+    pytest.param(["panel", "--suite", "sector"], "sectors.csv", _truncate(3, 1),
+                 "ERROR MALFORMED_RECORD: {root}/sectors.csv:3: 1 fields where the header has 2", id="sectors_truncated"),
+    pytest.param(["panel", "--suite", "sector"], "sectors.csv", lambda lines: lines + [lines[1].lower()],
+                 "ERROR MALFORMED_RECORD: {root}/sectors.csv:6: duplicate sector row for SYM00",
+                 id="sectors_symbol_repeated"),
+    pytest.param(["simulate"], "out/residuals_log_vol_BL.csv", _truncate(40, 2),
+                 "ERROR MALFORMED_RECORD: {root}/out/residuals_log_vol_BL.csv:40: 2 fields where the header has 3",
+                 id="residuals_truncated"),
+    pytest.param(["simulate"], "out/residuals_log_vol_BL.csv", _set(40, 2, "nan"),
+                 "ERROR MALFORMED_RECORD: {root}/out/residuals_log_vol_BL.csv:40: non-finite number 'nan'",
+                 id="residuals_nan"),
+])
+def test_malformed_input_names_its_first_offending_row(paneled_fixture, tmp_path, capsys, command, name, edit, expected):
+    root = tmp_path / "run"
+    shutil.copytree(paneled_fixture, root)
+    _edit_lines(root / name, edit)
+    capsys.readouterr()
+    code = run([*command, "--config", root / "newsflow.ini", "--output", root / "out"])
+    assert code == 2
+    assert capsys.readouterr().err == expected.format(root=root) + "\n"
+
+
 # one row of a stage file changed: (kind, *arguments), cell indices taken
 # modulo the row's length; "set" puts a value into one cell
 STAGE_ROW_MUTATIONS = st.one_of(
@@ -265,21 +399,25 @@ def _mutate_row(lines, row, mutation):
     return lines[:line] + [",".join(cells)] + lines[line + 1 :]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(
-    name=st.sampled_from(["sentiment.csv", "indicators.csv"]),
+    name=st.sampled_from(["out/sentiment.csv", "out/indicators.csv", "market.csv", "sectors.csv"]),
     row=st.integers(0, 10**6),
     mutation=STAGE_ROW_MUTATIONS,
 )
 def test_stage_file_mutation_keeps_the_exit_code_contract(distilled_fixture, name, row, mutation):
-    with tempfile.TemporaryDirectory() as out:
-        for stage_file in ("sentiment.csv", "indicators.csv"):
-            shutil.copy(distilled_fixture / "out" / stage_file, Path(out) / stage_file)
-        _edit_lines(Path(out) / name, lambda lines: _mutate_row(lines, row, mutation))
-        for command in ("panel", "report"):
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "out").mkdir()
+        for stage_file in ("newsflow.ini", "calendar.txt", "market.csv", "sectors.csv",
+                           "out/sentiment.csv", "out/indicators.csv"):
+            shutil.copy(distilled_fixture / stage_file, root / stage_file)
+        _edit_lines(root / name, lambda lines: _mutate_row(lines, row, mutation))
+        # the sector suite reads sectors.csv; no sector of this fixture has two symbols, so it fits nothing
+        for command in (["panel", "--suite", "entire", "--suite", "sector"], ["report"]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = run([command, "--config", distilled_fixture / "newsflow.ini", "--output", out])
+                code = run([*command, "--config", root / "newsflow.ini", "--output", root / "out"])
             assert code in (0, 2)
             assert "Traceback" not in err.getvalue()
             if code == 2:
@@ -296,14 +434,6 @@ def _run_indicators_on(fixture, out, edit):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(["indicators", "--config", out / "newsflow.ini", "--output", out / "out"])
     return code, err.getvalue()
-
-
-def _replace_line(number, edit_cells):
-    def edit(lines):
-        lines[number - 1] = ",".join(edit_cells(lines[number - 1].split(",")))
-        return lines
-
-    return edit
 
 
 @pytest.mark.parametrize("edit, line", [
@@ -564,6 +694,18 @@ def test_simulate_reads_panel_outputs_before_fitting(tmp_path_factory, monkeypat
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR MISSING_INPUT") and len(err.splitlines()) == 1
+    assert fits == []
+
+
+def test_simulate_checks_n_days_before_fitting(paneled_fixture, monkeypatch, capsys):
+    fits = []
+    fit = scenario.fit_ma1_garch11
+    monkeypatch.setattr(scenario, "fit_ma1_garch11", lambda *args, **kwargs: fits.append(1) or fit(*args, **kwargs))
+    capsys.readouterr()
+    code = run(["simulate", "--config", paneled_fixture / "newsflow.ini", "--output", paneled_fixture / "out",
+                "--n-days", 0])
+    assert code == 2
+    assert capsys.readouterr().err == "ERROR INPUT_ERROR: n_days must be >= 1\n"
     assert fits == []
 
 

@@ -25,8 +25,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_fixture
-from newsflow.cli import main
+from conftest import (
+    assert_readers_agree,
+    build_fixture,
+    load_market_bar_rows,
+    read_indicator_rows,
+    read_market_rows,
+    read_residual_rows,
+    read_sector_rows,
+    read_sentiment_rows,
+)
+from newsflow.cli import _load_sectors, _read_indicators_csv, _read_residual_pool, _read_sentiment_csv, main
+from newsflow.corpus import TradingCalendar
+from newsflow.indicators import load_market_bars
+from newsflow.panel import MarketSeries
 
 GOLDEN = Path(__file__).parent / "golden" / "s_fixture.json"
 SUITES = ("entire", "lags_noncumulative", "lags_cumulative", "attention", "sector")
@@ -104,6 +116,24 @@ def test_s_fixture_outputs_match_the_golden_summary(s_fixture_outputs):
     assert any(name.startswith("simulated_") for name in actual)
     assert any(name.startswith("curves_") for name in actual)
     assert mismatches(actual, expected) == []
+
+
+
+def test_columnar_readers_agree_with_the_row_readers_on_every_stage_file(s_fixture_outputs):
+    root = s_fixture_outputs.parent
+    calendar = TradingCalendar.from_file(root / "calendar.txt")
+    for path, columnar, row_wise in [
+        (root / "prices.csv", load_market_bars, load_market_bar_rows),
+        (root / "market.csv", MarketSeries.from_csv, read_market_rows),
+        (s_fixture_outputs / "sentiment.csv", _read_sentiment_csv, read_sentiment_rows),
+        (s_fixture_outputs / "indicators.csv", _read_indicators_csv, read_indicator_rows),
+    ]:
+        assert_readers_agree(lambda p: columnar(p, calendar), lambda p: row_wise(p, calendar), path)
+    assert_readers_agree(_load_sectors, read_sector_rows, root / "sectors.csv")
+    residuals = sorted(s_fixture_outputs.glob("residuals_*.csv"))
+    assert residuals
+    for path in residuals:
+        assert_readers_agree(_read_residual_pool, read_residual_rows, path)
 
 
 if __name__ == "__main__":

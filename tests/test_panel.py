@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from conftest import IndicatorPoint, SentimentRecord, cumulative_record, indicator_array, sentiment_array
-from newsflow._util import fmt_num
+from newsflow._util import fmt_column
 from newsflow.errors import (
     CalendarMismatch,
     ConstantColumn,
@@ -294,7 +294,7 @@ def test_zero_standard_error_has_no_p_value_or_stars(monkeypatch):
     assert np.isnan(result.p_values[0])
     cell = SuiteCell(spec=result.spec, result=result)
     _, variable, _, se, p, stars = suite_rows([cell])[1]
-    assert (variable, fmt_num(se), fmt_num(p), stars) == ("a", "0.0", "", "")
+    assert (variable, *fmt_column([se, p]), stars) == ("a", "0.0", "", "")
     line_a = next(line for line in format_suite_table([cell]).splitlines() if line.startswith("a "))
     assert "*" not in line_a
 
