@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import gc
 import io
 import os
 import tempfile
@@ -68,14 +69,25 @@ def read_csv_columns(
     except (InputError, csv.Error) as exc:
         # an empty file has read no line yet
         raise MalformedRecord(str(exc), source=str(path), position=max(reader.line_num, 1)) from exc
+    # the parse and the transpose make one container per row and per column,
+    # and the cyclic garbage collector would scan them all again and again:
+    # it is paused there, and left as the caller had it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        rows = list(filter(None, reader))
-    except csv.Error:
-        rows = None
-    del reader  # and with it the parser's copy of the text
-    if rows is not None and set(map(len, rows)) <= {len(header)}:
-        columns = _transpose(header, rows)
+        try:
+            rows = list(filter(None, reader))
+        except csv.Error:
+            rows = None
+        del reader  # and with it the parser's copy of the text
+        columns = None
+        if rows is not None and set(map(len, rows)) <= {len(header)}:
+            columns = _transpose(header, rows)
         del rows  # the cells live on in the columns
+    finally:
+        if collecting:
+            gc.enable()
+    if columns is not None:
         try:
             return convert(columns)
         except RowRejected:
@@ -159,18 +171,22 @@ def float_column(cells: Sequence[str], blank: bool = False) -> np.ndarray:
 
 
 def int_column(cells: Sequence[str]) -> np.ndarray:
-    """Integer cells as a float array, converted by one int() per cell; RowRejected as float_column."""
+    """Integer cells as a float array, converted by one int() per cell.
+
+    The first cell int() rejects, or the first too large for a float,
+    raises RowRejected.
+    """
     try:
         return np.array(list(map(int, cells)), dtype=float)
-    except ValueError:
-        _reject_first(int, cells)
+    except (ValueError, OverflowError):
+        _reject_first(lambda cell: float(int(cell)), cells)
 
 
 def _reject_first(parse: Callable[[str], object], cells: Sequence[str]) -> NoReturn:
     for row, cell in enumerate(cells):
         try:
             parse(cell)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise RowRejected(row, str(exc)) from None
     raise AssertionError("no cell to reject")
 

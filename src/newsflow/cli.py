@@ -273,7 +273,7 @@ def cmd_panel(config: RunConfig) -> int:
                 write_csv(
                     config.output_dir / f"residuals_log_vol_{cell.spec.projection}.csv",
                     ("symbol", "day", "residual"),
-                    [res.entity_labels.tolist(), fmt_int_column(res.time_labels), fmt_column(res.residuals)],
+                    [np.array(res.symbols)[res.entities].tolist(), fmt_int_column(res.times), fmt_column(res.residuals)],
                 )
         fitted = [c.result for c in cells if c.result is not None]
         repaired = sum(res.psd_repaired for res in fitted)

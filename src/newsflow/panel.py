@@ -10,6 +10,7 @@ heteroskedasticity-robust intersection term).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -100,12 +101,15 @@ class PanelSpec:
 class PanelDataset:
     """One row per symbol-day, ordered by symbol, then day.
 
+    `entities` holds each row's integer code into `symbols`, and `times` its
+    nonnegative trading-day ordinal.  Every symbol has at least two rows.
     `x` has one column per regressor, ordered as REGRESSOR_NAMES for an
     assembled panel.
     """
 
     spec: PanelSpec
     entities: np.ndarray
+    symbols: tuple[str, ...]
     times: np.ndarray
     y: np.ndarray
     x: np.ndarray
@@ -114,20 +118,24 @@ class PanelDataset:
     def __post_init__(self):
         if len(self.y) == 0:
             raise EmptyPanel(self.spec.label)
-        labels, codes, counts = np.unique(self.entities, return_inverse=True, return_counts=True)
-        if len(np.unique(np.column_stack([codes, self.times]), axis=0)) < len(codes):
+        if self.entities.min() < 0 or self.entities.max() >= len(self.symbols):
+            raise InputError(f"entity code outside the {len(self.symbols)} symbols")
+        n_days = int(self.times.max()) + 1
+        if np.bincount(self.entities * n_days + self.times).max() > 1:
             raise InputError("duplicate (symbol, day) observation")
+        counts = np.bincount(self.entities, minlength=len(self.symbols))
         if counts.min() < 2:
-            raise TooFewObservations(f"entity {labels[counts.argmin()]} has {counts.min()} observation")
+            raise TooFewObservations(f"entity {self.symbols[counts.argmin()]} has {counts.min()} observation")
 
     @property
     def observations(self) -> np.recarray:
         """One (symbol, day, dependent, regressors) record per row."""
+        symbol = np.array(self.symbols, dtype=str)[self.entities]
         dtype = [
-            ("symbol", self.entities.dtype), ("day", self.times.dtype),
+            ("symbol", symbol.dtype), ("day", self.times.dtype),
             ("dependent", float), ("regressors", float, self.x.shape[1:]),
         ]
-        return np.rec.fromarrays([self.entities, self.times, self.y, self.x], dtype=dtype)
+        return np.rec.fromarrays([symbol, self.times, self.y, self.x], dtype=dtype)
 
 
 def assemble_panel(
@@ -142,7 +150,10 @@ def assemble_panel(
     `sentiment` holds SENTIMENT_FIELDS and `indicators` INDICATOR_FIELDS on
     one symbol axis; `symbols` selects its rows.  The outcome is a column
     shift by h.  Cumulative specs pool the sentiment variables over days
-    t..t+h-1; all control variables stay dated t.
+    t..t+h-1; all control variables stay dated t.  The panel's symbols are
+    the selected ones that keep rows, in axis order (sorted, on the axes of
+    the stage-file readers and the suites), and each row's entity code is
+    its symbol's index among them.
     """
     if ((sentiment.fields, indicators.fields) != (SENTIMENT_FIELDS, INDICATOR_FIELDS)
             or sentiment.symbols != indicators.symbols
@@ -152,11 +163,12 @@ def assemble_panel(
     if len(market.market_return) < n_days:
         raise CalendarMismatch("market series shorter than the trading calendar")
 
-    universe = sentiment.symbols
+    names = sentiment.symbols
     rows: slice | list[int] = slice(None)
     if symbols is not None:
         wanted = {s.upper() for s in symbols}
-        rows = [i for i, sym in enumerate(universe) if sym in wanted]
+        rows = [i for i, sym in enumerate(names) if sym in wanted]
+        names = tuple(names[i] for i in rows)
     active, pos, neg, n_articles = sentiment.values[:, rows]
     log_vol, dvol, ret = indicators.values[:, rows]
     h = spec.h
@@ -186,16 +198,18 @@ def assemble_panel(
 
     complete = ~np.isnan(columns).any(axis=-1)
     per_symbol = complete.sum(axis=1)
-    keep = complete & (per_symbol >= 2)[:, None]
+    has_rows = per_symbol >= 2
+    keep = complete & has_rows[:, None]
     dropped = {
         "missing_field": int(complete.size - complete.sum()),
-        "singleton_entity": int(per_symbol[per_symbol < 2].sum()),
+        "singleton_entity": int(per_symbol[~has_rows].sum()),
     }
     kept_rows, times = np.nonzero(keep)
     kept = columns[keep]
     return PanelDataset(
         spec=spec,
-        entities=np.array(universe, dtype=str)[rows][kept_rows],
+        entities=(np.cumsum(has_rows) - 1)[kept_rows],
+        symbols=tuple(itertools.compress(names, has_rows.tolist())),
         times=times,
         y=kept[:, 0],
         x=kept[:, 1:],
@@ -223,8 +237,10 @@ class RegressionResult:
     covariance_rank: int
     psd_repaired: bool = False
     demeaned_x: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    entity_labels: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    time_labels: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    # the panel's rows: entity codes into `symbols`, and trading days
+    entities: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    symbols: tuple[str, ...] = field(repr=False, default=())
+    times: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.coef_names.index(name)])
@@ -259,11 +275,22 @@ def _collinear_columns(x: np.ndarray, names: Sequence[str]) -> list[str]:
 
 
 def _group_sums(values: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sums of `values` rows per group: (sorted labels, each row's label index, rows per label, sums)."""
-    labels, inverse, counts = np.unique(groups, return_inverse=True, return_counts=True)
-    sums = np.zeros((len(labels),) + values.shape[1:])
-    np.add.at(sums, inverse, values)
-    return labels, inverse, counts, sums
+    """Sums of `values` rows per group of nonnegative integer labels.
+
+    Returns (sorted labels that occur, each row's label index, rows per label,
+    sums).  One np.bincount adds each sum's terms in row order, as np.add.at
+    does, so the sums are the same to the bit.
+    """
+    counts = np.bincount(groups)
+    labels = np.flatnonzero(counts)
+    inverse = groups
+    if len(labels) < len(counts):  # number the labels that occur from 0
+        inverse = (np.cumsum(counts > 0) - 1)[groups]
+        counts = counts[labels]
+    width = values[:1].size
+    cells = (inverse[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(), minlength=len(labels) * width)
+    return labels, inverse, counts, sums.reshape((len(labels),) + values.shape[1:])
 
 
 def _demean_by_group(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -291,7 +318,7 @@ def fit_fixed_effects(
 
     beta, _, _, _ = np.linalg.lstsq(x_dm, y_dm, rcond=None)
 
-    labels, inverse, counts, sums = _group_sums(y - x @ beta, entities)
+    _, inverse, counts, sums = _group_sums(y - x @ beta, entities)
     a = sums / counts
     alpha = float(a.mean())
     gamma = a - alpha
@@ -311,26 +338,31 @@ def fit_fixed_effects(
         coef_names=tuple(coef_names),
         coefficients=beta,
         alpha=alpha,
-        fixed_effects=dict(zip(labels.tolist(), gamma.tolist())),
+        # every code into panel.symbols has rows, so the labels are 0, 1, ...
+        fixed_effects=dict(zip(panel.symbols, gamma.tolist())),
         covariance=cov,
         std_errors=se,
         p_values=p,
         residuals=residuals,
         n_obs=n,
-        entity_counts=dict(zip(labels.tolist(), counts.tolist())),
+        entity_counts=dict(zip(panel.symbols, counts.tolist())),
         cluster_mode=cluster_mode,
         df=df,
         covariance_rank=cov_rank,
         psd_repaired=repaired,
         demeaned_x=x_dm,
-        entity_labels=entities,
-        time_labels=times,
+        entities=entities,
+        symbols=panel.symbols,
+        times=times,
     )
 
 
-def _sandwich(x: np.ndarray, u: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
+def _sandwich(x: np.ndarray, u: np.ndarray, groups: np.ndarray | None, k: int) -> np.ndarray:
+    """Cluster sandwich on the scores summed per group; with no groups each row is a cluster."""
     n = len(u)
-    _, _, _, scores = _group_sums(x * u[:, None], groups)
+    scores = x * u[:, None]
+    if groups is not None:
+        _, _, _, scores = _group_sums(scores, groups)
     n_groups = len(scores)
     bread = np.linalg.inv(x.T @ x)
     factor = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
@@ -346,9 +378,13 @@ def _cluster_covariance_arrays(
     k: int,
 ) -> tuple[np.ndarray, int, bool, int]:
     """Cluster covariance, its t degrees of freedom, whether it was repaired to
-    be positive semi-definite, and its rank."""
-    n_ent = len(np.unique(entities))
-    n_time = len(np.unique(times))
+    be positive semi-definite, and its rank.
+
+    `entities` and `times` are nonnegative integer labels; a cluster count is
+    the number of labels that occur.
+    """
+    n_ent = int(np.count_nonzero(np.bincount(entities)))
+    n_time = int(np.count_nonzero(np.bincount(times)))
     if mode is ClusterMode.BY_ENTITY:
         if n_ent < 2:
             raise SingleCluster("need >= 2 entity clusters")
@@ -360,11 +396,10 @@ def _cluster_covariance_arrays(
     else:
         if n_ent < 2 or n_time < 2:
             raise SingleCluster("two-way clustering needs >= 2 clusters per dimension")
-        obs_ids = np.arange(len(residuals))
         cov = (
             _sandwich(x_dm, residuals, entities, k)
             + _sandwich(x_dm, residuals, times, k)
-            - _sandwich(x_dm, residuals, obs_ids, k)
+            - _sandwich(x_dm, residuals, None, k)
         )
         df = min(n_ent, n_time) - 1
 
@@ -390,10 +425,6 @@ class SentimentIndex:
     explained_share: float
     column_means: np.ndarray
     column_sds: np.ndarray
-
-    def project(self, rows: np.ndarray) -> np.ndarray:
-        standardized = (rows - self.column_means) / self.column_sds
-        return standardized @ self.loadings
 
 
 def pca_sentiment_index(matrix: np.ndarray, column_names: Sequence[str] = ("BL", "LM", "MPQA")) -> SentimentIndex:

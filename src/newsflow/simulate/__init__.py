@@ -6,7 +6,6 @@ from .garch import (
     MA1Garch11Params,
     filter_ma1_garch11,
     fit_ma1_garch11,
-    loglikelihood,
     simulate_ma1_garch11,
     standardize_residuals,
 )
@@ -25,7 +24,6 @@ from .smoother import (
     band_overlap_region,
     local_linear_fit,
     plugin_bandwidth,
-    predict_at,
     uniform_band,
 )
 
@@ -41,11 +39,9 @@ __all__ = [
     "filter_ma1_garch11",
     "standardize_residuals",
     "simulate_ma1_garch11",
-    "loglikelihood",
     "SmootherFit",
     "plugin_bandwidth",
     "local_linear_fit",
-    "predict_at",
     "uniform_band",
     "band_overlap_region",
     "ScenarioConfig",

@@ -295,12 +295,6 @@ def fit_ma1_garch11(
     return MA1Garch11Params(mu=mu, theta=theta, omega=omega, alpha=alpha, beta=beta, loglik=-best.fun)
 
 
-def loglikelihood(returns: np.ndarray, params: MA1Garch11Params) -> float:
-    """Gaussian quasi log-likelihood of a series under fixed parameters."""
-    eps, h = filter_ma1_garch11(np.asarray(returns, dtype=float), params)
-    return -0.5 * float(np.sum(_LOG_2PI + np.log(h) + eps**2 / h))
-
-
 def simulate_ma1_garch11(
     params: MA1Garch11Params,
     n: int,

@@ -89,27 +89,6 @@ def local_linear_fit(
     return SmootherFit(grid=grid, curve=curve, bandwidth=h, n_empty=int(empty.sum()))
 
 
-def predict_at(
-    x: np.ndarray,
-    y: np.ndarray,
-    h: float,
-    points: np.ndarray,
-    chunk: int = 512,
-) -> np.ndarray:
-    """Local-linear fitted values at arbitrary points, chunked to bound memory."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    points = np.asarray(points, dtype=float)
-    out = np.empty(len(points))
-    for start in range(0, len(points), chunk):
-        weights, empty = _equivalent_weights(x, points[start : start + chunk], h)
-        weights = np.where(np.isnan(weights), 0.0, weights)
-        values = weights @ y
-        values[empty] = np.nan
-        out[start : start + chunk] = values
-    return out
-
-
 def _residuals_with_leverage(x, y, h, chunk=512):
     """Residuals at the data points, rescaled by 1/sqrt(1 - self-weight).
 

@@ -95,6 +95,32 @@ def indicator_array(points, n_days) -> SymbolDayArray:
     return SymbolDayArray.from_rows(INDICATOR_FIELDS, rows, n_days)
 
 
+# Panel group sums by sorting labels, as the package did before it grouped
+# integer entity codes with np.bincount: the reference the bincount sums are
+# checked against, to the bit.
+
+def unique_group_sums(values, groups):
+    """Sums of `values` rows per group by np.unique and np.add.at.
+
+    Returns (sorted labels, each row's label index, rows per label, sums);
+    the labels may be strings.
+    """
+    labels, inverse, counts = np.unique(groups, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(labels),) + values.shape[1:])
+    np.add.at(sums, inverse, values)
+    return labels, inverse, counts, sums
+
+
+def unique_sandwich(x, u, groups, k):
+    """One-way cluster sandwich on the unique_group_sums of the scores, with the small-sample factor."""
+    n = len(u)
+    _, _, _, scores = unique_group_sums(x * u[:, None], groups)
+    n_groups = len(scores)
+    bread = np.linalg.inv(x.T @ x)
+    factor = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
+    return factor * bread @ (scores.T @ scores) @ bread
+
+
 # Row-wise CSV readers and writer: the reference the columnar ones in
 # newsflow._util are checked against.  Each parses one row at a time and
 # raises at the first row that breaks a rule.

@@ -273,7 +273,8 @@ def test_criterion_05_fixed_effects_oracle():
         y = 0.3 + x @ beta + gamma[entities] + rng.normal(0, 0.5, len(entities))
 
         spec = PanelSpec("log_vol", 1, False, "BL")
-        panel = PanelDataset(spec=spec, entities=np.array([str(e) for e in entities]), times=times, y=y, x=x)
+        symbols = tuple(str(e) for e in range(n_entities))
+        panel = PanelDataset(spec=spec, entities=entities, symbols=symbols, times=times, y=y, x=x)
         names = tuple(f"x{i}" for i in range(k))
         result = fit_fixed_effects(panel, coef_names=names, cluster_mode=ClusterMode.BY_ENTITY)
 
@@ -314,6 +315,7 @@ def test_criterion_06_clustered_se():
     # i.i.d. homoskedastic panel: clustered and classical SEs agree on average
     n_entities, n_periods, k = 20, 25, 3
     entities = np.repeat(np.arange(n_entities), n_periods)
+    symbols = tuple(str(e) for e in range(n_entities))
     times = np.tile(np.arange(n_periods), n_entities)
     n = len(entities)
     beta_true = np.array([1.0, -0.5, 0.25])
@@ -323,7 +325,7 @@ def test_criterion_06_clustered_se():
     for _ in range(500):
         x = rng.normal(0, 1, (n, k))
         y = x @ beta_true + rng.normal(0, 1, n)
-        panel = PanelDataset(spec=spec, entities=np.array([str(e) for e in entities]), times=times, y=y, x=x)
+        panel = PanelDataset(spec=spec, entities=entities, symbols=symbols, times=times, y=y, x=x)
         result = fit_fixed_effects(panel, ("a", "b", "c"), ClusterMode.BY_ENTITY)
         x_dm = result.demeaned_x
         sigma2 = float(result.residuals @ result.residuals) / (n - k - n_entities)

@@ -376,7 +376,7 @@ def test_malformed_input_names_its_first_offending_row(paneled_fixture, tmp_path
 STAGE_ROW_MUTATIONS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 6)),
     st.tuples(st.just("swap"), st.integers(0, 6), st.integers(0, 6)),
-    st.tuples(st.just("set"), st.integers(2, 6), st.sampled_from(["nan", "inf", "-inf"])),
+    st.tuples(st.just("set"), st.integers(2, 6), st.sampled_from(["nan", "inf", "-inf", "9" * 400])),
     st.tuples(st.just("repeat")),
     st.tuples(st.just("set"), st.just(1), st.sampled_from(["2020-01-04", "2031-01-02", "2020-02-30"])),
     st.tuples(st.just("set"), st.sampled_from([3, 6]), st.sampled_from(["-1", "2", "7", "0", "1", "-5", "1.5"])),
@@ -476,6 +476,51 @@ def test_price_file_mutation_keeps_the_exit_code_contract(distilled_fixture, row
     assert "Traceback" not in err
     if code != 0:
         assert err.startswith("ERROR ") and len(err.splitlines()) == 1
+
+
+# one line of calendar.txt changed: cut short, repeated at the end, swapped
+# with the next line (dates out of order), or replaced
+CALENDAR_LINE_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 9)),
+    st.tuples(st.just("repeat")),
+    st.tuples(st.just("swap")),
+    st.tuples(st.just("set"), st.sampled_from(
+        ["2020-02-30", "20200107", "2020-1-7", "x", "# comment", " 2020-01-07 ", "1999-12-31", "9999-12-31"])),
+)
+
+
+def _mutate_calendar_line(lines, row, mutation):
+    kind, *args = mutation
+    line = row % len(lines)
+    if kind == "repeat":
+        return lines + [lines[line]]
+    if kind == "swap":
+        following = (line + 1) % len(lines)
+        lines = list(lines)
+        lines[line], lines[following] = lines[following], lines[line]
+        return lines
+    text = lines[line][: args[0]] if kind == "truncate" else args[0]
+    return lines[:line] + [text] + lines[line + 1 :]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(row=st.integers(0, 10**6), mutation=CALENDAR_LINE_MUTATIONS)
+def test_calendar_mutation_keeps_the_exit_code_contract(distilled_fixture, row, mutation):
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        shutil.copytree(distilled_fixture, root, dirs_exist_ok=True)
+        _edit_lines(root / "calendar.txt", lambda lines: _mutate_calendar_line(lines, row, mutation))
+        # distill and indicators write elsewhere, so panel and report read the
+        # stage files written on the unchanged calendar
+        for command in (["distill", "--output", root / "fresh"], ["indicators", "--output", root / "fresh"],
+                        ["panel", "--suite", "entire"], ["report"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run([*command, "--config", root / "newsflow.ini"])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert err.getvalue().startswith("ERROR ") and len(err.getvalue().splitlines()) == 1
 
 
 def _copy_of(fixture, root):

@@ -8,6 +8,7 @@ and every cell quoted or none.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -34,7 +35,7 @@ from newsflow import _util
 from newsflow._util import fmt_column, fmt_int_column, write_csv
 from newsflow.cli import _load_sectors, _read_indicators_csv, _read_residual_pool, _read_sentiment_csv
 from newsflow.corpus import TradingCalendar
-from newsflow.errors import MissingInput
+from newsflow.errors import MalformedRecord, MissingInput
 from newsflow.indicators import load_market_bars
 from newsflow.panel import MarketSeries
 from newsflow.simulate import garch, smoother
@@ -160,6 +161,42 @@ def test_readers_agree_on_a_file_without_usable_header_or_rows(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     for columnar, row_wise, _ in READERS.values():
         assert_readers_agree(columnar, row_wise, path)
+
+
+def test_an_integer_cell_too_large_for_a_float_is_rejected_with_its_line(tmp_path):
+    with pytest.raises(_util.RowRejected) as rejected:
+        _util.int_column(["1", "9" * 400, "x"])
+    assert rejected.value.row == 1
+    path = tmp_path / "sentiment.csv"
+    path.write_text("symbol,date,lexicon,I,pos,neg,n_articles\n"
+                    f"AAA,{DATES[0]},BL,1,0.5,0.25,2\n"
+                    f"AAA,{DATES[1]},BL,1,0.5,0.25,{'9' * 400}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as malformed:
+        _read_sentiment_csv(path, CALENDAR)
+    assert str(malformed.value) == f"{path}:3: int too large to convert to float"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc_on", "gc_off"])
+def test_reading_pauses_the_garbage_collector_and_restores_it(tmp_path, monkeypatch, collecting):
+    good = tmp_path / "good.csv"
+    good.write_text(f"date,market_return,vix\n{DATES[0]},0.001,0.2\n", encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"date,market_return,vix\n{DATES[0]},x,0.2\n", encoding="utf-8")
+    during = []
+    transpose = _util._transpose
+    monkeypatch.setattr(_util, "_transpose", lambda *args: during.append(gc.isenabled()) or transpose(*args))
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        MarketSeries.from_csv(good, CALENDAR)
+        assert gc.isenabled() is collecting
+        with pytest.raises(MalformedRecord):  # a RowRejected from the converter
+            MarketSeries.from_csv(bad, CALENDAR)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # paused for the first read's transpose; the error path's transposes run as the caller left it
+    assert during[0] is False
 
 
 def test_writer_formats_cells_as_the_row_writer(tmp_path):

@@ -10,10 +10,16 @@ from newsflow.simulate import (
     MA1Garch11Params,
     filter_ma1_garch11,
     fit_ma1_garch11,
-    loglikelihood,
     simulate_ma1_garch11,
     standardize_residuals,
 )
+
+
+def loglikelihood(returns, params):
+    """Gaussian quasi log-likelihood of a series under fixed parameters: the reference for fitted.loglik."""
+    eps, h = filter_ma1_garch11(np.asarray(returns, dtype=float), params)
+    return -0.5 * float(np.sum(math.log(2.0 * math.pi) + np.log(h) + eps**2 / h))
+
 
 TRUE = MA1Garch11Params(mu=0.0, theta=0.1, omega=0.05, alpha=0.1, beta=0.8)
 

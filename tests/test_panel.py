@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import IndicatorPoint, SentimentRecord, cumulative_record, indicator_array, sentiment_array
+from conftest import (
+    IndicatorPoint,
+    SentimentRecord,
+    cumulative_record,
+    indicator_array,
+    sentiment_array,
+    unique_group_sums,
+    unique_sandwich,
+)
 from newsflow._util import fmt_column
 from newsflow.errors import (
     CalendarMismatch,
@@ -11,6 +19,7 @@ from newsflow.errors import (
     InputError,
     RankDeficient,
     SingleCluster,
+    TooFewObservations,
 )
 from newsflow.panel import (
     DEPENDENTS,
@@ -24,6 +33,9 @@ from newsflow.panel import (
     SuiteCell,
     SymbolDayArray,
     _cluster_covariance_arrays,
+    _demean_by_group,
+    _group_sums,
+    _sandwich,
     assemble_panel,
     build_pca_records,
     fit_fixed_effects,
@@ -36,10 +48,13 @@ from newsflow.panel import (
 
 
 def make_panel(y, x, entities, times, coef_names=None):
+    """A panel whose symbols are the entity labels as strings, sorted."""
     spec = PanelSpec("log_vol", 1, False, "BL")
+    symbols, codes = np.unique([str(e) for e in entities], return_inverse=True)
     return PanelDataset(
         spec=spec,
-        entities=np.array([str(e) for e in entities]),
+        entities=codes,
+        symbols=tuple(symbols.tolist()),
         times=np.asarray(times, dtype=int),
         y=np.asarray(y, dtype=float),
         x=np.asarray(x, dtype=float),
@@ -308,6 +323,117 @@ def test_p_values_equal_scipy_stats_t_sf():
         assert np.array_equal(result.p_values, 2.0 * stats.t.sf(np.abs(tstat), result.df))
 
 
+# grouping by integer codes ---------------------------------------------------
+
+def gapped_panel(rng, n_entities, n_periods, k):
+    """random_panel with about a third of its rows deleted; each entity keeps two."""
+    y, x, entities, times, _, _ = random_panel(rng, n_entities, n_periods, k)
+    kept = rng.random(len(y)) > 0.3
+    for e in range(n_entities):
+        kept[np.flatnonzero(entities == e)[:2]] = True
+    return y[kept], x[kept], entities[kept], times[kept]
+
+
+def unique_covariance(x, u, entities, times, mode, k):
+    """Cluster covariance and its t degrees of freedom on unique_group_sums.
+
+    A negative eigenvalue is clipped to zero, as the package does.
+    """
+    n_ent, n_time = len(np.unique(entities)), len(np.unique(times))
+    if mode is ClusterMode.BY_ENTITY:
+        cov, df = unique_sandwich(x, u, entities, k), n_ent - 1
+    elif mode is ClusterMode.BY_TIME:
+        cov, df = unique_sandwich(x, u, times, k), n_time - 1
+    else:
+        cov = (unique_sandwich(x, u, entities, k) + unique_sandwich(x, u, times, k)
+               - unique_sandwich(x, u, np.arange(len(u)), k))
+        df = min(n_ent, n_time) - 1
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    if eigvals.min() < 0:
+        cov = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    return cov, df
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bincount_grouping_matches_the_unique_oracle_to_the_bit(seed):
+    rng = np.random.default_rng(300 + seed)
+    y, x, entities, times = gapped_panel(rng, int(rng.integers(5, 12)), int(rng.integers(8, 40)), 3)
+    for groups in (entities, times, np.arange(len(y))):
+        for values in (y, x):
+            for got, expected in zip(_group_sums(values, groups), unique_group_sums(values, groups)):
+                assert np.array_equal(got, expected)
+    for values in (y, x):
+        _, inverse, counts, sums = unique_group_sums(values, entities)
+        assert np.array_equal(_demean_by_group(values, entities), values - (sums.T / counts).T[inverse])
+
+    result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b", "c"), ClusterMode.TWO_WAY)
+    x_dm, u = result.demeaned_x, result.residuals
+    for groups in (entities, times):
+        assert np.array_equal(_sandwich(x_dm, u, groups, 3), unique_sandwich(x_dm, u, groups, 3))
+    # the intersection term: every row its own cluster, with no grouping
+    assert np.array_equal(_sandwich(x_dm, u, None, 3), unique_sandwich(x_dm, u, np.arange(len(u)), 3))
+    for mode in ClusterMode:
+        cov, df, _, _ = _cluster_covariance_arrays(x_dm, u, entities, times, mode, 3)
+        expected, expected_df = unique_covariance(x_dm, u, entities, times, mode, 3)
+        assert np.array_equal(cov, expected) and df == expected_df
+
+
+def test_two_way_counts_only_the_days_that_have_rows():
+    rng = np.random.default_rng(31)
+    y, x, entities, times, _, _ = random_panel(rng, 30, 12, 2)
+    # no rows on day 0, as in a warm-up, or on day 6
+    kept = (times != 0) & (times != 6)
+    y, x, entities, times = y[kept], x[kept], entities[kept], times[kept]
+    panel = make_panel(y, x, entities, times)
+    result = fit_fixed_effects(panel, ("a", "b"), ClusterMode.TWO_WAY)
+    assert result.df == 10 - 1  # 10 time clusters, fewer than 30 entities; not 12
+    x_dm, u = result.demeaned_x, result.residuals
+    # the time sandwich's small-sample factor counts 10 clusters
+    assert _sandwich(x_dm, u, times, 2) == pytest.approx(bruteforce_sandwich(x_dm, u, times), rel=1e-12)
+    expected, expected_df = unique_covariance(x_dm, u, panel.entities, times, ClusterMode.TWO_WAY, 2)
+    assert np.array_equal(result.covariance, expected) and result.df == expected_df
+
+
+def test_entity_codes_skip_the_symbols_of_the_axis_that_have_no_rows():
+    records, points, market, n_days = unbalanced_inputs()
+    # on the axis S0..S4, S4 has one record (a singleton): the panel's symbols
+    # are S0 and S2, codes 0 and 1, though S2 is row 2 of the axis
+    panel = assemble(records, points, market, PanelSpec("log_vol", 1, False, "BL"), n_days,
+                     symbols=["S0", "S2", "S4"])
+    assert panel.symbols == ("S0", "S2")
+    assert np.array_equal(np.unique(panel.entities), [0, 1]) and (np.diff(panel.entities) >= 0).all()
+    labels = np.array(panel.symbols)[panel.entities]
+
+    result = fit_fixed_effects(panel, cluster_mode=ClusterMode.BY_ENTITY)
+    o_labels, o_inverse, o_counts, o_sums = unique_group_sums(panel.x, labels)
+    _, inverse, counts, sums = _group_sums(panel.x, panel.entities)
+    assert o_labels.tolist() == list(panel.symbols)
+    assert np.array_equal(inverse, o_inverse) and np.array_equal(counts, o_counts) and np.array_equal(sums, o_sums)
+    assert list(result.fixed_effects) == list(result.entity_counts) == ["S0", "S2"]
+    assert list(result.entity_counts.values()) == o_counts.tolist()
+    x_dm, u, k = result.demeaned_x, result.residuals, panel.x.shape[1]
+    assert np.array_equal(_sandwich(x_dm, u, panel.entities, k), unique_sandwich(x_dm, u, labels, k))
+
+
+def test_panel_rejects_a_repeated_symbol_day_and_an_entity_without_two_rows():
+    spec = PanelSpec("log_vol", 1, False, "BL")
+
+    def panel(entities, times, symbols=("A", "B")):
+        n = len(entities)
+        return PanelDataset(spec=spec, entities=np.array(entities), symbols=symbols, times=np.array(times),
+                            y=np.arange(n, dtype=float), x=np.ones((n, 1)))
+
+    with pytest.raises(InputError) as duplicate:
+        panel([0, 0, 1, 1, 1], [0, 1, 0, 1, 1])
+    assert type(duplicate.value) is InputError and str(duplicate.value) == "duplicate (symbol, day) observation"
+    with pytest.raises(TooFewObservations, match=r"^entity B has 1 observation$"):
+        panel([0, 0, 0, 1], [0, 1, 2, 5])
+    with pytest.raises(TooFewObservations, match=r"^entity C has 0 observation$"):
+        panel([0, 0, 1, 1], [0, 1, 0, 1], symbols=("A", "B", "C"))
+    with pytest.raises(InputError, match="entity code outside the 2 symbols"):
+        panel([0, 0, 2, 2], [0, 1, 0, 1])
+
+
 # PCA ---------------------------------------------------------------------------
 
 def test_pca_identical_columns():
@@ -526,7 +652,8 @@ def test_assemble_panel_matches_bruteforce_lookup(h, cumulative, symbols):
         spec = PanelSpec(dependent, h, cumulative, "BL")
         panel = assemble(records, points, market, spec, n_days, symbols=symbols)
         entities, times, y, x, dropped = bruteforce_assembly(records, points, market, spec, n_days, symbols)
-        assert np.array_equal(panel.entities, entities)
+        assert panel.symbols == tuple(sorted(set(entities.tolist())))
+        assert np.array_equal(np.array(panel.symbols)[panel.entities], entities)
         assert np.array_equal(panel.times, times)
         assert np.array_equal(panel.y, y)
         assert np.array_equal(panel.x, x)

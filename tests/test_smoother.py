@@ -6,9 +6,20 @@ from newsflow.simulate import (
     band_overlap_region,
     local_linear_fit,
     plugin_bandwidth,
-    predict_at,
     uniform_band,
 )
+from newsflow.simulate.smoother import _equivalent_weights
+
+
+def predict_at(x, y, h, points, chunk=512):
+    """Local-linear fitted values at arbitrary points, chunked: the reference for local_linear_fit."""
+    out = np.empty(len(points))
+    for start in range(0, len(points), chunk):
+        weights, empty = _equivalent_weights(x, points[start : start + chunk], h)
+        values = np.where(np.isnan(weights), 0.0, weights) @ y
+        values[empty] = np.nan
+        out[start : start + chunk] = values
+    return out
 
 
 def test_affine_exactness_any_bandwidth():
