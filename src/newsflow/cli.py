@@ -117,12 +117,11 @@ def cmd_distill(config: RunConfig) -> int:
     universe = sorted(config.symbols) if config.symbols else sorted(assigned.symbols)
     n_days = len(calendar)
     names = sorted(lexica)
+    index = sent_mod.build_scoring_index([lexica[name] for name in names])
+    scores = {i: sent_mod.score_article(tok, index, config.negation, article_id=i) for i, tok in tokenized.items()}
     values = []
-    for name in names:
-        score_of = {
-            i: sent_mod.score_article(tok, lexica[name], config.negation, article_id=i)
-            for i, tok in sorted(tokenized.items())
-        }
+    for k in range(len(names)):
+        score_of = {i: by_lexicon[k] for i, by_lexicon in scores.items()}
         values.append(sent_mod.aggregate_daily(
             score_of, assigned.by_symbol_day, universe, n_days
         ).values.reshape(len(sent_mod.SENTIMENT_FIELDS), -1))

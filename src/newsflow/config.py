@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import InputError, InvalidValue, LexiconNotFound, MissingInput
 from .panel import ClusterMode
-from .sentiment import DEFAULT_NEGATORS, NegationConfig
+from .sentiment import DEFAULT_NEGATORS, NegationConfig, _word_tokens
 
 LEXICON_KINDS = ("wordlists", "mpqa")
 
@@ -177,8 +177,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise InvalidValue("[panel] cluster", cluster_mode)
 
     negators = tuple(
-        t.strip() for t in negation.get("negators", ",".join(DEFAULT_NEGATORS)).split(",") if t.strip()
+        t.strip().lower() for t in negation.get("negators", ",".join(DEFAULT_NEGATORS)).split(",") if t.strip()
     )
+    for negator in negators:
+        # a negator matches one token, so it must tokenize to itself
+        if _word_tokens(negator) != [negator]:
+            raise InvalidValue("[negation] negators", negator)
     symbols = tuple(
         s.strip().upper() for s in corpus.get("symbols", "").split(",") if s.strip()
     )

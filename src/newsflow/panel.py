@@ -312,11 +312,10 @@ def fit_fixed_effects(
     y_dm = _demean_by_group(y, entities)
     x_dm = _demean_by_group(x, entities)
 
-    rank = np.linalg.matrix_rank(x_dm)
+    # lstsq's rank uses matrix_rank's threshold: singular values above eps * max(n, k) * the largest
+    beta, _, rank, _ = np.linalg.lstsq(x_dm, y_dm, rcond=None)
     if rank < k:
         raise RankDeficient(_collinear_columns(x_dm, coef_names))
-
-    beta, _, _, _ = np.linalg.lstsq(x_dm, y_dm, rcond=None)
 
     _, inverse, counts, sums = _group_sums(y - x @ beta, entities)
     a = sums / counts

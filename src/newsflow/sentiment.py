@@ -1,12 +1,17 @@
 """Tokenization, lexicon scoring with negation handling, and daily aggregation.
 
-Scoring runs two passes over each article: unstemmed lexicon entries match
+Scoring runs two passes over each sentence: unstemmed lexicon entries match
 raw tokens first, then stemmed entries match the stems of whatever is still
-unclaimed, so no token is ever counted twice.  At each token the longest
-positive or negative entry whose tokens are all unclaimed claims them (the
-first in file order among equal lengths).  A negation word within the
-configured token distance of a matched word (same sentence) flips its
+unclaimed, so no token is ever counted twice by one lexicon.  At each token
+the longest positive or negative entry whose tokens are all unclaimed claims
+them (the first in file order among equal lengths).  A negation word within
+the configured token distance of a matched word (same sentence) flips its
 polarity once.
+
+The scoring entries of several lexica are merged into one `ScoringIndex`
+keyed by first token, so both passes walk a sentence once for all of them;
+each lexicon keeps its own claimed tokens and counts, and the negator
+positions and stems of a sentence are found once.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from ._util import SymbolDayArray
 from .errors import EmptyText, NoActiveRecords
-from .lexicon import Lexicon, LexiconEntry, Polarity
+from .lexicon import Lexicon, Polarity
 from .stemmer import porter_stem
 
 # Words whose trailing period does not terminate a sentence.
@@ -130,6 +135,8 @@ class ArticleScore:
 
 
 def _negator_positions(tokens: Sequence[str], negators: frozenset[str]) -> list[int]:
+    if negators.isdisjoint(tokens):
+        return []
     return [i for i, tok in enumerate(tokens) if tok in negators]
 
 
@@ -146,62 +153,95 @@ def _is_negated(span: tuple[int, int], negator_pos: Sequence[int], config: Negat
     return False
 
 
-def _match_at(
-    tokens: Sequence[str],
-    i: int,
-    claimed: list[bool],
-    entries: Sequence[LexiconEntry],
-) -> LexiconEntry | None:
-    """First entry of a longest-first bucket whose run matches unclaimed tokens at i."""
-    for entry in entries:
-        width = entry.length
-        if i + width > len(tokens):
-            continue
-        if any(claimed[i + k] for k in range(width)):
-            continue
-        if tuple(tokens[i : i + width]) == entry.tokens:
-            return entry
-    return None
+# A bucket lists the scoring entries of one lexicon that start with the same
+# token, longest first (file order among equal lengths), as (tokens, is_positive).
+Bucket = tuple[tuple[tuple[str, ...], bool], ...]
+
+
+@dataclass(frozen=True)
+class ScoringIndex:
+    """The scoring buckets of several lexica, merged on their first token.
+
+    `unstemmed` and `stemmed` map a first token to (lexicon position,
+    bucket) pairs, one per lexicon that has entries starting with it, so a
+    token that starts no entry of any lexicon costs one lookup.
+    """
+
+    names: tuple[str, ...]
+    unstemmed: Mapping[str, tuple[tuple[int, Bucket], ...]]
+    stemmed: Mapping[str, tuple[tuple[int, Bucket], ...]]
+
+
+def build_scoring_index(lexica: Sequence[Lexicon]) -> ScoringIndex:
+    """Merge the unstemmed and the stemmed indexes of `lexica`, in their order."""
+    unstemmed: dict[str, list[tuple[int, Bucket]]] = {}
+    stemmed: dict[str, list[tuple[int, Bucket]]] = {}
+    for k, lex in enumerate(lexica):
+        for merged, index in ((unstemmed, lex.unstemmed_index), (stemmed, lex.stemmed_index)):
+            for first, entries in index.items():
+                bucket = tuple((e.tokens, e.polarity is Polarity.POSITIVE) for e in entries)
+                merged.setdefault(first, []).append((k, bucket))
+    return ScoringIndex(
+        names=tuple(lex.name for lex in lexica),
+        unstemmed={first: tuple(hits) for first, hits in unstemmed.items()},
+        stemmed={first: tuple(hits) for first, hits in stemmed.items()},
+    )
 
 
 def score_article(
     article: TokenizedArticle,
-    lex: Lexicon,
+    index: ScoringIndex,
     negation: NegationConfig = NegationConfig(),
     article_id: str = "",
-) -> ArticleScore:
-    """Two-pass lexicon projection of one tokenized article."""
-    if article.word_count < 1:
-        raise EmptyText(f"article {article_id!r} has no word tokens")
-    pos_count = 0
-    neg_count = 0
-    for tokens in article.sentences:
-        claimed = [False] * len(tokens)
-        negator_pos = _negator_positions(tokens, negation.negators)
-        passes = [(tokens, lex.unstemmed_index)]
-        # a lexicon without scoring stemmed entries has nothing to match, so skip stemming
-        if lex.stemmed_index:
-            passes.append((tuple(porter_stem(tok) for tok in tokens), lex.stemmed_index))
-        for words, index in passes:
-            for i, word in enumerate(words):
-                if claimed[i]:
-                    continue
-                entry = _match_at(words, i, claimed, index.get(word, ()))
-                if entry is None:
-                    continue
-                end = i + entry.length
-                claimed[i:end] = [True] * (end - i)
-                if (entry.polarity is Polarity.POSITIVE) != _is_negated((i, end), negator_pos, negation):
-                    pos_count += 1
-                else:
-                    neg_count += 1
+) -> tuple[ArticleScore, ...]:
+    """Two-pass projection of one tokenized article on every lexicon of `index`.
 
-    return ArticleScore(
-        article_id=article_id,
-        lexicon_name=lex.name,
-        pos_count=pos_count,
-        neg_count=neg_count,
-        word_count=article.word_count,
+    Each sentence is walked once with the unstemmed index and once with the
+    stemmed one; every lexicon keeps its own claimed tokens and counts.
+    """
+    word_count = article.word_count
+    if word_count < 1:
+        raise EmptyText(f"article {article_id!r} has no word tokens")
+    pos_count = [0] * len(index.names)
+    neg_count = [0] * len(index.names)
+    for tokens in article.sentences:
+        n = len(tokens)
+        claimed = [[False] * n for _ in index.names]
+        negator_pos = _negator_positions(tokens, negation.negators)
+        passes = [(tokens, index.unstemmed)]
+        # without scoring stemmed entries there is nothing to match, so skip stemming
+        if index.stemmed:
+            passes.append((tuple(map(porter_stem, tokens)), index.stemmed))
+        for words, table in passes:
+            for i, word in enumerate(words):
+                hits = table.get(word)
+                if hits is None:
+                    continue
+                for k, bucket in hits:
+                    flags = claimed[k]
+                    if flags[i]:
+                        continue
+                    for run, positive in bucket:
+                        end = i + len(run)
+                        # the first token is the key, and claimed[k][i] is False
+                        if end > i + 1 and (end > n or any(flags[i + 1 : end]) or words[i:end] != run):
+                            continue
+                        flags[i:end] = [True] * (end - i)
+                        if positive != _is_negated((i, end), negator_pos, negation):
+                            pos_count[k] += 1
+                        else:
+                            neg_count[k] += 1
+                        break
+
+    return tuple(
+        ArticleScore(
+            article_id=article_id,
+            lexicon_name=name,
+            pos_count=pos_count[k],
+            neg_count=neg_count[k],
+            word_count=word_count,
+        )
+        for k, name in enumerate(index.names)
     )
 
 

@@ -4,67 +4,64 @@ Within a step the rule with the longest matching suffix is selected; its
 condition is then tested on the stem, and if the condition fails no other
 rule in that step fires.  Later extensions to the algorithm (departures in
 the widely circulated C version) are deliberately not included.
+
+The conditions read a consonant/vowel mask of the word: one character per
+letter, "v" for a vowel and "c" for a consonant, where y is a vowel after a
+consonant and a consonant otherwise.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 
-_VOWELS = "aeiou"
+# every ASCII character but a vowel and y is a consonant; y is settled by position
+_CV_TABLE = str.maketrans({chr(c): "c" for c in range(128)} | dict.fromkeys("aeiou", "v") | {"y": "y"})
+_OTHER = re.compile("[^cvy]")
 
 
-def _is_cons(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_cons(word, i - 1)
-    return True
+def _mask(word: str) -> str:
+    mask = word.translate(_CV_TABLE)
+    if not mask.isascii():  # a non-ASCII letter is a consonant too
+        mask = _OTHER.sub("c", mask)
+    if "y" not in mask:
+        return mask
+    classes = list(mask)
+    for i, cls in enumerate(classes):
+        if cls == "y":
+            classes[i] = "v" if i and classes[i - 1] == "c" else "c"
+    return "".join(classes)
 
 
 def _measure(stem: str) -> int:
     """Number of VC sequences: stem has the form [C](VC)^m[V]."""
-    m = 0
-    prev_cons = None
-    for i in range(len(stem)):
-        cons = _is_cons(stem, i)
-        if prev_cons is False and cons:
-            m += 1
-        prev_cons = cons
-    return m
+    return _mask(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_cons(stem, i) for i in range(len(stem)))
+    return "v" in _mask(stem)
 
 
 def _ends_double_cons(word: str) -> bool:
-    return len(word) >= 2 and word[-1] == word[-2] and _is_cons(word, len(word) - 1)
+    return len(word) >= 2 and word[-1] == word[-2] and _mask(word)[-1] == "c"
 
 
 def _ends_cvc(word: str) -> bool:
     # *o condition: ends consonant-vowel-consonant, final consonant not w/x/y
-    if len(word) < 3:
-        return False
-    return (
-        _is_cons(word, len(word) - 3)
-        and not _is_cons(word, len(word) - 2)
-        and _is_cons(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return _mask(word).endswith("cvc") and word[-1] not in "wxy"
 
 
-def _longest_rule(word, rules):
-    best = None
-    for rule in rules:
-        if word.endswith(rule[0]) and (best is None or len(rule[0]) > len(best[0])):
-            best = rule
-    return best
+def _rule_for(word, table):
+    """The rule with the longest suffix that ends word, or None."""
+    for rule in table.get(word[-1:], ()):
+        if word.endswith(rule[0]):
+            return rule
+    return None
 
 
-def _replace_m(word, rules, min_measure):
+def _replace_m(word, table, min_measure):
     """Apply the longest-suffix rule whose stem measure exceeds min_measure."""
-    rule = _longest_rule(word, rules)
+    rule = _rule_for(word, table)
     if rule is None:
         return word
     suffix, replacement = rule
@@ -91,6 +88,19 @@ _STEP4_SUFFIXES = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 )
+
+
+def _by_last_letter(rules):
+    """(suffix, replacement) rules keyed by the suffix's last letter, longest first."""
+    table: dict[str, list[tuple[str, str]]] = {}
+    for rule in sorted(rules, key=lambda rule: -len(rule[0])):
+        table.setdefault(rule[0][-1], []).append(rule)
+    return {letter: tuple(bucket) for letter, bucket in table.items()}
+
+
+_STEP2 = _by_last_letter(_STEP2_RULES)
+_STEP3 = _by_last_letter(_STEP3_RULES)
+_STEP4 = _by_last_letter((suffix, "") for suffix in _STEP4_SUFFIXES)
 
 
 def _step1a(word: str) -> str:
@@ -134,7 +144,7 @@ def _step1c(word: str) -> str:
 
 
 def _step4(word: str) -> str:
-    rule = _longest_rule(word, [(s,) for s in _STEP4_SUFFIXES])
+    rule = _rule_for(word, _STEP4)
     if rule is None:
         return word
     suffix = rule[0]
@@ -159,7 +169,8 @@ def _step5a(word: str) -> str:
 
 
 def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_cons(word) and word.endswith("l"):
+    # m > 1 and *d and *L: a double l is a double consonant
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 
@@ -176,8 +187,8 @@ def porter_stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _replace_m(word, _STEP2_RULES, 0)
-    word = _replace_m(word, _STEP3_RULES, 0)
+    word = _replace_m(word, _STEP2, 0)
+    word = _replace_m(word, _STEP3, 0)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

@@ -15,6 +15,7 @@ import pytest
 from newsflow._util import atomic_write_text, read_text
 from newsflow.errors import CalendarMismatch, InputError, MalformedRecord, PriceParseError, WindowOutOfRange
 from newsflow.indicators import PRICE_FIELDS
+from newsflow.lexicon import Polarity
 from newsflow.panel import INDICATOR_FIELDS, SENTIMENT_FIELDS, MarketSeries, SymbolDayArray
 
 FIXTURE_SEED = 20090
@@ -119,6 +120,228 @@ def unique_sandwich(x, u, groups, k):
     bread = np.linalg.inv(x.T @ x)
     factor = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
     return factor * bread @ (scores.T @ scores) @ bread
+
+
+# Lexicon scoring one lexicon at a time, as the package did before it walked
+# each sentence once for every lexicon: the reference the merged walk of
+# newsflow.sentiment.score_article is checked against.
+
+def _reference_is_negated(span, negator_pos, negation):
+    start, end = span  # [start, end) token positions of the match
+    for p in negator_pos:
+        if start <= p < end:
+            continue
+        if p < start:
+            if start - p <= negation.window:
+                return True
+        elif negation.bidirectional and p - end + 1 <= negation.window:
+            return True
+    return False
+
+
+def _reference_match_at(tokens, i, claimed, entries):
+    """First entry of a longest-first bucket whose run matches unclaimed tokens at i."""
+    for entry in entries:
+        width = entry.length
+        if i + width > len(tokens):
+            continue
+        if any(claimed[i + k] for k in range(width)):
+            continue
+        if tuple(tokens[i : i + width]) == entry.tokens:
+            return entry
+    return None
+
+
+def reference_score_article(article, lex, negation):
+    """(pos_count, neg_count) of one tokenized article under one Lexicon's indexes."""
+    pos_count = neg_count = 0
+    for tokens in article.sentences:
+        claimed = [False] * len(tokens)
+        negator_pos = [i for i, tok in enumerate(tokens) if tok in negation.negators]
+        passes = [(tokens, lex.unstemmed_index)]
+        if lex.stemmed_index:
+            passes.append((tuple(reference_porter_stem(tok) for tok in tokens), lex.stemmed_index))
+        for words, index in passes:
+            for i, word in enumerate(words):
+                if claimed[i]:
+                    continue
+                entry = _reference_match_at(words, i, claimed, index.get(word, ()))
+                if entry is None:
+                    continue
+                end = i + entry.length
+                claimed[i:end] = [True] * (end - i)
+                if (entry.polarity is Polarity.POSITIVE) != _reference_is_negated((i, end), negator_pos, negation):
+                    pos_count += 1
+                else:
+                    neg_count += 1
+    return pos_count, neg_count
+
+
+# The Porter stemmer as the package wrote it before its rules were indexed by
+# last letter and its conditions read a consonant/vowel mask: every rule of a
+# step is scanned, and each letter is classed by recursion on the one before.
+
+_PORTER_STEP2_RULES = (
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+)
+
+_PORTER_STEP3_RULES = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+)
+
+_PORTER_STEP4_SUFFIXES = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+def _porter_is_cons(word, i):
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        return i == 0 or not _porter_is_cons(word, i - 1)
+    return True
+
+
+def _porter_measure(stem):
+    m = 0
+    prev_cons = None
+    for i in range(len(stem)):
+        cons = _porter_is_cons(stem, i)
+        if prev_cons is False and cons:
+            m += 1
+        prev_cons = cons
+    return m
+
+
+def _porter_has_vowel(stem):
+    return any(not _porter_is_cons(stem, i) for i in range(len(stem)))
+
+
+def _porter_ends_double_cons(word):
+    return len(word) >= 2 and word[-1] == word[-2] and _porter_is_cons(word, len(word) - 1)
+
+
+def _porter_ends_cvc(word):
+    if len(word) < 3:
+        return False
+    return (
+        _porter_is_cons(word, len(word) - 3)
+        and not _porter_is_cons(word, len(word) - 2)
+        and _porter_is_cons(word, len(word) - 1)
+        and word[-1] not in "wxy"
+    )
+
+
+def _porter_longest_rule(word, rules):
+    best = None
+    for rule in rules:
+        if word.endswith(rule[0]) and (best is None or len(rule[0]) > len(best[0])):
+            best = rule
+    return best
+
+
+def _porter_replace_m(word, rules, min_measure):
+    rule = _porter_longest_rule(word, rules)
+    if rule is None:
+        return word
+    suffix, replacement = rule
+    stem = word[: len(word) - len(suffix)]
+    if _porter_measure(stem) > min_measure:
+        return stem + replacement
+    return word
+
+
+def _porter_step1a(word):
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _porter_step1b(word):
+    if word.endswith("eed"):
+        stem = word[:-3]
+        return stem + "ee" if _porter_measure(stem) > 0 else word
+    fired = False
+    if word.endswith("ed") and _porter_has_vowel(word[:-2]):
+        word = word[:-2]
+        fired = True
+    elif word.endswith("ing") and _porter_has_vowel(word[:-3]):
+        word = word[:-3]
+        fired = True
+    if not fired:
+        return word
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _porter_ends_double_cons(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _porter_measure(word) == 1 and _porter_ends_cvc(word):
+        return word + "e"
+    return word
+
+
+def _porter_step1c(word):
+    if word.endswith("y") and _porter_has_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+def _porter_step4(word):
+    rule = _porter_longest_rule(word, [(s,) for s in _PORTER_STEP4_SUFFIXES])
+    if rule is None:
+        return word
+    suffix = rule[0]
+    stem = word[: len(word) - len(suffix)]
+    if _porter_measure(stem) <= 1:
+        return word
+    if suffix == "ion" and not stem.endswith(("s", "t")):
+        return word
+    return stem
+
+
+def _porter_step5a(word):
+    if not word.endswith("e"):
+        return word
+    stem = word[:-1]
+    m = _porter_measure(stem)
+    if m > 1:
+        return stem
+    if m == 1 and not _porter_ends_cvc(stem):
+        return stem
+    return word
+
+
+def _porter_step5b(word):
+    if _porter_measure(word) > 1 and _porter_ends_double_cons(word) and word.endswith("l"):
+        return word[:-1]
+    return word
+
+
+def reference_porter_stem(word):
+    """Porter's 1980 steps 1a-5b by a scan of every rule; no memo."""
+    if len(word) <= 2:
+        return word
+    word = _porter_step1a(word)
+    word = _porter_step1b(word)
+    word = _porter_step1c(word)
+    word = _porter_replace_m(word, _PORTER_STEP2_RULES, 0)
+    word = _porter_replace_m(word, _PORTER_STEP3_RULES, 0)
+    word = _porter_step4(word)
+    word = _porter_step5a(word)
+    word = _porter_step5b(word)
+    return word
 
 
 # Row-wise CSV readers and writer: the reference the columnar ones in

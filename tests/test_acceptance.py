@@ -32,7 +32,7 @@ from newsflow.panel import (
     fit_fixed_effects,
     pca_sentiment_index,
 )
-from newsflow.sentiment import score_article, tokenize
+from newsflow.sentiment import build_scoring_index, score_article, tokenize
 from newsflow.simulate import (
     GaussianCopula,
     MA1Garch11Params,
@@ -181,7 +181,7 @@ def test_criterion_03_scoring_oracle():
                      stemmed=True, pos_tag=PosTag.VERB, strength=Strength.WEAKSUBJ)
         for w, p in stemmed.items()
     ]
-    lexicon = build_lexicon("SYN", entries)
+    index = build_scoring_index([build_lexicon("SYN", entries)])
 
     vocabulary = (
         list(unstemmed) + ["improving", "improved", "boosted", "declining", "warning",
@@ -204,7 +204,7 @@ def test_criterion_03_scoring_oracle():
         tokenized = tokenize(text)
         if tokenized.word_count == 0:
             continue
-        got = score_article(tokenized, lexicon)
+        (got,) = score_article(tokenized, index)
         want_pos, want_neg = _oracle_score(tokenized.sentences, unstemmed, stemmed)
         if (got.pos_count, got.neg_count) != (want_pos, want_neg):
             mismatches += 1

@@ -17,6 +17,7 @@ import newsflow
 from newsflow import indicators, sentiment
 from conftest import build_fixture, trading_days, write_calendar
 from newsflow.cli import _read_entire_coefficients, _read_residual_pool, main
+from newsflow.config import load_config
 from newsflow.errors import MalformedRecord
 from newsflow.simulate import scenario
 
@@ -586,6 +587,18 @@ def test_distill_aggregates_once_per_lexicon(distilled_fixture, tmp_path, monkey
     assert (tmp_path / "sentiment.csv").read_bytes() == (distilled_fixture / "out" / "sentiment.csv").read_bytes()
 
 
+def test_distill_scores_each_article_once_for_every_lexicon(distilled_fixture, tmp_path, monkeypatch):
+    calls = []
+    score = sentiment.score_article
+    monkeypatch.setattr(sentiment, "score_article", lambda *args, **kwargs: calls.append(1) or score(*args, **kwargs))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["distill", "--config", distilled_fixture / "newsflow.ini", "--output", tmp_path]) == 0
+    counts = dict(field.split("=") for field in out.getvalue().split())
+    assert len(calls) == int(counts["assigned"]) - int(counts["zero_word"]) > 0
+    assert (tmp_path / "sentiment.csv").read_bytes() == (distilled_fixture / "out" / "sentiment.csv").read_bytes()
+
+
 # one line of corpus.jsonl changed: (kind, *arguments), positions taken modulo
 # the line's length; "set" gives one field a value of another JSON type
 CORPUS_LINE_MUTATIONS = st.one_of(
@@ -768,12 +781,50 @@ def test_panel_summary_counts_low_rank_cells(distilled_fixture, tmp_path, capsys
 
 @pytest.mark.parametrize("raw, expected", [("no", False), ("Off", False), ("0", False), ("yes", True)])
 def test_negation_bidirectional_accepts_configparser_booleans(mini_fixture, raw, expected):
-    from newsflow.config import load_config
-
     ini = mini_fixture / "newsflow.ini"
     ini.write_text(ini.read_text(encoding="utf-8") + f"\n[negation]\nbidirectional = {raw}\n",
                    encoding="utf-8")
     assert load_config(ini).negation.bidirectional is expected
+
+
+def _with_negation(root, negators):
+    ini = root / "newsflow.ini"
+    ini.write_text(ini.read_text(encoding="utf-8") + f"\n[negation]\nnegators = {negators}\n", encoding="utf-8")
+    return ini
+
+
+def test_negators_are_lowercased(mini_fixture, tmp_path):
+    corpus = mini_fixture / "corpus.jsonl"
+    corpus.write_text(corpus.read_text(encoding="utf-8").replace("The company reported good results.", "Not good."),
+                      encoding="utf-8")
+    outputs = []
+    for negators in ("not", "Not"):
+        root = tmp_path / negators
+        shutil.copytree(mini_fixture, root)
+        ini = _with_negation(root, negators)
+        assert load_config(ini).negation.negators == frozenset({"not"})
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["distill", "--config", ini, "--output", root / "out"]) == 0
+        outputs.append((root / "out" / "sentiment.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    # 7 tokens: "good" of the title positive; the negated "good", "debt" and "fell" negative
+    assert f",BL,1,{1 / 7!r},{3 / 7!r},1\n" in outputs[0].decode()
+
+
+@pytest.mark.parametrize("negator", ["isn't", "no way", "42", "not!", "'"])
+def test_negator_that_is_not_one_token_exits_2(mini_fixture, capsys, negator):
+    code = run(["distill", "--config", _with_negation(mini_fixture, f"not,{negator},never")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR INVALID_VALUE: ") and "[negation] negators" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_contraction_negator_is_one_token(mini_fixture):
+    ini = _with_negation(mini_fixture, "n't, NEVER")
+    assert load_config(ini).negation.negators == frozenset({"n't", "never"})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["distill", "--config", ini]) == 0
 
 
 def test_cli_import_skips_scipy_stats_and_signal():

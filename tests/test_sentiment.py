@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import SentimentRecord, cumulative_record, sentiment_array
+from conftest import SentimentRecord, cumulative_record, reference_score_article, sentiment_array
 from newsflow.errors import EmptyText, NoActiveRecords, WindowOutOfRange
 from newsflow.lexicon import LexiconEntry, Polarity, PosTag, Strength, build_lexicon
 from newsflow.sentiment import (
     SENTIMENT_FIELDS,
     ArticleScore,
     NegationConfig,
+    TokenizedArticle,
     aggregate_daily,
+    build_scoring_index,
     monthly_lexicon_correlation,
     score_article,
     sentiment_summary,
@@ -32,6 +35,12 @@ def lex(positive=(), negative=(), stemmed_positive=(), stemmed_negative=(), name
         for w in stemmed_negative
     ]
     return build_lexicon(name, entries)
+
+
+def score_one(article, lexicon, negation=NegationConfig()):
+    """score_article on the one-lexicon index of `lexicon`."""
+    (score,) = score_article(article, build_scoring_index([lexicon]), negation)
+    return score
 
 
 # tokenize -------------------------------------------------------------------
@@ -74,23 +83,23 @@ def test_tokenize_quoted_word():
 # score_article ---------------------------------------------------------------
 
 def test_score_all_negative():
-    score = score_article(tokenize("debt fell"), lex(negative=("debt", "fell")))
+    score = score_one(tokenize("debt fell"), lex(negative=("debt", "fell")))
     assert (score.pos_count, score.neg_count) == (0, 2)
     assert score.neg_prop == 1.0
 
 
 def test_score_negation_flip():
-    score = score_article(tokenize("not good today"), lex(positive=("good",)))
+    score = score_one(tokenize("not good today"), lex(positive=("good",)))
     assert (score.pos_count, score.neg_count) == (0, 1)
 
 
 def test_score_no_lexicon_words():
-    score = score_article(tokenize("the cat sat"), lex(positive=("good",)))
+    score = score_one(tokenize("the cat sat"), lex(positive=("good",)))
     assert score.pos_count == score.neg_count == 0
 
 
 def test_score_negation_distance_six_no_flip():
-    score = score_article(
+    score = score_one(
         tokenize("never was it ever truly that good"), lex(positive=("good",))
     )
     assert (score.pos_count, score.neg_count) == (1, 0)
@@ -98,28 +107,28 @@ def test_score_negation_distance_six_no_flip():
 
 def test_score_negation_forward_direction():
     # negator after the sentiment word, within the window
-    score = score_article(tokenize("good it is not"), lex(positive=("good",)))
+    score = score_one(tokenize("good it is not"), lex(positive=("good",)))
     assert (score.pos_count, score.neg_count) == (0, 1)
 
 
 def test_score_backward_only_config():
     config = NegationConfig(bidirectional=False)
-    score = score_article(tokenize("good it is not"), lex(positive=("good",)), config)
+    score = score_one(tokenize("good it is not"), lex(positive=("good",)), config)
     assert (score.pos_count, score.neg_count) == (1, 0)
 
 
 def test_score_negation_does_not_cross_sentences():
-    score = score_article(tokenize("Not now. Good results."), lex(positive=("good",)))
+    score = score_one(tokenize("Not now. Good results."), lex(positive=("good",)))
     assert (score.pos_count, score.neg_count) == (1, 0)
 
 
 def test_score_double_negator_flips_once():
-    score = score_article(tokenize("no never good"), lex(positive=("good",)))
+    score = score_one(tokenize("no never good"), lex(positive=("good",)))
     assert (score.pos_count, score.neg_count) == (0, 1)
 
 
 def test_score_nt_token_negates():
-    score = score_article(tokenize("It isn't good."), lex(positive=("good",)))
+    score = score_one(tokenize("It isn't good."), lex(positive=("good",)))
     assert (score.pos_count, score.neg_count) == (0, 1)
 
 
@@ -127,13 +136,13 @@ def test_two_pass_no_double_count():
     # unstemmed "improved" claims the token in pass 1; the stemmed entry for
     # the same stem cannot claim it again
     lexicon = lex(positive=("improved",), stemmed_negative=("improv",))
-    score = score_article(tokenize("improved results"), lexicon)
+    score = score_one(tokenize("improved results"), lexicon)
     assert (score.pos_count, score.neg_count) == (1, 0)
 
 
 def test_stemmed_pass_matches_inflected_form():
     lexicon = lex(stemmed_positive=("improv",))
-    score = score_article(tokenize("improving conditions"), lexicon)
+    score = score_one(tokenize("improving conditions"), lexicon)
     assert (score.pos_count, score.neg_count) == (1, 0)
 
 
@@ -142,21 +151,21 @@ def test_lexicon_without_stemmed_entries_never_stems(monkeypatch):
 
     lexicon = lex(positive=("good", "improving"), negative=("debt",))
     tok = tokenize("Not good. Improving conditions, less debt.")
-    expected = score_article(tok, lexicon)
+    expected = score_one(tok, lexicon)
 
     def no_stemming(word):
         raise AssertionError(f"stemmed {word!r} for a lexicon without stemmed entries")
 
     monkeypatch.setattr(newsflow.sentiment, "porter_stem", no_stemming)
-    assert score_article(tok, lexicon) == expected
+    assert score_one(tok, lexicon) == expected
     assert (expected.pos_count, expected.neg_count) == (1, 2)
 
 
 def test_multiword_entry_contiguous():
     entries = [LexiconEntry("pay off", Polarity.POSITIVE)]
     lexicon = build_lexicon("MW", entries)
-    assert score_article(tokenize("the deal will pay off nicely"), lexicon).pos_count == 1
-    assert score_article(tokenize("pay the man off"), lexicon).pos_count == 0
+    assert score_one(tokenize("the deal will pay off nicely"), lexicon).pos_count == 1
+    assert score_one(tokenize("pay the man off"), lexicon).pos_count == 0
 
 
 def test_longer_entry_beats_shorter_entry_at_the_same_position():
@@ -164,10 +173,10 @@ def test_longer_entry_beats_shorter_entry_at_the_same_position():
         LexiconEntry("pay", Polarity.NEGATIVE),  # first in file order, but shorter
         LexiconEntry("pay off", Polarity.POSITIVE),
     ])
-    score = score_article(tokenize("the deal will pay off"), lexicon)
+    score = score_one(tokenize("the deal will pay off"), lexicon)
     assert (score.pos_count, score.neg_count) == (1, 0)
     # where the longer entry does not match, the shorter one still does
-    score = score_article(tokenize("they pay late"), lexicon)
+    score = score_one(tokenize("they pay late"), lexicon)
     assert (score.pos_count, score.neg_count) == (0, 1)
 
 
@@ -179,7 +188,7 @@ def test_equal_length_entries_first_in_file_order_wins(first):
         LexiconEntry("pay off", second, pos_tag=PosTag.NOUN, strength=Strength.WEAKSUBJ),
     ])
     assert len(lexicon.entries) == 2  # different pos_tag, so both are kept
-    score = score_article(tokenize("it will pay off"), lexicon)
+    score = score_one(tokenize("it will pay off"), lexicon)
     expected = (1, 0) if first is Polarity.POSITIVE else (0, 1)
     assert (score.pos_count, score.neg_count) == expected
 
@@ -192,7 +201,7 @@ def test_non_scoring_multiword_entry_never_claims_tokens(polarity):
         LexiconEntry("growth", Polarity.POSITIVE),
         LexiconEntry("weak growth", polarity),
     ])
-    score = score_article(tokenize("strong growth. weak growth"), lexicon)
+    score = score_one(tokenize("strong growth. weak growth"), lexicon)
     assert (score.pos_count, score.neg_count) == (3, 0)
 
 
@@ -205,8 +214,8 @@ def test_non_scoring_stemmed_entries_change_no_count():
         LexiconEntry("result", Polarity.BOTH, stemmed=True, pos_tag=PosTag.NOUN,
                      strength=Strength.WEAKSUBJ),
     ])
-    expected = score_article(tokenize(text), plain)
-    assert score_article(tokenize(text), with_stemmed) == expected
+    expected = score_one(tokenize(text), plain)
+    assert score_one(tokenize(text), with_stemmed) == expected
     assert (expected.pos_count, expected.neg_count) == (2, 1)
 
 
@@ -220,20 +229,72 @@ def test_pos_tags_do_not_restrict_matching():
             ("winner", Polarity.POSITIVE, PosTag.ANYPOS),
         ]
     ])
-    score = score_article(tokenize("gain debt badly winner"), lexicon)
+    score = score_one(tokenize("gain debt badly winner"), lexicon)
     assert (score.pos_count, score.neg_count) == (2, 2)
+
+
+# one walk for every lexicon --------------------------------------------------
+
+# tokens shared by the lexica below: first tokens of several entries, words
+# that stem onto stemmed entries, and the default negators
+WALK_VOCABULARY = [
+    "good", "bad", "pay", "cut", "off", "late", "strong", "growth", "debt", "rose", "fell",
+    "improving", "improved", "improv", "declining", "declin", "warning", "warn",
+    "the", "market", "not", "never", "no", "n't",
+]
+WALK_ENTRY = st.tuples(
+    st.lists(st.sampled_from(WALK_VOCABULARY), min_size=1, max_size=3),
+    st.sampled_from(list(Polarity)),
+    st.booleans(),  # stemmed
+)
+WALK_SENTENCE = st.lists(st.sampled_from(WALK_VOCABULARY), min_size=1, max_size=16).map(tuple)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    lexica=st.lists(st.lists(WALK_ENTRY, min_size=1, max_size=12), min_size=1, max_size=4),
+    sentences=st.lists(WALK_SENTENCE, min_size=1, max_size=4),
+    window=st.integers(0, 6),
+    bidirectional=st.booleans(),
+)
+def test_one_walk_counts_as_one_walk_per_lexicon(lexica, sentences, window, bidirectional):
+    lexica = [
+        build_lexicon(f"L{k}", [
+            LexiconEntry(" ".join(tokens), polarity, stemmed=stemmed) for tokens, polarity, stemmed in entries
+        ])
+        for k, entries in enumerate(lexica)
+    ]
+    article = TokenizedArticle(tuple(sentences))
+    negation = NegationConfig(window=window, bidirectional=bidirectional)
+    scores = score_article(article, build_scoring_index(lexica), negation, article_id="a")
+    assert [score.lexicon_name for score in scores] == [lexicon.name for lexicon in lexica]
+    assert [(score.pos_count, score.neg_count) for score in scores] == [
+        reference_score_article(article, lexicon, negation) for lexicon in lexica
+    ]
+    assert {score.word_count for score in scores} == {article.word_count}
+
+
+def test_one_walk_keeps_each_lexicon_s_claims():
+    # A claims "pay off" and B claims "pay"; B's "off" is still its own to claim
+    a = build_lexicon("A", [LexiconEntry("pay off", Polarity.POSITIVE)])
+    b = build_lexicon("B", [LexiconEntry("pay", Polarity.NEGATIVE), LexiconEntry("off", Polarity.NEGATIVE),
+                            LexiconEntry("improv", Polarity.POSITIVE, stemmed=True)])
+    # C's unstemmed "off" is claimed in the first pass, so its stemmed "cut off" cannot match
+    c = build_lexicon("C", [LexiconEntry("off", Polarity.NEGATIVE), LexiconEntry("cut off", Polarity.POSITIVE, stemmed=True)])
+    scores = score_article(tokenize("They pay off debt. They cut off. Improving."), build_scoring_index([a, b, c]))
+    assert [(s.lexicon_name, s.pos_count, s.neg_count) for s in scores] == [("A", 1, 0), ("B", 1, 3), ("C", 0, 2)]
 
 
 def test_score_deterministic():
     lexicon = lex(positive=("good", "great"), negative=("bad",))
     tok = tokenize("good bad great. not good.")
-    first = score_article(tok, lexicon)
-    second = score_article(tok, lexicon)
+    first = score_one(tok, lexicon)
+    second = score_one(tok, lexicon)
     assert first == second
 
 
 def test_score_proportions_use_word_count():
-    score = score_article(tokenize("good words and 42 numbers %"), lex(positive=("good",)))
+    score = score_one(tokenize("good words and 42 numbers %"), lex(positive=("good",)))
     # word tokens: good, words, and, numbers -> 4
     assert score.word_count == 4
     assert score.pos_prop == 0.25

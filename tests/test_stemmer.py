@@ -1,6 +1,11 @@
-import pytest
+import random
+import string
 
-from newsflow.stemmer import porter_stem
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import reference_porter_stem
+from newsflow.stemmer import _STEP2_RULES, _STEP3_RULES, _STEP4_SUFFIXES, porter_stem
 
 # Reference vocabulary assembled from the published rule examples, each traced
 # through the full step 1a-5b pipeline by hand.
@@ -71,3 +76,53 @@ def test_idempotent_on_own_output_sample():
         stem = porter_stem(word)
         assert stem == stem.lower()
         assert stem
+
+
+# Agreement with the rule-scan stemmer of tests/conftest.py -------------------
+
+# every suffix a step tests for, and some that chain through several steps
+SUFFIXES = sorted({
+    "", "s", "es", "ies", "sses", "ss", "ed", "eed", "ing", "y", "e", "l", "ll",
+    "ate", "ated", "ating", "izations", "fulness", "ousness", "alities", "ically",
+    *(suffix for suffix, _ in _STEP2_RULES + _STEP3_RULES), *_STEP4_SUFFIXES,
+})
+
+
+def generated_vocabulary(n_roots=400, seed=1980):
+    """Every root x suffix form of n_roots roots drawn from onsets, vowel runs and codas."""
+    rng = random.Random(seed)
+    onsets = ["", "b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s", "t", "v", "w",
+              "y", "z", "bl", "br", "ch", "cr", "fl", "gr", "pl", "pr", "sh", "st", "str", "th", "tr", "sy"]
+    vowels = ["a", "e", "i", "o", "u", "y", "ai", "ea", "ee", "io", "oo", "ou", "ay", "oy", "ey", "ya", "yo"]
+    codas = ["", "b", "c", "d", "g", "l", "ll", "m", "n", "nd", "ng", "p", "r", "rt", "s", "ss", "st", "t",
+             "tt", "v", "w", "x", "y", "z", "zz", "ct", "nt"]
+    roots = set()
+    while len(roots) < n_roots:
+        syllables = rng.randint(1, 3)
+        roots.add("".join(rng.choice(onsets) + rng.choice(vowels) + rng.choice(codas) for _ in range(syllables)))
+    return [root + suffix for root in sorted(roots) for suffix in SUFFIXES]
+
+
+def test_matches_rule_scan_stemmer_on_generated_vocabulary():
+    vocabulary = generated_vocabulary()
+    assert len(vocabulary) >= 20_000
+    mismatches = [(word, porter_stem(word), reference_porter_stem(word))
+                  for word in vocabulary if porter_stem(word) != reference_porter_stem(word)]
+    assert mismatches == []
+
+
+# letters weighted toward y and vowel runs, where the class of a y turns on what precedes it
+PIECES = list(string.ascii_lowercase) + ["y"] * 8 + list("aeiou") * 2 + [
+    "ee", "oo", "ou", "ai", "ay", "ey", "oy", "yy", "ya", "ye", "yi", "yo", "yu", "ll", "ss",
+]
+
+
+@settings(max_examples=800, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=10).map("".join))
+def test_matches_rule_scan_stemmer_on_y_heavy_strings(word):
+    assert porter_stem(word) == reference_porter_stem(word)
+
+
+@pytest.mark.parametrize("word", ["y", "yy", "yyy", "yyyy", "ayyay", "syzygy", "yaying", "boyishly", "héllo", "café's"])
+def test_matches_rule_scan_stemmer_on_y_runs_and_other_letters(word):
+    assert porter_stem(word) == reference_porter_stem(word)
