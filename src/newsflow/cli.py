@@ -104,7 +104,14 @@ def cmd_distill(config: RunConfig) -> int:
     calendar, assigned = _load_assigned_corpus(config)
     lexica = _load_lexica(config)
 
-    tokenized: dict[str, sent_mod.TokenizedArticle] = {}
+    universe = sorted(config.symbols) if config.symbols else sorted(assigned.symbols)
+    row_of = {symbol: row for row, symbol in enumerate(universe)}
+    n_days = len(calendar)
+    names = sorted(lexica)
+    index = sent_mod.build_scoring_index([lexica[name] for name in names])
+
+    # one mention per (scored article, symbol of the universe), in article order
+    cells, mentioned, word_counts, counts = [], [], [], []
     zero_word = 0
     usable = [a for a in assigned.articles if a.day is not None]
     for article in usable:
@@ -112,19 +119,18 @@ def cmd_distill(config: RunConfig) -> int:
         if tok.word_count == 0:
             zero_word += 1
             continue
-        tokenized[article.id] = tok
-
-    universe = sorted(config.symbols) if config.symbols else sorted(assigned.symbols)
-    n_days = len(calendar)
-    names = sorted(lexica)
-    index = sent_mod.build_scoring_index([lexica[name] for name in names])
-    scores = {i: sent_mod.score_article(tok, index, config.negation, article_id=i) for i, tok in tokenized.items()}
-    values = []
-    for k in range(len(names)):
-        score_of = {i: by_lexicon[k] for i, by_lexicon in scores.items()}
-        values.append(sent_mod.aggregate_daily(
-            score_of, assigned.by_symbol_day, universe, n_days
-        ).values.reshape(len(sent_mod.SENTIMENT_FIELDS), -1))
+        for symbol in article.symbols & row_of.keys():
+            cells.append(row_of[symbol] * n_days + article.day)
+            mentioned.append(len(word_counts))
+        word_counts.append(tok.word_count)
+        counts.append(sent_mod.score_article(tok, index, config.negation))
+    # (article, lexicon, pos/neg) proportions, one row per mention
+    props = (np.reshape(counts, (-1, len(names), 2)) / np.reshape(word_counts, (-1, 1, 1)))[mentioned]
+    values = [
+        sent_mod.aggregate_daily(cells, props[:, k, 0], props[:, k, 1], universe, n_days)
+        .values.reshape(len(sent_mod.SENTIMENT_FIELDS), -1)
+        for k in range(len(names))
+    ]
     active, pos, neg, n_articles = np.concatenate(values, axis=1)
     n_cells = len(universe) * n_days
     write_csv(

@@ -214,7 +214,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         sim_n_days=at_least("simulate", "n_days", "300", 1),
         sim_n_boot=number("simulate", "n_boot", "500"),
         sim_grid_points=at_least("simulate", "grid_points", "101", 2),
-        sim_min_active=number("simulate", "min_active", "30"),
+        # the sentiment copula needs at least 3 rows for its 2 columns
+        sim_min_active=at_least("simulate", "min_active", "30", 3),
         sim_results_csv=simulate.get("results", "results_entire.csv").strip(),
         plot_x_range=_get_range(simulate, "x_min", "x_max"),
         plot_y_range=_get_range(simulate, "y_min", "y_max"),

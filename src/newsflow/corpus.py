@@ -116,7 +116,6 @@ class TradingCalendar:
 @dataclass(frozen=True)
 class ArticleSet:
     articles: tuple[Article, ...]
-    by_symbol_day: Mapping[tuple[str, int], tuple[str, ...]] = field(default_factory=dict)
     unassigned_count: int = 0
 
     def __post_init__(self):
@@ -125,10 +124,6 @@ class ArticleSet:
             if art.id in ids:
                 raise DuplicateId(art.id)
             ids.add(art.id)
-        for (symbol, day), art_ids in self.by_symbol_day.items():
-            for art_id in art_ids:
-                if art_id not in ids:
-                    raise InputError(f"by_symbol_day references unknown id {art_id!r}")
 
     def __len__(self) -> int:
         return len(self.articles)
@@ -172,7 +167,7 @@ def _article_from_record(record: dict, source: str, position: int) -> Article:
 
 
 def load_articles(path: str | Path, format: str = "jsonl") -> ArticleSet:
-    """Load a corpus; ``by_symbol_day`` stays empty until assign_trading_days."""
+    """Load a corpus; each article's day stays None until assign_trading_days."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"corpus path does not exist: {path}")
@@ -184,11 +179,6 @@ def load_articles(path: str | Path, format: str = "jsonl") -> ArticleSet:
         raise InputError(f"unknown corpus format {format!r}")
     if not articles:
         raise EmptyCorpus(f"no articles found in {path}")
-    seen: set[str] = set()
-    for art in articles:
-        if art.id in seen:
-            raise DuplicateId(art.id)
-        seen.add(art.id)
     return ArticleSet(articles=tuple(articles))
 
 
@@ -257,7 +247,6 @@ def assign_trading_days(
     end = dt.datetime.combine(calendar.days[-1] + dt.timedelta(days=1), boundary)
 
     assigned: list[Article] = []
-    by_symbol_day: dict[tuple[str, int], list[str]] = {}
     unassigned = 0
     for art in article_set.articles:
         stamp = art.published_at
@@ -265,15 +254,8 @@ def assign_trading_days(
             assigned.append(replace(art, day=None))
             unassigned += 1
             continue
-        day = bisect_right(starts, stamp) - 1
-        assigned.append(replace(art, day=day))
-        for symbol in sorted(art.symbols):
-            by_symbol_day.setdefault((symbol, day), []).append(art.id)
-    return ArticleSet(
-        articles=tuple(assigned),
-        by_symbol_day={k: tuple(v) for k, v in by_symbol_day.items()},
-        unassigned_count=unassigned,
-    )
+        assigned.append(replace(art, day=bisect_right(starts, stamp) - 1))
+    return ArticleSet(articles=tuple(assigned), unassigned_count=unassigned)
 
 
 def filter_by_symbols(article_set: ArticleSet, symbols: Iterable[str]) -> ArticleSet:
@@ -282,16 +264,4 @@ def filter_by_symbols(article_set: ArticleSet, symbols: Iterable[str]) -> Articl
     if not wanted:
         raise InputError("symbol filter is empty")
     kept = tuple(a for a in article_set.articles if a.symbols & wanted)
-    kept_ids = {a.id for a in kept}
-    by_symbol_day: dict[tuple[str, int], tuple[str, ...]] = {}
-    for (symbol, day), ids in article_set.by_symbol_day.items():
-        if symbol not in wanted:
-            continue
-        remaining = tuple(i for i in ids if i in kept_ids)
-        if remaining:
-            by_symbol_day[(symbol, day)] = remaining
-    return ArticleSet(
-        articles=kept,
-        by_symbol_day=by_symbol_day,
-        unassigned_count=sum(1 for a in kept if a.day is None),
-    )
+    return ArticleSet(articles=kept, unassigned_count=sum(1 for a in kept if a.day is None))

@@ -10,7 +10,9 @@ neutral and both-polarity entries are kept but flagged non-scoring.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -181,18 +183,10 @@ def load_wordlist(path: str | Path, polarity: Polarity) -> list[LexiconEntry]:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Entries plus an unstemmed and a stemmed index of the scoring ones.
-
-    Index keys are the entry's first token so multiword entries can be
-    matched as contiguous token runs starting at a key hit.  Each bucket
-    lists its entries longest first, in file order among equal lengths, so
-    the first entry that matches is the one that claims the tokens.
-    """
+    """Entries in file order, without duplicates."""
 
     name: str
     entries: tuple[LexiconEntry, ...]
-    unstemmed_index: Mapping[str, tuple[LexiconEntry, ...]] = field(repr=False, default=None)  # type: ignore[assignment]
-    stemmed_index: Mapping[str, tuple[LexiconEntry, ...]] = field(repr=False, default=None)  # type: ignore[assignment]
     duplicate_warnings: int = 0
 
     def scoring_entries(self) -> list[LexiconEntry]:
@@ -203,34 +197,18 @@ class Lexicon:
 
 
 def build_lexicon(name: str, entries: Iterable[LexiconEntry]) -> Lexicon:
-    """Index entries; duplicate (word, pos_tag, stemmed) keeps the first."""
+    """Duplicate (word, pos_tag, stemmed) entries keep the first."""
     entries = list(entries)
     if not entries:
         raise EmptyList(name)
     unique: list[LexiconEntry] = []
     seen: set[tuple[str, PosTag, bool]] = set()
-    duplicates = 0
     for entry in entries:
         key = (entry.word, entry.pos_tag, entry.stemmed)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        unique.append(entry)
-
-    unstemmed: dict[str, list[LexiconEntry]] = {}
-    stemmed: dict[str, list[LexiconEntry]] = {}
-    # stable sort: among entries of equal length the first in file order wins
-    for entry in sorted((e for e in unique if e.is_scoring), key=lambda e: -e.length):
-        target = stemmed if entry.stemmed else unstemmed
-        target.setdefault(entry.tokens[0], []).append(entry)
-    return Lexicon(
-        name=name,
-        entries=tuple(unique),
-        unstemmed_index={k: tuple(v) for k, v in unstemmed.items()},
-        stemmed_index={k: tuple(v) for k, v in stemmed.items()},
-        duplicate_warnings=duplicates,
-    )
+        if key not in seen:
+            seen.add(key)
+            unique.append(entry)
+    return Lexicon(name=name, entries=tuple(unique), duplicate_warnings=len(entries) - len(unique))
 
 
 @dataclass(frozen=True)
@@ -284,11 +262,6 @@ def compare_lexica(
     )
 
 
-def corpus_frequencies(tokenized_articles: Iterable[Sequence[Sequence[str]]]) -> dict[str, int]:
+def corpus_frequencies(tokenized_articles: Iterable[Sequence[Sequence[str]]]) -> Counter[str]:
     """Word frequencies over tokenized articles (sentences of tokens)."""
-    freq: dict[str, int] = {}
-    for sentences in tokenized_articles:
-        for sentence in sentences:
-            for token in sentence:
-                freq[token] = freq.get(token, 0) + 1
-    return freq
+    return Counter(chain.from_iterable(chain.from_iterable(tokenized_articles)))

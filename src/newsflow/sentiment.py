@@ -113,27 +113,6 @@ def tokenize(text: str) -> TokenizedArticle:
     return TokenizedArticle(sentences=tuple(sentences))
 
 
-@dataclass(frozen=True)
-class ArticleScore:
-    article_id: str
-    lexicon_name: str
-    pos_count: int
-    neg_count: int
-    word_count: int
-
-    def __post_init__(self):
-        if self.word_count < 1:
-            raise EmptyText(f"article {self.article_id!r} has no word tokens")
-
-    @property
-    def pos_prop(self) -> float:
-        return self.pos_count / self.word_count
-
-    @property
-    def neg_prop(self) -> float:
-        return self.neg_count / self.word_count
-
-
 def _negator_positions(tokens: Sequence[str], negators: frozenset[str]) -> list[int]:
     if negators.isdisjoint(tokens):
         return []
@@ -173,14 +152,17 @@ class ScoringIndex:
 
 
 def build_scoring_index(lexica: Sequence[Lexicon]) -> ScoringIndex:
-    """Merge the unstemmed and the stemmed indexes of `lexica`, in their order."""
+    """Bucket the scoring entries of each of `lexica` and merge the buckets, in lexicon order."""
     unstemmed: dict[str, list[tuple[int, Bucket]]] = {}
     stemmed: dict[str, list[tuple[int, Bucket]]] = {}
     for k, lex in enumerate(lexica):
-        for merged, index in ((unstemmed, lex.unstemmed_index), (stemmed, lex.stemmed_index)):
-            for first, entries in index.items():
-                bucket = tuple((e.tokens, e.polarity is Polarity.POSITIVE) for e in entries)
-                merged.setdefault(first, []).append((k, bucket))
+        buckets: dict[tuple[bool, str], list[tuple[tuple[str, ...], bool]]] = {}
+        # stable sort: among entries of equal length the first in file order comes first
+        for entry in sorted(lex.scoring_entries(), key=lambda e: -e.length):
+            buckets.setdefault((entry.stemmed, entry.tokens[0]), []).append(
+                (entry.tokens, entry.polarity is Polarity.POSITIVE))
+        for (is_stemmed, first), bucket in buckets.items():
+            (stemmed if is_stemmed else unstemmed).setdefault(first, []).append((k, tuple(bucket)))
     return ScoringIndex(
         names=tuple(lex.name for lex in lexica),
         unstemmed={first: tuple(hits) for first, hits in unstemmed.items()},
@@ -192,16 +174,13 @@ def score_article(
     article: TokenizedArticle,
     index: ScoringIndex,
     negation: NegationConfig = NegationConfig(),
-    article_id: str = "",
-) -> tuple[ArticleScore, ...]:
+) -> tuple[tuple[int, int], ...]:
     """Two-pass projection of one tokenized article on every lexicon of `index`.
 
     Each sentence is walked once with the unstemmed index and once with the
     stemmed one; every lexicon keeps its own claimed tokens and counts.
+    Returns one (positive, negative) count pair per lexicon, in index order.
     """
-    word_count = article.word_count
-    if word_count < 1:
-        raise EmptyText(f"article {article_id!r} has no word tokens")
     pos_count = [0] * len(index.names)
     neg_count = [0] * len(index.names)
     for tokens in article.sentences:
@@ -233,45 +212,26 @@ def score_article(
                             neg_count[k] += 1
                         break
 
-    return tuple(
-        ArticleScore(
-            article_id=article_id,
-            lexicon_name=name,
-            pos_count=pos_count[k],
-            neg_count=neg_count[k],
-            word_count=word_count,
-        )
-        for k, name in enumerate(index.names)
-    )
+    return tuple(zip(pos_count, neg_count))
 
 
 SENTIMENT_FIELDS = ("active", "pos", "neg", "n_articles")
 
 
 def aggregate_daily(
-    scores: Mapping[str, ArticleScore],
-    by_symbol_day: Mapping[tuple[str, int], Sequence[str]],
+    cells: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
     symbols: Sequence[str],
     n_days: int,
 ) -> SymbolDayArray:
     """SENTIMENT_FIELDS of one lexicon on `symbols` × a calendar of n_days.
 
-    Pos and Neg are the unweighted means of the article proportions of each
-    symbol-day, summed in `by_symbol_day` order; a day without articles is
-    all zeros.  Ids without a score and symbols outside `symbols` are skipped.
+    Each mention k puts an article's Pos and Neg proportions, pos[k] and
+    neg[k], in the symbol-day cell cells[k] = row * n_days + day.  Pos and
+    Neg are the unweighted means over each cell's mentions, summed in
+    mention order; a day without articles is all zeros.
     """
-    row_of = {sym: i for i, sym in enumerate(symbols)}
-    cells, pos, neg = [], [], []
-    for (symbol, day), ids in by_symbol_day.items():
-        row = row_of.get(symbol)
-        if row is None:
-            continue
-        for i in ids:
-            score = scores.get(i)
-            if score is not None:
-                cells.append(row * n_days + day)
-                pos.append(score.pos_prop)
-                neg.append(score.neg_prop)
     size = len(symbols) * n_days
     cells = np.asarray(cells, dtype=np.intp)
     n = np.bincount(cells, minlength=size).astype(float)

@@ -152,15 +152,26 @@ def _reference_match_at(tokens, i, claimed, entries):
     return None
 
 
+def _reference_buckets(lex, stemmed):
+    """First token -> the scoring entries of one pass, longest first, file order among equal lengths."""
+    buckets = {}
+    for width in sorted({e.length for e in lex.entries}, reverse=True):
+        for entry in lex.entries:
+            if entry.is_scoring and entry.stemmed == stemmed and entry.length == width:
+                buckets.setdefault(entry.tokens[0], []).append(entry)
+    return buckets
+
+
 def reference_score_article(article, lex, negation):
-    """(pos_count, neg_count) of one tokenized article under one Lexicon's indexes."""
+    """(pos_count, neg_count) of one tokenized article under one Lexicon."""
+    unstemmed, stemmed = _reference_buckets(lex, False), _reference_buckets(lex, True)
     pos_count = neg_count = 0
     for tokens in article.sentences:
         claimed = [False] * len(tokens)
         negator_pos = [i for i, tok in enumerate(tokens) if tok in negation.negators]
-        passes = [(tokens, lex.unstemmed_index)]
-        if lex.stemmed_index:
-            passes.append((tuple(reference_porter_stem(tok) for tok in tokens), lex.stemmed_index))
+        passes = [(tokens, unstemmed)]
+        if stemmed:
+            passes.append((tuple(reference_porter_stem(tok) for tok in tokens), stemmed))
         for words, index in passes:
             for i, word in enumerate(words):
                 if claimed[i]:

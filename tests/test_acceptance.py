@@ -205,8 +205,7 @@ def test_criterion_03_scoring_oracle():
         if tokenized.word_count == 0:
             continue
         (got,) = score_article(tokenized, index)
-        want_pos, want_neg = _oracle_score(tokenized.sentences, unstemmed, stemmed)
-        if (got.pos_count, got.neg_count) != (want_pos, want_neg):
+        if got != _oracle_score(tokenized.sentences, unstemmed, stemmed):
             mismatches += 1
     elapsed = time.time() - start
     assert mismatches == 0

@@ -139,6 +139,8 @@ def test_bad_config_h(mini_fixture, capsys):
     pytest.param("[lexstats]\ntop = 0\n", [], id="top=0"),
     pytest.param("[lexstats]\nmin_count = 0\n", [], id="min_count=0"),
     pytest.param("[simulate]\nn_days = 0\n", [], id="n_days=0"),
+    pytest.param("[simulate]\nmin_active = 2\n", [], id="min_active=2"),
+    pytest.param("[simulate]\nmin_active = -1\n", [], id="min_active=-1"),
     pytest.param("[negation]\nbidirectional = flase\n", [], id="bidirectional=flase"),
     pytest.param("", ["--day-boundary", "25:00"], id="day_boundary_flag=25:00"),
     pytest.param("", ["--day-boundary", "12:00+05:00"], id="day_boundary_flag_with_offset"),
@@ -575,6 +577,20 @@ def test_text_input_that_is_not_utf8_exits_2_naming_the_file(distilled_fixture, 
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR MALFORMED_RECORD: {root / name}:{line}: not UTF-8: byte 0xff")
     assert len(err.splitlines()) == 1
+
+
+def test_distill_symbols_keeps_the_unfiltered_rows_of_those_symbols(distilled_fixture, tmp_path):
+    root = _copy_of(distilled_fixture, tmp_path / "run")
+    _edit_lines(root / "newsflow.ini", lambda lines: [
+        line + "\nsymbols = SYM01, SYM03" if line == "[corpus]" else line for line in lines
+    ])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["distill", "--config", root / "newsflow.ini", "--output", tmp_path / "out"]) == 0
+    header, *rows = (distilled_fixture / "out" / "sentiment.csv").read_text(encoding="utf-8").splitlines()
+    kept = [row for row in rows if row.split(",")[0] in ("SYM01", "SYM03")]
+    # articles that name SYM01 or SYM03 with other symbols too count under each of the two
+    assert len(kept) == 2 * len(rows) // 4
+    assert (tmp_path / "out" / "sentiment.csv").read_text(encoding="utf-8").splitlines() == [header, *kept]
 
 
 def test_distill_aggregates_once_per_lexicon(distilled_fixture, tmp_path, monkeypatch):

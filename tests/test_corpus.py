@@ -162,9 +162,8 @@ def test_multi_symbol_multiplicity(calendar, tmp_path):
         [record(1, symbols=("AAPL", "MSFT")), record(2, symbols=("AAPL",))],
     )
     assigned = assign_trading_days(load_articles(path), calendar)
-    keyed = sum(len(ids) for ids in assigned.by_symbol_day.values())
-    assert keyed == 3  # article 1 appears under both symbols
-    assert set(assigned.by_symbol_day) == {("AAPL", 0), ("MSFT", 0)}
+    # article 1 keeps both symbols, so distill counts it under each
+    assert [(a.day, sorted(a.symbols)) for a in assigned.articles] == [(0, ["AAPL", "MSFT"]), (0, ["AAPL"])]
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -189,7 +188,7 @@ def test_filter_by_symbols(tmp_path, calendar):
     aapl = filter_by_symbols(articles, {"aapl"})
     assert len(aapl) == 3
     assert all("AAPL" in a.symbols for a in aapl.articles)
-    assert set(aapl.by_symbol_day) == {("AAPL", 0)}
+    assert [a.id for a in aapl.articles] == ["a1", "a2", "a4"]
 
     assert len(filter_by_symbols(articles, {"TSLA"})) == 0
     assert filter_by_symbols(articles, {"AAPL", "MSFT", "IBM"}).articles == articles.articles
@@ -219,7 +218,7 @@ def test_calendar_file_out_of_order_names_the_file_and_line(tmp_path, second):
         TradingCalendar.from_file(path)
 
 
-def test_article_set_rejects_unknown_reference():
+def test_article_set_rejects_duplicate_ids():
     art = Article(
         id="a1",
         published_at=dt.datetime(2020, 1, 6, 12),
@@ -227,5 +226,5 @@ def test_article_set_rejects_unknown_reference():
         title="t",
         body="b",
     )
-    with pytest.raises(InputError):
-        ArticleSet(articles=(art,), by_symbol_day={("AAPL", 0): ("ghost",)})
+    with pytest.raises(DuplicateId):
+        ArticleSet(articles=(art, art))

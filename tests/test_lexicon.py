@@ -16,6 +16,7 @@ from newsflow.lexicon import (
     parse_mpqa_file,
     parse_mpqa_line,
 )
+from newsflow.sentiment import build_scoring_index
 
 PAPER_LINES = [
     ("type=weaksubj  len=1  word1=abandoned  pos1=adj  stemmed1=n  priorpolarity=negative",
@@ -129,15 +130,13 @@ def test_build_lexicon_partition():
         LexiconEntry("abase", Polarity.NEGATIVE, stemmed=True, pos_tag=PosTag.VERB,
                      strength=Strength.STRONGSUBJ),
     ]
-    lex = build_lexicon("X", entries)
-    assert len(lex.unstemmed_index) == 2
-    assert len(lex.stemmed_index) == 1
-    assert lex.stemmed_index["abase"][0].word == "abase"
-    # partition: no word in both indices, all entries covered
-    covered = {e.word for bucket in lex.unstemmed_index.values() for e in bucket}
-    covered |= {e.word for bucket in lex.stemmed_index.values() for e in bucket}
-    assert covered == {"good", "bad", "abase"}
-    assert not set(lex.unstemmed_index) & set(lex.stemmed_index)
+    index = build_scoring_index([build_lexicon("X", entries)])
+    # the scoring entries split into an unstemmed and a stemmed pass, each entry in one
+    assert index.unstemmed == {
+        "good": ((0, ((("good",), True),)),),
+        "bad": ((0, ((("bad",), False),)),),
+    }
+    assert index.stemmed == {"abase": ((0, ((("abase",), False),)),)}
 
 
 def test_build_lexicon_neutral_non_scoring():
@@ -151,7 +150,7 @@ def test_build_lexicon_neutral_non_scoring():
     assert len(lex.entries) == 3  # retained, just not scoring
 
 
-def test_build_lexicon_indexes_scoring_entries_longest_first():
+def test_scoring_index_buckets_longest_first():
     entries = [
         LexiconEntry("pay", Polarity.NEGATIVE),
         LexiconEntry("pay off", Polarity.NEUTRAL),
@@ -162,12 +161,13 @@ def test_build_lexicon_indexes_scoring_entries_longest_first():
     ]
     lex = build_lexicon("X", entries)
     assert len(lex.entries) == 6
-    assert [(e.word, e.polarity) for e in lex.unstemmed_index["pay"]] == [
-        ("pay back debt", Polarity.NEGATIVE),
-        ("pay off", Polarity.POSITIVE),
-        ("pay off", Polarity.NEGATIVE),
-        ("pay", Polarity.NEGATIVE),
-    ]
+    # only scoring entries, longest first, file order among equal lengths
+    assert build_scoring_index([lex]).unstemmed["pay"] == ((0, (
+        (("pay", "back", "debt"), False),
+        (("pay", "off"), True),
+        (("pay", "off"), False),
+        (("pay",), False),
+    )),)
 
 
 def test_build_lexicon_duplicates_keep_first():
@@ -177,7 +177,7 @@ def test_build_lexicon_duplicates_keep_first():
     ]
     lex = build_lexicon("X", entries)
     assert lex.duplicate_warnings == 1
-    assert lex.unstemmed_index["good"][0].polarity is Polarity.POSITIVE
+    assert [(e.word, e.polarity) for e in lex.entries] == [("good", Polarity.POSITIVE)]
 
 
 def test_entry_rejects_uppercase():

@@ -9,7 +9,6 @@ from newsflow.errors import EmptyText, NoActiveRecords, WindowOutOfRange
 from newsflow.lexicon import LexiconEntry, Polarity, PosTag, Strength, build_lexicon
 from newsflow.sentiment import (
     SENTIMENT_FIELDS,
-    ArticleScore,
     NegationConfig,
     TokenizedArticle,
     aggregate_daily,
@@ -38,7 +37,7 @@ def lex(positive=(), negative=(), stemmed_positive=(), stemmed_negative=(), name
 
 
 def score_one(article, lexicon, negation=NegationConfig()):
-    """score_article on the one-lexicon index of `lexicon`."""
+    """The (pos, neg) counts of score_article on the one-lexicon index of `lexicon`."""
     (score,) = score_article(article, build_scoring_index([lexicon]), negation)
     return score
 
@@ -84,52 +83,51 @@ def test_tokenize_quoted_word():
 
 def test_score_all_negative():
     score = score_one(tokenize("debt fell"), lex(negative=("debt", "fell")))
-    assert (score.pos_count, score.neg_count) == (0, 2)
-    assert score.neg_prop == 1.0
+    assert score == (0, 2)
 
 
 def test_score_negation_flip():
     score = score_one(tokenize("not good today"), lex(positive=("good",)))
-    assert (score.pos_count, score.neg_count) == (0, 1)
+    assert score == (0, 1)
 
 
 def test_score_no_lexicon_words():
     score = score_one(tokenize("the cat sat"), lex(positive=("good",)))
-    assert score.pos_count == score.neg_count == 0
+    assert score == (0, 0)
 
 
 def test_score_negation_distance_six_no_flip():
     score = score_one(
         tokenize("never was it ever truly that good"), lex(positive=("good",))
     )
-    assert (score.pos_count, score.neg_count) == (1, 0)
+    assert score == (1, 0)
 
 
 def test_score_negation_forward_direction():
     # negator after the sentiment word, within the window
     score = score_one(tokenize("good it is not"), lex(positive=("good",)))
-    assert (score.pos_count, score.neg_count) == (0, 1)
+    assert score == (0, 1)
 
 
 def test_score_backward_only_config():
     config = NegationConfig(bidirectional=False)
     score = score_one(tokenize("good it is not"), lex(positive=("good",)), config)
-    assert (score.pos_count, score.neg_count) == (1, 0)
+    assert score == (1, 0)
 
 
 def test_score_negation_does_not_cross_sentences():
     score = score_one(tokenize("Not now. Good results."), lex(positive=("good",)))
-    assert (score.pos_count, score.neg_count) == (1, 0)
+    assert score == (1, 0)
 
 
 def test_score_double_negator_flips_once():
     score = score_one(tokenize("no never good"), lex(positive=("good",)))
-    assert (score.pos_count, score.neg_count) == (0, 1)
+    assert score == (0, 1)
 
 
 def test_score_nt_token_negates():
     score = score_one(tokenize("It isn't good."), lex(positive=("good",)))
-    assert (score.pos_count, score.neg_count) == (0, 1)
+    assert score == (0, 1)
 
 
 def test_two_pass_no_double_count():
@@ -137,13 +135,13 @@ def test_two_pass_no_double_count():
     # the same stem cannot claim it again
     lexicon = lex(positive=("improved",), stemmed_negative=("improv",))
     score = score_one(tokenize("improved results"), lexicon)
-    assert (score.pos_count, score.neg_count) == (1, 0)
+    assert score == (1, 0)
 
 
 def test_stemmed_pass_matches_inflected_form():
     lexicon = lex(stemmed_positive=("improv",))
     score = score_one(tokenize("improving conditions"), lexicon)
-    assert (score.pos_count, score.neg_count) == (1, 0)
+    assert score == (1, 0)
 
 
 def test_lexicon_without_stemmed_entries_never_stems(monkeypatch):
@@ -158,14 +156,14 @@ def test_lexicon_without_stemmed_entries_never_stems(monkeypatch):
 
     monkeypatch.setattr(newsflow.sentiment, "porter_stem", no_stemming)
     assert score_one(tok, lexicon) == expected
-    assert (expected.pos_count, expected.neg_count) == (1, 2)
+    assert expected == (1, 2)
 
 
 def test_multiword_entry_contiguous():
     entries = [LexiconEntry("pay off", Polarity.POSITIVE)]
     lexicon = build_lexicon("MW", entries)
-    assert score_one(tokenize("the deal will pay off nicely"), lexicon).pos_count == 1
-    assert score_one(tokenize("pay the man off"), lexicon).pos_count == 0
+    assert score_one(tokenize("the deal will pay off nicely"), lexicon) == (1, 0)
+    assert score_one(tokenize("pay the man off"), lexicon) == (0, 0)
 
 
 def test_longer_entry_beats_shorter_entry_at_the_same_position():
@@ -174,10 +172,10 @@ def test_longer_entry_beats_shorter_entry_at_the_same_position():
         LexiconEntry("pay off", Polarity.POSITIVE),
     ])
     score = score_one(tokenize("the deal will pay off"), lexicon)
-    assert (score.pos_count, score.neg_count) == (1, 0)
+    assert score == (1, 0)
     # where the longer entry does not match, the shorter one still does
     score = score_one(tokenize("they pay late"), lexicon)
-    assert (score.pos_count, score.neg_count) == (0, 1)
+    assert score == (0, 1)
 
 
 @pytest.mark.parametrize("first", [Polarity.POSITIVE, Polarity.NEGATIVE])
@@ -190,7 +188,7 @@ def test_equal_length_entries_first_in_file_order_wins(first):
     assert len(lexicon.entries) == 2  # different pos_tag, so both are kept
     score = score_one(tokenize("it will pay off"), lexicon)
     expected = (1, 0) if first is Polarity.POSITIVE else (0, 1)
-    assert (score.pos_count, score.neg_count) == expected
+    assert score == expected
 
 
 @pytest.mark.parametrize("polarity", [Polarity.NEUTRAL, Polarity.BOTH])
@@ -202,7 +200,7 @@ def test_non_scoring_multiword_entry_never_claims_tokens(polarity):
         LexiconEntry("weak growth", polarity),
     ])
     score = score_one(tokenize("strong growth. weak growth"), lexicon)
-    assert (score.pos_count, score.neg_count) == (3, 0)
+    assert score == (3, 0)
 
 
 def test_non_scoring_stemmed_entries_change_no_count():
@@ -216,7 +214,7 @@ def test_non_scoring_stemmed_entries_change_no_count():
     ])
     expected = score_one(tokenize(text), plain)
     assert score_one(tokenize(text), with_stemmed) == expected
-    assert (expected.pos_count, expected.neg_count) == (2, 1)
+    assert expected == (2, 1)
 
 
 def test_pos_tags_do_not_restrict_matching():
@@ -230,7 +228,7 @@ def test_pos_tags_do_not_restrict_matching():
         ]
     ])
     score = score_one(tokenize("gain debt badly winner"), lexicon)
-    assert (score.pos_count, score.neg_count) == (2, 2)
+    assert score == (2, 2)
 
 
 # one walk for every lexicon --------------------------------------------------
@@ -266,12 +264,11 @@ def test_one_walk_counts_as_one_walk_per_lexicon(lexica, sentences, window, bidi
     ]
     article = TokenizedArticle(tuple(sentences))
     negation = NegationConfig(window=window, bidirectional=bidirectional)
-    scores = score_article(article, build_scoring_index(lexica), negation, article_id="a")
-    assert [score.lexicon_name for score in scores] == [lexicon.name for lexicon in lexica]
-    assert [(score.pos_count, score.neg_count) for score in scores] == [
+    index = build_scoring_index(lexica)
+    assert index.names == tuple(lexicon.name for lexicon in lexica)
+    assert list(score_article(article, index, negation)) == [
         reference_score_article(article, lexicon, negation) for lexicon in lexica
     ]
-    assert {score.word_count for score in scores} == {article.word_count}
 
 
 def test_one_walk_keeps_each_lexicon_s_claims():
@@ -282,7 +279,7 @@ def test_one_walk_keeps_each_lexicon_s_claims():
     # C's unstemmed "off" is claimed in the first pass, so its stemmed "cut off" cannot match
     c = build_lexicon("C", [LexiconEntry("off", Polarity.NEGATIVE), LexiconEntry("cut off", Polarity.POSITIVE, stemmed=True)])
     scores = score_article(tokenize("They pay off debt. They cut off. Improving."), build_scoring_index([a, b, c]))
-    assert [(s.lexicon_name, s.pos_count, s.neg_count) for s in scores] == [("A", 1, 0), ("B", 1, 3), ("C", 0, 2)]
+    assert scores == ((1, 0), (1, 3), (0, 2))
 
 
 def test_score_deterministic():
@@ -294,22 +291,24 @@ def test_score_deterministic():
 
 
 def test_score_proportions_use_word_count():
-    score = score_one(tokenize("good words and 42 numbers %"), lex(positive=("good",)))
+    tok = tokenize("good words and 42 numbers %")
     # word tokens: good, words, and, numbers -> 4
-    assert score.word_count == 4
-    assert score.pos_prop == 0.25
+    assert tok.word_count == 4
+    pos_count, neg_count = score_one(tok, lex(positive=("good",)))
+    assert (pos_count / tok.word_count, neg_count / tok.word_count) == (0.25, 0.0)
 
 
 # aggregation ----------------------------------------------------------------
 
-def _score(pos_count, neg_count, word_count, article="a", name="L"):
-    return ArticleScore(article, name, pos_count, neg_count, word_count)
+def _score(pos_count, neg_count, word_count):
+    """One article's (pos, neg) proportions."""
+    return pos_count / word_count, neg_count / word_count
 
 
 def _day_record(scores, symbol, day, lexicon_name="L"):
-    """aggregate_daily of one symbol-day's scores, read back as a SentimentRecord."""
-    by_id = {f"a{k}": score for k, score in enumerate(scores)}
-    sentiment = aggregate_daily(by_id, {(symbol, day): tuple(by_id)}, [symbol], day + 1)
+    """aggregate_daily of one symbol-day's mentions, read back as a SentimentRecord."""
+    pos, neg = [p for p, _ in scores], [q for _, q in scores]
+    sentiment = aggregate_daily([day] * len(scores), pos, neg, [symbol], day + 1)
     active, pos, neg, n_articles = sentiment.values[:, 0, day].tolist()
     return SentimentRecord(symbol, day, lexicon_name, int(active), pos, neg, int(n_articles))
 
@@ -332,35 +331,33 @@ def test_aggregate_daily_singleton():
     assert rec.neg == pytest.approx(0.02)
 
 
-def test_aggregate_daily_equals_the_mean_in_by_symbol_day_order():
+def test_aggregate_daily_equals_the_mean_in_mention_order():
     rng = np.random.default_rng(9)
     symbols, n_days = [f"S{i}" for i in range(8)], 150  # 1,200 cells
-    scores, by_symbol_day, ids_made = {}, {}, 0
-    for symbol in symbols + ["ELSEWHERE"]:
-        for day in range(n_days):
-            ids = []
-            for _ in range(int(rng.integers(0, 21))):
-                article, ids_made = f"a{ids_made}", ids_made + 1
-                ids.append(article)
-                if rng.random() < 0.9:  # the rest are unscored, as zero-word articles are
-                    words = int(rng.integers(1, 400))
-                    pos = int(rng.integers(0, words + 1))
-                    scores[article] = ArticleScore(article, "L", pos, int(rng.integers(0, words - pos + 1)), words)
-            by_symbol_day[(symbol, day)] = tuple(ids)
-    cells = list(by_symbol_day.items())
-    shuffled = {cells[k][0]: tuple(rng.permutation(cells[k][1]).tolist()) for k in rng.permutation(len(cells))}
+    cells, pos, neg = [], [], []
+    for cell in range(len(symbols) * n_days):
+        for _ in range(int(rng.integers(0, 21))):  # a cell without mentions is all zeros
+            words = int(rng.integers(1, 400))
+            pos_count = int(rng.integers(0, words + 1))
+            cells.append(cell)
+            pos.append(pos_count / words)
+            neg.append(int(rng.integers(0, words - pos_count + 1)) / words)
+    order = rng.permutation(len(cells)).tolist()
+    cells, pos, neg = ([column[k] for k in order] for column in (cells, pos, neg))
 
-    sentiment = aggregate_daily(scores, shuffled, symbols, n_days)
+    sentiment = aggregate_daily(np.array(cells), np.array(pos), np.array(neg), symbols, n_days)
     assert sentiment.fields == SENTIMENT_FIELDS and sentiment.symbols == tuple(symbols)
     assert sentiment.values.shape == (4, len(symbols), n_days)
-    active, pos, neg, n_articles = sentiment.values
-    for row, symbol in enumerate(symbols):
-        for day in range(n_days):
-            day_scores = [scores[i] for i in shuffled[(symbol, day)] if i in scores]
-            n = len(day_scores)
-            assert (active[row, day], n_articles[row, day]) == (float(n > 0), n)
-            assert pos[row, day] == (sum(s.pos_prop for s in day_scores) / n if n else 0.0)
-            assert neg[row, day] == (sum(s.neg_prop for s in day_scores) / n if n else 0.0)
+    mentions_of = {}
+    for k, cell in enumerate(cells):
+        mentions_of.setdefault(cell, []).append(k)
+    active, pos_mean, neg_mean, n_articles = sentiment.values.reshape(4, -1).tolist()
+    for cell in range(len(symbols) * n_days):
+        mentions = mentions_of.get(cell, [])
+        n = len(mentions)
+        assert (active[cell], n_articles[cell]) == (float(n > 0), n)
+        assert pos_mean[cell] == (sum(pos[k] for k in mentions) / n if n else 0.0)
+        assert neg_mean[cell] == (sum(neg[k] for k in mentions) / n if n else 0.0)
 
 
 def test_cumulative_h1_equals_daily():
