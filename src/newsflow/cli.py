@@ -43,6 +43,7 @@ from .errors import (
 )
 from .indicators import INDICATOR_FIELDS
 from .panel import (
+    SUITES,
     ClusterMode,
     MarketSeries,
     PanelInputs,
@@ -540,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default=None, help="output directory")
     parser.add_argument("--h", dest="lag_h", type=int, default=None, help="panel lag (1..5)")
     parser.add_argument("--suite", action="append", default=None,
-                        help="panel suite (repeatable): entire, lags_noncumulative, "
-                             "lags_cumulative, attention, sector")
+                        help=f"panel suite (repeatable): {', '.join(SUITES)}")
     parser.add_argument("--n-boot", dest="sim_n_boot", type=int, default=None)
     parser.add_argument("--n-days", dest="sim_n_days", type=int, default=None)
     parser.add_argument("--day-boundary", dest="day_boundary", default=None,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import InputError, InvalidValue, LexiconNotFound, MissingInput
-from .panel import ClusterMode
+from .panel import SUITES, ClusterMode
 from .sentiment import DEFAULT_NEGATORS, NegationConfig, _word_tokens
 
 LEXICON_KINDS = ("wordlists", "mpqa")
@@ -183,9 +183,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         # a negator matches one token, so it must tokenize to itself
         if _word_tokens(negator) != [negator]:
             raise InvalidValue("[negation] negators", negator)
-    symbols = tuple(
+    # a repeated symbol is listed once, in the order of its first mention
+    symbols = tuple(dict.fromkeys(
         s.strip().upper() for s in corpus.get("symbols", "").split(",") if s.strip()
-    )
+    ))
 
     config = RunConfig(
         corpus_path=base / corpus.get("path", "corpus.jsonl"),
@@ -226,6 +227,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         clean = {k: v for k, v in overrides.items() if v is not None}
         if clean:
             config = replace(config, **clean)
+    for suite in config.suites:
+        if suite not in SUITES:
+            raise InvalidValue("[panel] suites", suite)
     return config
 
 

@@ -38,6 +38,7 @@ REGRESSOR_NAMES = SENTIMENT_VARS + CONTROL_VARS
 
 DEPENDENTS = ("log_vol", "dvol", "ret")
 PCA_NAME = "PCA"
+SUITES = ("entire", "lags_noncumulative", "lags_cumulative", "attention", "sector")
 
 
 class ClusterMode(enum.Enum):

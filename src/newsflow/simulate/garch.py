@@ -3,12 +3,12 @@
 Mean equation r_t = mu + theta*eps_{t-1} + eps_t, variance recursion
 h_t = omega + alpha*eps_{t-1}^2 + beta*h_{t-1}.  The pre-sample residual is
 zero and the variance recursion is seeded with the sample variance
-(h_0 = omega + (alpha+beta)*var(r)).  Estimation runs L-BFGS-B with the
-analytic score (Fiorentini, Calzolari & Panattoni 1996) on an unconstrained
-reparameterization, from three fixed starting points and one near the
-constant-variance limit, and falls back to Nelder-Mead from the three fixed
-points when no start succeeds or the optimum lies at the edge of the
-reparameterization.
+(h_0 = omega + (alpha+beta)*var(r)).  Estimation is one bound-constrained
+L-BFGS-B search (Byrd, Lu, Nocedal & Zhu 1995) with the analytic score
+(Fiorentini, Calzolari & Panattoni 1996) over (mu, theta, log omega,
+persistence alpha+beta, share alpha/(alpha+beta)).  The box holds both faces,
+alpha = 0 and beta = 0, as ordinary points, so optima on them are reached
+like any other.
 """
 
 from __future__ import annotations
@@ -95,26 +95,27 @@ def standardize_residuals(returns: np.ndarray, params: MA1Garch11Params) -> np.n
 
 
 _INVALID = 1e12  # objective value where the filter or the likelihood is not finite
-# |logit persistence| or |logit share| beyond this is the edge of the reparameterization
-_EDGE_LOGIT = 8.0
+# the search box in (mu, theta, log omega, persistence, share); mu is unbounded
+_BOUNDS = ((None, None), (-(1.0 - 1e-9), 1.0 - 1e-9), (None, 50.0), (0.0, _PERSISTENCE_CAP), (0.0, 1.0))
 
 
 def _nll(eps: np.ndarray, h: np.ndarray) -> float:
-    if not np.all(np.isfinite(h)) or h.min() <= 0.0:
+    if not np.isfinite(h).all() or h.min() <= 0.0:
         return _INVALID
     value = 0.5 * float(np.sum(_LOG_2PI + np.log(h) + eps**2 / h))
     return value if math.isfinite(value) else _INVALID
 
 
-def _negative_loglik(raw: np.ndarray, returns: np.ndarray, backcast: float) -> float:
-    mu, theta, omega, alpha, beta = _from_unconstrained(raw)
-    return _nll(*_filter(returns - mu, theta, omega, alpha, beta, backcast))
+def _garch_params(point: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(mu, theta, omega, alpha, beta) at a point (mu, theta, log omega, persistence, share)."""
+    mu, theta, log_omega, persistence, share = point.tolist()
+    return mu, theta, math.exp(log_omega), persistence * share, persistence * (1.0 - share)
 
 
 def _negative_loglik_and_score(
-    raw: np.ndarray, returns: np.ndarray, backcast: float
+    point: np.ndarray, returns: np.ndarray, backcast: float
 ) -> tuple[float, np.ndarray]:
-    """`_negative_loglik` and its gradient in the unconstrained coordinates.
+    """Negative log-likelihood at (mu, theta, log omega, persistence, share) and its gradient.
 
     Every derivative of eps_t and h_t is a first-order recursion with the
     coefficient of its own recursion (Fiorentini, Calzolari & Panattoni 1996),
@@ -122,7 +123,7 @@ def _negative_loglik_and_score(
     value or the gradient is not finite, returns the sentinel with a zero
     gradient.
     """
-    mu, theta, omega, alpha, beta = _from_unconstrained(raw)
+    mu, theta, omega, alpha, beta = _garch_params(point)
     eps, h = _filter(returns - mu, theta, omega, alpha, beta, backcast)
     value = _nll(eps, h)
     if value == _INVALID:
@@ -146,96 +147,29 @@ def _negative_loglik_and_score(
     w_h = 0.5 * (1.0 - eps**2 / h) / h
     grad = d_h @ w_h
     grad[:2] += d_eps @ (eps / h)
-    # chain rule through _from_unconstrained
-    persistence_sigmoid = _sigmoid(float(raw[3]))
-    persistence = persistence_sigmoid * _PERSISTENCE_CAP
-    d_persistence = persistence * (1.0 - persistence_sigmoid)
-    share = _sigmoid(float(raw[4]))
-    d_share = share * (1.0 - share)
+    # chain rule to (log omega, persistence, share)
+    persistence, share = point[3:].tolist()
     score = np.array([
         grad[0],
-        grad[1] * (1.0 - theta * theta),
-        grad[2] * omega if raw[2] < 50.0 else 0.0,
-        d_persistence * (grad[3] * share + grad[4] * (1.0 - share)),
-        persistence * d_share * (grad[3] - grad[4]),
+        grad[1],
+        grad[2] * omega,
+        share * grad[3] + (1.0 - share) * grad[4],
+        persistence * (grad[3] - grad[4]),
     ])
-    if not np.all(np.isfinite(score)):
+    if not np.isfinite(score).all():
         return _INVALID, np.zeros(5)
     return value, score
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def fit_ma1_garch11(returns: np.ndarray, min_length: int = 250) -> MA1Garch11Params:
+    """Gaussian QMLE via bounded L-BFGS-B on the analytic score, from fixed starts.
 
-
-def _from_unconstrained(raw: np.ndarray) -> tuple[float, float, float, float, float]:
-    mu = float(raw[0])
-    theta = math.tanh(float(raw[1]))
-    omega = math.exp(min(float(raw[2]), 50.0))
-    persistence = _sigmoid(float(raw[3])) * _PERSISTENCE_CAP
-    share = _sigmoid(float(raw[4]))
-    return mu, theta, omega, persistence * share, persistence * (1.0 - share)
-
-
-def _to_unconstrained(mu, theta, omega, alpha, beta) -> np.ndarray:
-    persistence = alpha + beta
-    share = alpha / persistence
-    logit = lambda p: math.log(p / (1.0 - p))
-    return np.array([
-        mu,
-        math.atanh(theta),
-        math.log(omega),
-        logit(persistence),
-        logit(share),
-    ])
-
-
-def _fixed_starts(mean: float, variance: float) -> list[np.ndarray]:
-    return [
-        _to_unconstrained(mean, 0.0, 0.05 * variance, 0.05, 0.90),
-        _to_unconstrained(mean, 0.1, 0.10 * variance, 0.10, 0.80),
-        _to_unconstrained(mean, -0.1, 0.30 * variance, 0.20, 0.50),
-    ]
-
-
-def _fit_nelder_mead(
-    starts: list[np.ndarray], returns: np.ndarray, backcast: float, fatol: float
-) -> tuple[OptimizeResult, int, bool]:
-    """Best Nelder-Mead result over the starts, total iterations, and whether any converged."""
-    best = None
-    iterations = 0
-    converged = False
-    for start in starts:
-        res = minimize(
-            _negative_loglik,
-            start,
-            args=(returns, backcast),
-            method="Nelder-Mead",
-            options={"fatol": fatol, "xatol": 1e-6, "maxiter": 6000, "maxfev": 8000},
-        )
-        iterations += res.nit
-        converged = converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    return best, iterations, converged
-
-
-def fit_ma1_garch11(
-    returns: np.ndarray,
-    min_length: int = 250,
-    fatol: float = 1e-8,
-) -> MA1Garch11Params:
-    """Gaussian QMLE via L-BFGS-B on the analytic score, from fixed starts.
-
-    Nelder-Mead from the three interior starts (with absolute tolerance
-    `fatol` on the objective) runs too, and the better optimum is kept, when
-    no L-BFGS-B start succeeds or the best point lies where a logit of the
-    reparameterization exceeds `_EDGE_LOGIT` in size: there, as for i.i.d.
-    returns with their constant-variance optimum (alpha -> 0, beta -> 1), the
-    quasi-Newton search can stop short.
+    Five starts cover the interior and the beta = 0 face.  When the best of
+    them has a share alpha / (alpha + beta) within 0.05 of a face or a
+    persistence above 0.99, as for i.i.d. returns, two more starts run on the
+    alpha = 0 face at high persistence with no tolerance on the objective's
+    decrease, because there the likelihood rises along a flat ridge towards
+    omega -> 0 that the search otherwise leaves early.
     """
     r = np.asarray(returns, dtype=float)
     if len(r) < min_length:
@@ -246,49 +180,45 @@ def fit_ma1_garch11(
     if variance <= 0.0:
         raise NonConvergence("zero-variance series is degenerate", iterations=0)
     backcast = variance
-    mean = float(np.mean(r))
-
-    starts = _fixed_starts(mean, variance)
-    # a fourth start near the constant-variance limit lets the quasi-Newton
-    # search reach an optimum on that edge, which then brings in Nelder-Mead
-    near_edge = _to_unconstrained(mean, 0.0, 0.01 * variance, 0.01, 0.98)
     # the search measures mu in sample standard deviations, so that its score
     # is on the scale of the others' (it is about n / sd in raw units)
     scale = np.array([math.sqrt(variance), 1.0, 1.0, 1.0, 1.0])
+
+    def start(theta: float, omega_ratio: float, alpha: float, beta: float) -> np.ndarray:
+        persistence = alpha + beta
+        point = [float(np.mean(r)), theta, math.log(omega_ratio * variance), persistence, alpha / persistence]
+        return np.array(point) / scale
 
     def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         value, score = _negative_loglik_and_score(u * scale, r, backcast)
         return value, score * scale
 
-    best = None
-    iterations = 0
-    converged = False
-    for start in starts + [near_edge]:
-        res = minimize(
-            objective,
-            start / scale,
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": 1e-14, "gtol": 1e-9},
+    def search(u: np.ndarray, ftol: float) -> OptimizeResult:
+        return minimize(
+            objective, u, jac=True, method="L-BFGS-B", bounds=_BOUNDS, options={"ftol": ftol, "gtol": 1e-9}
         )
-        res.x = res.x * scale
-        iterations += res.nit
-        if res.success and res.fun < _INVALID:
-            converged = True
-            if best is None or res.fun < best.fun:
-                best = res
-    if best is None or np.abs(best.x[3:]).max() > _EDGE_LOGIT:
-        fallback, nm_iterations, nm_converged = _fit_nelder_mead(starts, r, backcast, fatol)
-        iterations += nm_iterations
-        if best is None or fallback.fun < best.fun:
-            best = fallback
-        converged = converged or nm_converged
-    if not math.isfinite(best.fun) or best.fun >= _INVALID:
+
+    results = [
+        search(u, 1e-14)
+        for u in (
+            start(0.0, 0.05, 0.05, 0.90),
+            start(0.1, 0.10, 0.10, 0.80),
+            start(-0.1, 0.30, 0.20, 0.50),
+            start(0.0, 0.01, 0.01, 0.98),
+            start(0.0, 0.90, 0.05, 0.0),
+        )
+    ]
+    _, _, _, persistence, share = min(results, key=lambda res: res.fun).x
+    if share < 0.05 or share > 0.95 or persistence > 0.99:
+        results += [search(u, 0.0) for u in (start(0.0, 1e-3, 0.0, 0.999), start(0.0, 1e-6, 0.0, _PERSISTENCE_CAP))]
+    best = min(results, key=lambda res: res.fun)
+    iterations = sum(res.nit for res in results)
+    if best.fun >= _INVALID:
         raise NonConvergence("likelihood never became finite", iterations=iterations)
-    mu, theta, omega, alpha, beta = _from_unconstrained(best.x)
-    if not converged:
+    mu, theta, omega, alpha, beta = _garch_params(best.x * scale)
+    if not any(res.success for res in results):
         raise NonConvergence(
-            f"optimizer hit the iteration cap (best nll {best.fun:.6f})",
+            f"no L-BFGS-B start converged (best nll {best.fun:.6f})",
             iterations=iterations,
             best_point=(mu, theta, omega, alpha, beta),
         )

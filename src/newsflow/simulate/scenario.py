@@ -22,7 +22,7 @@ from .._util import fmt_column, fmt_int_column, split_seed
 from ..errors import ConstantColumn, InputError, MissingComponent
 from .copula import GaussianCopula, fit_gaussian_copula, sample_copula
 from .edf import EmpiricalDistribution, fit_edf
-from .garch import MA1Garch11Params, filter_ma1_garch11, fit_ma1_garch11, standardize_residuals
+from .garch import MA1Garch11Params, filter_ma1_garch11, fit_ma1_garch11
 
 if TYPE_CHECKING:
     from .._util import SymbolDayArray
@@ -256,9 +256,10 @@ def build_residual_model(
         observed = values[finite]
         fitted = fit_ma1_garch11(observed, min_length=min_length)
         params[label] = fitted
-        _, h = filter_ma1_garch11(observed, fitted)
-        sigmas[label] = float(np.median(np.sqrt(h)))
-        z = standardize_residuals(observed, fitted)
+        eps, h = filter_ma1_garch11(observed, fitted)
+        sigma = np.sqrt(h)
+        sigmas[label] = float(np.median(sigma))
+        z = eps / sigma
         marginals[label] = fit_edf(z)
         full = np.full(len(values), np.nan)
         full[finite] = z

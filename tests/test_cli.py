@@ -129,6 +129,7 @@ def test_bad_config_h(mini_fixture, capsys):
     pytest.param("[simulate]\ny_min = nan\ny_max = 1.65\n", [], id="y_min=nan"),
     pytest.param("[simulate]\nx_min = 0.5\n", [], id="x_min_without_x_max"),
     pytest.param("[panel]\ncluster = bogus\n", [], id="cluster=bogus"),
+    pytest.param("[panel]\nsuites = entire, bogus\n", [], id="suites=bogus"),
     pytest.param("[negation]\nwindow = -3\n", [], id="negation_window=-3"),
     pytest.param("[simulate]\nx_min = 1\nx_max = 0\n", [], id="x_min_above_x_max"),
     pytest.param("[simulate]\ny_min = 0.5\ny_max = 0.5\n", [], id="y_min_equal_y_max"),
@@ -579,18 +580,40 @@ def test_text_input_that_is_not_utf8_exits_2_naming_the_file(distilled_fixture, 
     assert len(err.splitlines()) == 1
 
 
-def test_distill_symbols_keeps_the_unfiltered_rows_of_those_symbols(distilled_fixture, tmp_path):
-    root = _copy_of(distilled_fixture, tmp_path / "run")
+def _distill_with_symbols(fixture, root, symbols):
+    """sentiment.csv of distill on a copy of the fixture with `[corpus] symbols` set."""
+    root = _copy_of(fixture, root)
     _edit_lines(root / "newsflow.ini", lambda lines: [
-        line + "\nsymbols = SYM01, SYM03" if line == "[corpus]" else line for line in lines
+        line + f"\nsymbols = {symbols}" if line == "[corpus]" else line for line in lines
     ])
     with contextlib.redirect_stdout(io.StringIO()):
-        assert run(["distill", "--config", root / "newsflow.ini", "--output", tmp_path / "out"]) == 0
+        assert run(["distill", "--config", root / "newsflow.ini", "--output", root / "out"]) == 0
+    return (root / "out" / "sentiment.csv").read_text(encoding="utf-8")
+
+
+def test_distill_symbols_keeps_the_unfiltered_rows_of_those_symbols(distilled_fixture, tmp_path):
+    written = _distill_with_symbols(distilled_fixture, tmp_path / "run", "SYM01, SYM03")
     header, *rows = (distilled_fixture / "out" / "sentiment.csv").read_text(encoding="utf-8").splitlines()
     kept = [row for row in rows if row.split(",")[0] in ("SYM01", "SYM03")]
     # articles that name SYM01 or SYM03 with other symbols too count under each of the two
     assert len(kept) == 2 * len(rows) // 4
-    assert (tmp_path / "out" / "sentiment.csv").read_text(encoding="utf-8").splitlines() == [header, *kept]
+    assert written.splitlines() == [header, *kept]
+
+
+def test_distill_repeated_symbol_counts_once(distilled_fixture, tmp_path):
+    repeated = _distill_with_symbols(distilled_fixture, tmp_path / "repeated", "SYM01, SYM01, sym03")
+    assert repeated == _distill_with_symbols(distilled_fixture, tmp_path / "once", "SYM01, SYM03")
+
+
+def test_unknown_panel_suite_exits_2_before_writing(distilled_fixture, tmp_path, capsys):
+    root = _copy_of(distilled_fixture, tmp_path / "run")
+    before = sorted(path.name for path in (root / "out").iterdir())
+    code = run(["panel", "--config", root / "newsflow.ini", "--output", root / "out",
+                "--suite", "entire", "--suite", "bogus"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR INVALID_VALUE") and "'bogus'" in err and len(err.splitlines()) == 1
+    assert sorted(path.name for path in (root / "out").iterdir()) == before
 
 
 def test_distill_aggregates_once_per_lexicon(distilled_fixture, tmp_path, monkeypatch):
