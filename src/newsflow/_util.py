@@ -16,7 +16,7 @@ from typing import Callable, Mapping, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import CalendarMismatch, InputError, MalformedRecord
+from .errors import InputError, MalformedRecord
 
 T = TypeVar("T")
 
@@ -205,20 +205,6 @@ class SymbolDayArray:
     fields: tuple[str, ...]
     symbols: tuple[str, ...]
     values: np.ndarray
-
-    @classmethod
-    def from_rows(cls, fields: Sequence[str], rows: Sequence[tuple], n_days: int) -> "SymbolDayArray":
-        """(symbol, day, *field values) rows, on their sorted symbols and a calendar of n_days.
-
-        A day outside the calendar raises CalendarMismatch.
-        """
-        symbols, symbol_index = column_codes([row[0] for row in rows])
-        days = np.array([row[1] for row in rows], dtype=np.intp)
-        outside = days[(days < 0) | (days >= n_days)]
-        if outside.size:
-            raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
-        values = np.array([row[2:] for row in rows], dtype=float).reshape(len(rows), len(fields)).T
-        return cls.from_columns(fields, symbols, symbol_index, days, values, n_days)
 
     @classmethod
     def from_columns(

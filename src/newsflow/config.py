@@ -230,6 +230,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     for suite in config.suites:
         if suite not in SUITES:
             raise InvalidValue("[panel] suites", suite)
+    # the output directory is made at the first write, which a file at or above it would stop
+    output = config.output_dir
+    if not next(path for path in (output, *output.parents) if path.exists()).is_dir():
+        raise InvalidValue("[run] output", str(output))
     return config
 
 

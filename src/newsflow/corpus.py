@@ -217,21 +217,6 @@ def _load_directory(path: Path) -> list[Article]:
     return articles
 
 
-def serialize_articles(articles: Iterable[Article]) -> str:
-    """Inverse of the jsonl loader; load -> serialize -> load round-trips."""
-    lines = []
-    for art in articles:
-        lines.append(json.dumps({
-            "id": art.id,
-            "published_at": art.published_at.isoformat(),
-            "symbols": sorted(art.symbols),
-            "title": art.title,
-            "body": art.body,
-            "contributor": art.contributor,
-        }, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
 def assign_trading_days(
     article_set: ArticleSet,
     calendar: TradingCalendar,

@@ -127,17 +127,6 @@ def _parse_mpqa_line_counting(line: str) -> tuple[LexiconEntry, int]:
     return entry, unknown
 
 
-def format_mpqa_line(entry: LexiconEntry) -> str:
-    """Inverse of parse_mpqa_line for entries with explicit MPQA attributes."""
-    if entry.pos_tag is PosTag.UNCONSTRAINED or entry.strength is Strength.UNSPECIFIED:
-        raise InvalidValue("entry", entry.word)
-    return (
-        f"type={entry.strength.value} len={entry.length} word1={entry.word.replace(' ', '_')} "
-        f"pos1={entry.pos_tag.value} stemmed1={'y' if entry.stemmed else 'n'} "
-        f"priorpolarity={entry.polarity.value}"
-    )
-
-
 def parse_mpqa_file(path: str | Path) -> tuple[list[LexiconEntry], int]:
     """All entries of a structured lexicon file plus total unknown-key count."""
     path = Path(path)

@@ -1,11 +1,11 @@
 """Local-linear regression with plug-in bandwidth and uniform confidence bands.
 
-The bandwidth follows the direct plug-in recipe: blockwise quartic pilot fits
-(block count chosen by Mallows' Cp) estimate the error variance and the
-integrated squared second derivative, which enter the asymptotically optimal
-Gaussian-kernel formula.  Uniform bands scale the pointwise standard errors
-by the bootstrap quantile of the sup-normalized deviation under Gaussian
-multipliers, floored at the pointwise normal quantile.
+The bandwidth follows the direct plug-in recipe: one global quartic pilot fit
+estimates the error variance and the integrated squared second derivative,
+which enter the asymptotically optimal Gaussian-kernel formula.  Uniform
+bands scale the pointwise standard errors by the bootstrap quantile of the
+sup-normalized deviation under Gaussian multipliers, floored at the pointwise
+normal quantile.
 """
 
 from __future__ import annotations
@@ -108,29 +108,6 @@ def _residuals_with_leverage(x, y, h, chunk=512):
     return residuals
 
 
-def _blocked_quartic(x, y, n_blocks):
-    """Per-block quartic fits; returns (rss, fitted second derivative at x).
-
-    Each block is fitted in standardized coordinates for conditioning; the
-    second derivative is mapped back through the chain rule.
-    """
-    n = len(x)
-    order = np.argsort(x, kind="stable")
-    bounds = [round(i * n / n_blocks) for i in range(n_blocks + 1)]
-    rss = 0.0
-    second = np.empty(n)
-    for b in range(n_blocks):
-        idx = order[bounds[b] : bounds[b + 1]]
-        center = x[idx].mean()
-        scale = x[idx].std() or 1.0
-        u = (x[idx] - center) / scale
-        coeffs = np.polyfit(u, y[idx], 4)
-        resid = y[idx] - np.polyval(coeffs, u)
-        rss += float(resid @ resid)
-        second[idx] = np.polyval(np.polyder(coeffs, 2), u) / scale**2
-    return rss, second
-
-
 def plugin_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     """Direct plug-in bandwidth for local-linear regression (Gaussian kernel).
 
@@ -150,8 +127,17 @@ def plugin_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     if support <= 0.0:
         raise DegenerateX("all x values are equal")
 
-    rss, second = _blocked_quartic(x, y, 1)
-    sigma2 = rss / max(n - 5, 1)
+    # the pilot is fitted in sorted order and standardized coordinates (for
+    # conditioning); its second derivative maps back through the chain rule
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    scale = xs.std() or 1.0
+    u = (xs - xs.mean()) / scale
+    coeffs = np.polyfit(u, ys, 4)
+    resid = ys - np.polyval(coeffs, u)
+    sigma2 = float(resid @ resid) / max(n - 5, 1)
+    second = np.empty(n)
+    second[order] = np.polyval(np.polyder(coeffs, 2), u) / scale**2
     theta22 = float(np.mean(second**2))
 
     cap = support

@@ -12,10 +12,17 @@ import math
 import numpy as np
 import pytest
 
-from newsflow._util import atomic_write_text, read_text
-from newsflow.errors import CalendarMismatch, InputError, MalformedRecord, PriceParseError, WindowOutOfRange
+from newsflow._util import atomic_write_text, column_codes, read_text
+from newsflow.errors import (
+    CalendarMismatch,
+    InputError,
+    InvalidValue,
+    MalformedRecord,
+    PriceParseError,
+    WindowOutOfRange,
+)
 from newsflow.indicators import PRICE_FIELDS
-from newsflow.lexicon import Polarity
+from newsflow.lexicon import Polarity, PosTag, Strength
 from newsflow.panel import INDICATOR_FIELDS, SENTIMENT_FIELDS, MarketSeries, SymbolDayArray
 
 FIXTURE_SEED = 20090
@@ -51,6 +58,46 @@ def write_calendar(path, days):
     path.write_text("\n".join(d.isoformat() for d in days) + "\n", encoding="utf-8")
 
 
+def symbol_day_array(fields, rows, n_days) -> SymbolDayArray:
+    """(symbol, day, *field values) rows, on their sorted symbols and a calendar of n_days.
+
+    A day outside the calendar raises CalendarMismatch.
+    """
+    symbols, symbol_index = column_codes([row[0] for row in rows])
+    days = np.array([row[1] for row in rows], dtype=np.intp)
+    outside = days[(days < 0) | (days >= n_days)]
+    if outside.size:
+        raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
+    values = np.array([row[2:] for row in rows], dtype=float).reshape(len(rows), len(fields)).T
+    return SymbolDayArray.from_columns(fields, symbols, symbol_index, days, values, n_days)
+
+
+def serialize_articles(articles) -> str:
+    """Inverse of the jsonl corpus loader; load -> serialize -> load round-trips."""
+    lines = []
+    for art in articles:
+        lines.append(json.dumps({
+            "id": art.id,
+            "published_at": art.published_at.isoformat(),
+            "symbols": sorted(art.symbols),
+            "title": art.title,
+            "body": art.body,
+            "contributor": art.contributor,
+        }, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def format_mpqa_line(entry) -> str:
+    """Inverse of lexicon.parse_mpqa_line for entries with explicit MPQA attributes."""
+    if entry.pos_tag is PosTag.UNCONSTRAINED or entry.strength is Strength.UNSPECIFIED:
+        raise InvalidValue("entry", entry.word)
+    return (
+        f"type={entry.strength.value} len={entry.length} word1={entry.word.replace(' ', '_')} "
+        f"pos1={entry.pos_tag.value} stemmed1={'y' if entry.stemmed else 'n'} "
+        f"priorpolarity={entry.polarity.value}"
+    )
+
+
 # one sentiment.csv row, for building test inputs
 SentimentRecord = collections.namedtuple(
     "SentimentRecord", "symbol day lexicon_name active pos neg n_articles", defaults=(0,)
@@ -83,7 +130,7 @@ def cumulative_record(records, t, h) -> SentimentRecord:
 def sentiment_array(records, n_days=None) -> SymbolDayArray:
     """SentimentRecords of one lexicon as a SymbolDayArray; n_days defaults to the last day + 1."""
     rows = [(r.symbol, r.day, r.active, r.pos, r.neg, r.n_articles) for r in records]
-    return SymbolDayArray.from_rows(SENTIMENT_FIELDS, rows, n_days or max(row[1] for row in rows) + 1)
+    return symbol_day_array(SENTIMENT_FIELDS, rows, n_days or max(row[1] for row in rows) + 1)
 
 
 # one indicators.csv row, for building test inputs; None is a missing cell
@@ -93,7 +140,7 @@ IndicatorPoint = collections.namedtuple("IndicatorPoint", "symbol day log_vol de
 def indicator_array(points, n_days) -> SymbolDayArray:
     """IndicatorPoints as a SymbolDayArray."""
     rows = [(p.symbol, p.day, p.log_vol, p.detrended_volume, p.ret) for p in points]
-    return SymbolDayArray.from_rows(INDICATOR_FIELDS, rows, n_days)
+    return symbol_day_array(INDICATOR_FIELDS, rows, n_days)
 
 
 # Panel group sums by sorting labels, as the package did before it grouped
@@ -423,7 +470,7 @@ def read_sentiment_rows(path, calendar):
     for lexicon, row in read_csv_rows(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), parse):
         rows_by_lexicon.setdefault(lexicon, []).append(row)
     return {
-        lexicon: SymbolDayArray.from_rows(SENTIMENT_FIELDS, rows, len(calendar))
+        lexicon: symbol_day_array(SENTIMENT_FIELDS, rows, len(calendar))
         for lexicon, rows in rows_by_lexicon.items()
     }
 
@@ -442,7 +489,7 @@ def read_indicator_rows(path, calendar):
         return (row["symbol"], day, *(finite_float(row[name]) if row[name] else None for name in INDICATOR_FIELDS))
 
     rows = read_csv_rows(path, ("symbol", "date", *INDICATOR_FIELDS), parse)
-    return SymbolDayArray.from_rows(INDICATOR_FIELDS, rows, len(calendar))
+    return symbol_day_array(INDICATOR_FIELDS, rows, len(calendar))
 
 
 def load_market_bar_rows(path, calendar):
@@ -478,7 +525,7 @@ def load_market_bar_rows(path, calendar):
         raise PriceParseError(exc.detail, line=exc.position) from exc
     if not rows:
         raise PriceParseError("price CSV has no data rows")
-    return SymbolDayArray.from_rows(PRICE_FIELDS, rows, len(calendar))
+    return symbol_day_array(PRICE_FIELDS, rows, len(calendar))
 
 
 def read_market_rows(path, calendar):

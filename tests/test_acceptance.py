@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from conftest import format_mpqa_line
 from newsflow.cli import main as cli_main
 from newsflow.indicators import detrended_volume, garman_klass_log_vol
 from newsflow.lexicon import (
@@ -22,7 +23,6 @@ from newsflow.lexicon import (
     PosTag,
     Strength,
     build_lexicon,
-    format_mpqa_line,
     parse_mpqa_line,
 )
 from newsflow.panel import (
@@ -33,25 +33,17 @@ from newsflow.panel import (
     pca_sentiment_index,
 )
 from newsflow.sentiment import build_scoring_index, score_article, tokenize
-from newsflow.simulate import (
-    GaussianCopula,
-    MA1Garch11Params,
+from newsflow.simulate.copula import GaussianCopula, fit_gaussian_copula, normal_scores, sample_copula
+from newsflow.simulate.edf import fit_edf
+from newsflow.simulate.garch import MA1Garch11Params, fit_ma1_garch11, simulate_ma1_garch11
+from newsflow.simulate.scenario import (
     MARKET_LABEL,
     ResidualModel,
     ScenarioConfig,
     SymbolSentimentModel,
-    band_overlap_region,
-    fit_edf,
-    fit_gaussian_copula,
-    fit_ma1_garch11,
-    local_linear_fit,
-    normal_scores,
-    plugin_bandwidth,
-    sample_copula,
-    simulate_ma1_garch11,
     simulate_scenario,
-    uniform_band,
 )
+from newsflow.simulate.smoother import band_overlap_region, local_linear_fit, plugin_bandwidth, uniform_band
 from newsflow.stemmer import porter_stem
 
 

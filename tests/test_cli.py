@@ -616,6 +616,25 @@ def test_unknown_panel_suite_exits_2_before_writing(distilled_fixture, tmp_path,
     assert sorted(path.name for path in (root / "out").iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["distill", "indicators", "panel", "simulate", "lexstats", "report"])
+@pytest.mark.parametrize("output, in_ini", [
+    pytest.param("taken", False, id="flag_names_a_file"),
+    pytest.param("taken/out", True, id="ini_names_a_path_under_a_file"),
+])
+def test_output_path_blocked_by_a_file_exits_2(mini_fixture, capsys, command, output, in_ini):
+    (mini_fixture / "taken").write_text("not a directory\n", encoding="utf-8")
+    ini = mini_fixture / "newsflow.ini"
+    if in_ini:
+        ini.write_text(ini.read_text(encoding="utf-8").replace(str(mini_fixture / "out"), str(mini_fixture / output)),
+                       encoding="utf-8")
+    before = sorted(mini_fixture.rglob("*"))
+    code = run([command, "--config", ini] + ([] if in_ini else ["--output", mini_fixture / output]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR INVALID_VALUE") and len(err.splitlines()) == 1
+    assert sorted(mini_fixture.rglob("*")) == before
+
+
 def test_distill_aggregates_once_per_lexicon(distilled_fixture, tmp_path, monkeypatch):
     calls = []
     aggregate = sentiment.aggregate_daily

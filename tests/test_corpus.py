@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from conftest import serialize_articles
 from newsflow.corpus import (
     Article,
     ArticleSet,
@@ -11,7 +12,6 @@ from newsflow.corpus import (
     assign_trading_days,
     filter_by_symbols,
     load_articles,
-    serialize_articles,
 )
 from newsflow.errors import DuplicateId, EmptyCorpus, InputError, MalformedRecord
 

@@ -3,13 +3,8 @@ import pytest
 from scipy import stats
 
 from newsflow.errors import ConstantColumn, DimensionMismatch, NonPSDMatrix, TooFewPoints
-from newsflow.simulate import (
-    GaussianCopula,
-    fit_edf,
-    fit_gaussian_copula,
-    normal_scores,
-    sample_copula,
-)
+from newsflow.simulate.copula import GaussianCopula, fit_gaussian_copula, normal_scores, sample_copula
+from newsflow.simulate.edf import fit_edf
 
 
 # edf ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from newsflow.figures import scatter_band_figure
-from newsflow.simulate import local_linear_fit, uniform_band
+from newsflow.simulate.smoother import local_linear_fit, uniform_band
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 

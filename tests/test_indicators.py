@@ -5,8 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import symbol_day_array
 from newsflow.corpus import TradingCalendar
-from newsflow._util import SymbolDayArray
 from newsflow.errors import (
     InputError,
     InsufficientHistory,
@@ -234,7 +234,7 @@ def make_bars(symbol, n, rng):
 
 
 def bar_array(bars, n_days):
-    return SymbolDayArray.from_rows(PRICE_FIELDS, bars, n_days)
+    return symbol_day_array(PRICE_FIELDS, bars, n_days)
 
 
 def test_compute_indicators_warmup_130_days():

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from conftest import format_mpqa_line
 from newsflow.errors import EmptyList, InputError, InvalidValue, MalformedRecord, MissingField
 from newsflow.lexicon import (
     LexiconEntry,
@@ -11,7 +12,6 @@ from newsflow.lexicon import (
     Strength,
     build_lexicon,
     compare_lexica,
-    format_mpqa_line,
     load_wordlist,
     parse_mpqa_file,
     parse_mpqa_line,

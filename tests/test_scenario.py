@@ -3,9 +3,10 @@ import pytest
 
 from conftest import SentimentRecord, sentiment_array
 from newsflow.errors import InputError, MissingComponent
-from newsflow.simulate import (
-    GaussianCopula,
-    MA1Garch11Params,
+from newsflow.simulate.copula import GaussianCopula
+from newsflow.simulate.edf import fit_edf
+from newsflow.simulate.garch import MA1Garch11Params, simulate_ma1_garch11
+from newsflow.simulate.scenario import (
     MARKET_LABEL,
     ResidualModel,
     ScenarioConfig,
@@ -13,8 +14,6 @@ from newsflow.simulate import (
     SymbolSentimentModel,
     build_residual_model,
     build_sentiment_models,
-    fit_edf,
-    simulate_ma1_garch11,
     simulate_scenario,
 )
 

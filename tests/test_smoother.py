@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from newsflow.errors import DegenerateX, GridMismatch, InputError, TooFewBootstraps, TooFewPoints
-from newsflow.simulate import (
+from newsflow.simulate.smoother import (
+    _equivalent_weights,
     band_overlap_region,
     local_linear_fit,
     plugin_bandwidth,
     uniform_band,
 )
-from newsflow.simulate.smoother import _equivalent_weights
 
 
 def predict_at(x, y, h, points, chunk=512):
