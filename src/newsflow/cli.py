@@ -36,6 +36,7 @@ from .config import RunConfig, config_fingerprint, load_config, parse_day_bounda
 from .corpus import TradingCalendar
 from .errors import (
     InputError,
+    InvalidValue,
     MissingInput,
     NewsflowError,
     NumericalError,
@@ -325,6 +326,27 @@ def _read_residual_pool(path: Path) -> np.ndarray:
     return values
 
 
+BAND_BYTES = 1 << 30  # the largest float64 array one band may allocate
+
+
+def _check_band_size(config: RunConfig, n_symbols: int) -> None:
+    """Refuse sizes whose band arrays would exceed BAND_BYTES, before anything is fitted or allocated.
+
+    A band has at most n = symbols × n_days points.  Its largest float64
+    arrays are the n × n_boot bootstrap multipliers, the grid_points × n
+    weights that contract them and the grid_points × n_boot deviations.
+    """
+    n = n_symbols * config.sim_n_days
+    grid, n_boot = config.sim_grid_points, config.sim_n_boot
+    size = 8 * max(n * n_boot, grid * n, grid * n_boot)
+    if size > BAND_BYTES:
+        raise InvalidValue(
+            "[simulate] n_days, n_boot, grid_points",
+            f"{config.sim_n_days}, {n_boot}, {grid} (a band over {n_symbols} symbols needs an array of "
+            f"{size} bytes, above {BAND_BYTES})",
+        )
+
+
 def cmd_simulate(config: RunConfig) -> int:
     config.validate(need=("calendar", "market"))
     if config.sim_n_boot < 100:
@@ -343,10 +365,12 @@ def cmd_simulate(config: RunConfig) -> int:
 
     # read every panel output before the GARCH fits, so that a missing file fails fast
     projections = list(config.sim_projections) if config.sim_projections else sorted(sentiment)
-    panel_outputs = {}
     for projection in projections:
         if projection not in sentiment:
             raise MissingInput(f"no sentiment records for projection {projection!r}")
+    _check_band_size(config, max(len(sentiment[projection].symbols) for projection in projections))
+    panel_outputs = {}
+    for projection in projections:
         panel_outputs[projection] = (
             _read_entire_coefficients(config.output_dir / config.sim_results_csv, projection),
             _read_residual_pool(config.output_dir / f"residuals_log_vol_{projection}.csv"),
@@ -420,9 +444,10 @@ def cmd_simulate(config: RunConfig) -> int:
             x_range=config.plot_x_range, y_range=config.plot_y_range,
         )
         atomic_write_text(config.output_dir / f"figure_{projection}.svg", svg)
+        bands = " ".join(f"band_{which}={fit.n_points}/{fit.n_distinct}" for which, fit in fits.items())
         print(f"projection={projection} symbols={len(models)} "
               f"skipped_sentiment={len(diagnostics.skipped_symbols)} "
-              f"nonoverlap_intervals={len(overlap)}")
+              f"nonoverlap_intervals={len(overlap)} {bands}")
 
     _write_manifest(config, "simulate", [config.market_path,
                                          config.output_dir / SENTIMENT_CSV,

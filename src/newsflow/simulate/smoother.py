@@ -6,6 +6,16 @@ which enter the asymptotically optimal Gaussian-kernel formula.  Uniform
 bands scale the pointwise standard errors by the bootstrap quantile of the
 sup-normalized deviation under Gaussian multipliers, floored at the pointwise
 normal quantile.
+
+The kernel depends on a point only through its x, and simulated x values are
+draws from empirical marginals, so they repeat.  Every kernel sum therefore
+runs over the m distinct values u_k with their counts c_k: the local sums
+s0, s1 and s2 weigh u_k by c_k, fits and leverage residuals use per-value
+sums of y, and standard errors per-value sums of squared residuals.  The
+weight matrices are grid × m and m × m (in blocks of rows) instead of
+grid × n and n × n.  The bootstrap still draws one multiplier per point (an n × n_boot matrix), so
+the random stream is that of the per-point sums; results differ from them
+only by rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from ..errors import (
 
 _GAUSS_ROUGHNESS = 1.0 / (2.0 * math.sqrt(math.pi))  # integral of K^2 for the Gaussian kernel
 _WEIGHT_FLOOR = 1e-10
+_BLOCK = 512  # rows of the m × m leverage weights computed at once
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,8 @@ class SmootherFit:
     band_upper: np.ndarray | None = None
     level: float | None = None
     n_empty: int = 0
+    n_points: int = 0
+    n_distinct: int = 0
     pointwise_se: np.ndarray | None = field(repr=False, default=None)
     critical_value: float | None = None
 
@@ -45,27 +58,37 @@ class SmootherFit:
             raise InputError("evaluation grid must be strictly increasing")
 
 
-def _equivalent_weights(x: np.ndarray, grid: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of local-linear weights l(g) with sum 1; flags for empty points.
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct values u of x, each point's index into u, and the counts as floats."""
+    u, index, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return u, index, counts.astype(float)
 
-    Grid points whose local line is degenerate (all kernel mass on one x
-    value) fall back to the locally weighted mean; points with no kernel
-    mass at all are flagged empty.
+
+def _equivalent_weights(
+    u: np.ndarray, counts: np.ndarray, grid: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local-linear weight l(g) of one point at each distinct value u_k; flags for empty points.
+
+    The kernel sums s0, s1 and s2 weigh each value by its count, so a row
+    times the counts sums to 1.  Grid points whose local line is degenerate
+    (all kernel mass on one x value) fall back to the locally weighted mean;
+    points with no kernel mass at all are flagged empty and get zero weights.
     """
-    dx = x[None, :] - grid[:, None]
+    dx = u[None, :] - grid[:, None]
     w = np.exp(-0.5 * (dx / h) ** 2)
-    s0 = w.sum(axis=1)
-    s1 = (w * dx).sum(axis=1)
-    s2 = (w * dx * dx).sum(axis=1)
+    wdx = w * dx
+    s0 = w @ counts
+    s1 = wdx @ counts
+    s2 = (wdx * dx) @ counts
     denom = s0 * s2 - s1 * s1
     empty = s0 < _WEIGHT_FLOOR
     degenerate = ~empty & (denom <= _WEIGHT_FLOOR * np.maximum(s0 * s2, _WEIGHT_FLOOR))
     safe_denom = np.where(empty | degenerate, 1.0, denom)
     weights = w * (s2[:, None] - dx * s1[:, None]) / safe_denom[:, None]
     if degenerate.any():
-        safe_s0 = np.where(s0 < _WEIGHT_FLOOR, 1.0, s0)
+        safe_s0 = np.where(empty, 1.0, s0)
         weights[degenerate] = (w / safe_s0[:, None])[degenerate]
-    weights[empty] = np.nan
+    weights[empty] = 0.0
     return weights, empty
 
 
@@ -83,29 +106,33 @@ def local_linear_fit(
         raise InputError(f"bandwidth must be positive, got {h}")
     if len(x) != len(y) or len(x) < 2:
         raise TooFewPoints("need matching x/y with at least 2 points")
-    weights, empty = _equivalent_weights(x, grid, h)
-    curve = np.where(empty, np.nan, np.nansum(weights * y[None, :], axis=1))
+    u, index, counts = _distinct(x)
+    weights, empty = _equivalent_weights(u, counts, grid, h)
+    curve = weights @ np.bincount(index, y, minlength=len(u))
     curve[empty] = np.nan
-    return SmootherFit(grid=grid, curve=curve, bandwidth=h, n_empty=int(empty.sum()))
+    return SmootherFit(
+        grid=grid, curve=curve, bandwidth=h, n_empty=int(empty.sum()), n_points=len(x), n_distinct=len(u)
+    )
 
 
-def _residuals_with_leverage(x, y, h, chunk=512):
+def _residuals_with_leverage(u, index, counts, y, h):
     """Residuals at the data points, rescaled by 1/sqrt(1 - self-weight).
 
-    The local fit shrinks its own residual through the self-weight l_i(x_i);
-    the rescaling restores the error scale (the HC2 correction).
+    The local fit shrinks its own residual through the self-weight l_i(x_i):
+    one point's weight at its own value, s2/denom (1/s0 when degenerate),
+    the diagonal of the m × m weights on the distinct values.  The rescaling
+    restores the error scale (the HC2 correction).
     """
-    n = len(x)
-    residuals = np.empty(n)
-    for start in range(0, n, chunk):
-        block = slice(start, min(start + chunk, n))
-        weights, empty = _equivalent_weights(x, x[block], h)
-        weights = np.where(np.isnan(weights), 0.0, weights)
-        fitted = weights @ y
-        self_weight = weights[np.arange(block.stop - block.start), np.arange(block.start, block.stop)]
-        deflation = np.sqrt(np.clip(1.0 - self_weight, 0.05, 1.0))
-        residuals[block] = (y[block] - fitted) / deflation
-    return residuals
+    sums = np.bincount(index, y, minlength=len(u))
+    fitted = np.empty(len(u))
+    self_weight = np.empty(len(u))
+    # blocks of rows keep the memory at _BLOCK × m when the x values barely repeat
+    for start in range(0, len(u), _BLOCK):
+        weights, _ = _equivalent_weights(u, counts, u[start : start + _BLOCK], h)
+        fitted[start : start + _BLOCK] = weights @ sums
+        self_weight[start : start + _BLOCK] = np.diagonal(weights, start)
+    deflation = np.sqrt(np.clip(1.0 - self_weight, 0.05, 1.0))
+    return (y - fitted[index]) / deflation[index]
 
 
 def plugin_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
@@ -171,14 +198,15 @@ def uniform_band(
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(rng_seed) if isinstance(rng_seed, int) else rng_seed
 
-    residuals = _residuals_with_leverage(x, y, fit.bandwidth)
-    weights, empty = _equivalent_weights(x, fit.grid, fit.bandwidth)
-    weights = np.where(np.isnan(weights), 0.0, weights)
-    se = np.sqrt((weights**2 * residuals[None, :] ** 2).sum(axis=1))
+    u, index, counts = _distinct(x)
+    residuals = _residuals_with_leverage(u, index, counts, y, fit.bandwidth)
+    weights, empty = _equivalent_weights(u, counts, fit.grid, fit.bandwidth)
+    se = np.sqrt(weights**2 @ np.bincount(index, residuals**2, minlength=len(u)))
     se[empty] = np.nan
 
+    # one multiplier per point, so the random stream does not depend on ties
     multipliers = rng.standard_normal((len(x), n_boot))
-    deviations = weights @ (residuals[:, None] * multipliers)
+    deviations = (weights[:, index] * residuals) @ multipliers
     usable = ~empty & (se > 0)
     if usable.any():
         ratios = np.abs(deviations[usable]) / se[usable, None]
@@ -189,7 +217,6 @@ def uniform_band(
     critical = max(critical, float(special.ndtri(0.5 + level / 2.0)))
 
     width = critical * se
-    width = np.where(np.isnan(width), np.nan, width)
     return replace(
         fit,
         band_lower=fit.curve - width,

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from newsflow._util import atomic_write_text, column_codes, read_text
 from newsflow.errors import (
@@ -167,6 +168,56 @@ def unique_sandwich(x, u, groups, k):
     bread = np.linalg.inv(x.T @ x)
     factor = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
     return factor * bread @ (scores.T @ scores) @ bread
+
+
+# Local-linear smoothing over every data point, as the package did before it
+# summed the kernel over the distinct x values: the reference that
+# newsflow.simulate.smoother's fits and bands are checked against.
+
+def reference_equivalent_weights(x, grid, h):
+    """Rows of per-point local-linear weights l(g), NaN for empty grid points; flags for empty points."""
+    dx = x[None, :] - grid[:, None]
+    w = np.exp(-0.5 * (dx / h) ** 2)
+    s0 = w.sum(axis=1)
+    s1 = (w * dx).sum(axis=1)
+    s2 = (w * dx * dx).sum(axis=1)
+    denom = s0 * s2 - s1 * s1
+    empty = s0 < 1e-10
+    degenerate = ~empty & (denom <= 1e-10 * np.maximum(s0 * s2, 1e-10))
+    safe_denom = np.where(empty | degenerate, 1.0, denom)
+    weights = w * (s2[:, None] - dx * s1[:, None]) / safe_denom[:, None]
+    if degenerate.any():
+        safe_s0 = np.where(s0 < 1e-10, 1.0, s0)
+        weights[degenerate] = (w / safe_s0[:, None])[degenerate]
+    weights[empty] = np.nan
+    return weights, empty
+
+
+def reference_residuals_with_leverage(x, y, h):
+    """Residuals rescaled by 1/sqrt(1 - l_i(x_i)), from the n x n per-point weights."""
+    weights, _ = reference_equivalent_weights(x, x, h)
+    weights = np.where(np.isnan(weights), 0.0, weights)
+    deflation = np.sqrt(np.clip(1.0 - np.diagonal(weights), 0.05, 1.0))
+    return (y - weights @ y) / deflation
+
+
+def reference_uniform_band(x, y, h, grid, level, n_boot, rng_seed):
+    """(curve, se, critical value, lower, upper) of the per-point fit and multiplier-bootstrap band."""
+    weights, empty = reference_equivalent_weights(x, grid, h)
+    weights = np.where(np.isnan(weights), 0.0, weights)
+    curve = weights @ y
+    curve[empty] = np.nan
+    residuals = reference_residuals_with_leverage(x, y, h)
+    se = np.sqrt((weights**2 * residuals[None, :] ** 2).sum(axis=1))
+    se[empty] = np.nan
+    multipliers = np.random.default_rng(rng_seed).standard_normal((len(x), n_boot))
+    deviations = weights @ (residuals[:, None] * multipliers)
+    usable = ~empty & (se > 0)
+    critical = float(scipy.special.ndtri(0.5 + level / 2.0))
+    if usable.any():
+        sup = (np.abs(deviations[usable]) / se[usable, None]).max(axis=0)
+        critical = max(float(np.quantile(sup, level)), critical)
+    return curve, se, critical, curve - critical * se, curve + critical * se
 
 
 # Lexicon scoring one lexicon at a time, as the package did before it walked

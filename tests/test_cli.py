@@ -825,6 +825,34 @@ def test_simulate_checks_n_days_before_fitting(paneled_fixture, monkeypatch, cap
     assert fits == []
 
 
+@pytest.mark.parametrize("edit, extra_args", [
+    pytest.param(("n_boot = 150", "n_boot = 1000000000000"), [], id="n_boot"),
+    pytest.param(("n_days = 250", "n_days = 1000000000000"), [], id="n_days"),
+    pytest.param(("min_active = 30", "min_active = 30\ngrid_points = 1000000000000"), [], id="grid_points"),
+    pytest.param(None, ["--n-boot", 10**12], id="n_boot_flag"),
+    pytest.param(None, ["--n-days", 10**12], id="n_days_flag"),
+    # 4 symbols x 250 days x 134,218 draws is the first multiplier matrix above 1 GiB
+    pytest.param(None, ["--n-boot", 134_218], id="n_boot_flag_at_the_bound"),
+])
+def test_simulate_refuses_huge_band_sizes_before_fitting(paneled_fixture, monkeypatch, capsys, edit, extra_args):
+    ini = paneled_fixture / "newsflow.ini"
+    if edit is not None:
+        text = ini.read_text(encoding="utf-8")
+        assert edit[0] in text
+        ini = paneled_fixture / "huge.ini"
+        ini.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+    # a stand-in fit that fails at once, so a missing check cannot reach the huge allocations
+    fits = []
+    monkeypatch.setattr(scenario, "fit_ma1_garch11", lambda *args, **kwargs: fits.append(1))
+    capsys.readouterr()
+    code = run(["simulate", "--config", ini, "--output", paneled_fixture / "out", *extra_args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR INVALID_VALUE: ") and len(err.splitlines()) == 1
+    assert "n_days, n_boot, grid_points" in err and "Traceback" not in err
+    assert fits == []
+
+
 def test_panel_summary_counts_low_rank_cells(distilled_fixture, tmp_path, capsys):
     # 4 symbols clustered by entity identify at most 3 of the 8 coefficients' directions
     root = tmp_path / "run"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_equivalent_weights, reference_uniform_band
 from newsflow.errors import DegenerateX, GridMismatch, InputError, TooFewBootstraps, TooFewPoints
 from newsflow.simulate.smoother import (
-    _equivalent_weights,
     band_overlap_region,
     local_linear_fit,
     plugin_bandwidth,
@@ -15,7 +16,7 @@ def predict_at(x, y, h, points, chunk=512):
     """Local-linear fitted values at arbitrary points, chunked: the reference for local_linear_fit."""
     out = np.empty(len(points))
     for start in range(0, len(points), chunk):
-        weights, empty = _equivalent_weights(x, points[start : start + chunk], h)
+        weights, empty = reference_equivalent_weights(x, points[start : start + chunk], h)
         values = np.where(np.isnan(weights), 0.0, weights) @ y
         values[empty] = np.nan
         out[start : start + chunk] = values
@@ -74,6 +75,62 @@ def test_predict_at_matches_gridwise_fit():
     perm = rng.permutation(40)
     chunked = predict_at(x, y, 0.1, points[perm], chunk=7)[np.argsort(perm)]
     assert chunked == pytest.approx(direct, abs=1e-12)
+
+
+@st.composite
+def _smoother_case(draw):
+    """Tied (a pool of at most 20 values) or untied x, plus a far cluster and grid points beyond the data."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 150))
+    if draw(st.booleans()):
+        pool = np.sort(rng.choice(100, size=draw(st.integers(2, 20)), replace=False)) / 100.0
+        x = pool[rng.integers(len(pool), size=n)]
+        x[:2] = pool[0], pool[-1]
+    else:
+        x = rng.uniform(0.0, 1.0, n)
+    u = np.unique(x)
+    # a bandwidth of at least the widest gap keeps every local line inside the
+    # data well conditioned, so the two summation orders agree to rounding
+    h = float(np.diff(u).max()) * draw(st.floats(1.0, 4.0))
+    # a cluster 60 h away: at its value all kernel mass sits on one x value
+    far = u[-1] + 60.0 * h
+    x = np.concatenate([x, np.full(draw(st.integers(1, 3)), far)])
+    y = 10.0 + np.sin(3.0 * x) + rng.normal(0.0, 0.3, len(x))
+    inside = np.linspace(u[0], u[-1], 15)
+    grid = np.concatenate([[u[0] - 30.0 * h], inside, [u[-1] + 30.0 * h, far, far + 30.0 * h]])
+    return x, y, h, grid, draw(st.integers(100, 200)), draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_smoother_case())
+def test_distinct_value_sums_match_the_per_point_oracle(case):
+    x, y, h, grid, n_boot, seed = case
+    fit = local_linear_fit(x, y, h, grid)
+    banded = uniform_band(fit, x, y, level=0.95, n_boot=n_boot, rng_seed=seed)
+    curve, se, critical, lower, upper = reference_uniform_band(x, y, h, grid, 0.95, n_boot, seed)
+    # three grid points lie beyond the data; the far cluster's own value is the degenerate fallback
+    assert fit.n_empty == 3 and np.isnan(fit.curve[[0, -3, -1]]).all()
+    assert fit.curve[-2] == pytest.approx(y[x == grid[-2]].mean(), rel=1e-12)
+    assert (fit.n_points, fit.n_distinct) == (len(x), len(np.unique(x)))
+    np.testing.assert_allclose(fit.curve, curve, rtol=1e-12)
+    np.testing.assert_allclose(banded.pointwise_se, se, rtol=1e-12)
+    assert banded.critical_value == pytest.approx(critical, rel=1e-12)
+    np.testing.assert_allclose(banded.band_lower, lower, rtol=1e-12)
+    np.testing.assert_allclose(banded.band_upper, upper, rtol=1e-12)
+
+
+def test_leverage_in_blocks_matches_the_per_point_oracle():
+    # 1,100 distinct values take three blocks of leverage rows, the last one partial
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 1000), np.repeat(rng.uniform(0.0, 1.0, 100), 3)])
+    y = 10.0 + np.sin(3.0 * x) + rng.normal(0.0, 0.3, len(x))
+    grid = np.linspace(0.0, 1.0, 21)
+    banded = uniform_band(local_linear_fit(x, y, 0.05, grid), x, y, n_boot=100, rng_seed=13)
+    assert banded.n_distinct == 1100
+    curve, se, critical, lower, upper = reference_uniform_band(x, y, 0.05, grid, 0.95, 100, 13)
+    np.testing.assert_allclose(banded.pointwise_se, se, rtol=1e-12)
+    assert banded.critical_value == pytest.approx(critical, rel=1e-12)
+    np.testing.assert_allclose(banded.band_upper, upper, rtol=1e-12)
 
 
 # plug-in bandwidth ---------------------------------------------------------------
