@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import InputError, InvalidValue, LexiconNotFound, MissingInput
 from .panel import SUITES, ClusterMode
-from .sentiment import DEFAULT_NEGATORS, NegationConfig, _word_tokens
+from .sentiment import DEFAULT_NEGATORS, NegationConfig, tokenize
 
 LEXICON_KINDS = ("wordlists", "mpqa")
 
@@ -145,6 +145,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read(path, encoding="utf-8")
+        # interpolate every value now, so that a stray "%" is a malformed file, not a traceback
+        for name in parser.sections():
+            parser.items(name)
     except (configparser.Error, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).split())  # configparser messages span lines
         raise InputError(f"malformed config file {path}: {detail}") from None
@@ -180,8 +183,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         t.strip().lower() for t in negation.get("negators", ",".join(DEFAULT_NEGATORS)).split(",") if t.strip()
     )
     for negator in negators:
-        # a negator matches one token, so it must tokenize to itself
-        if _word_tokens(negator) != [negator]:
+        # a negator matches one token, so it must tokenize to itself; the
+        # defaults do (a test checks it), so only a configured one is tokenized
+        if negator not in DEFAULT_NEGATORS and tokenize(negator).sentences != ((negator,),):
             raise InvalidValue("[negation] negators", negator)
     # a repeated symbol is listed once, in the order of its first mention
     symbols = tuple(dict.fromkeys(
@@ -227,6 +231,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         clean = {k: v for k, v in overrides.items() if v is not None}
         if clean:
             config = replace(config, **clean)
+    if not config.suites:
+        raise InvalidValue("[panel] suites", "")
     for suite in config.suites:
         if suite not in SUITES:
             raise InvalidValue("[panel] suites", suite)

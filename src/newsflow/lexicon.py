@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._util import read_text
 from .errors import EmptyList, InputError, InvalidValue, LexiconNotFound, MalformedRecord, MissingField
@@ -45,21 +45,37 @@ class Strength(enum.Enum):
 SCORING_POLARITIES = (Polarity.POSITIVE, Polarity.NEGATIVE)
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class _LexiconEntryFields(NamedTuple):
     word: str  # lowercase; multiword entries use single spaces
     polarity: Polarity
-    stemmed: bool = False
-    pos_tag: PosTag = PosTag.UNCONSTRAINED
-    strength: Strength = Strength.UNSPECIFIED
-    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)  # word split at its spaces
+    stemmed: bool
+    pos_tag: PosTag
+    strength: Strength
+    tokens: tuple[str, ...]  # word split at its spaces
 
-    def __post_init__(self):
-        if not self.word:
+
+class LexiconEntry(_LexiconEntryFields):
+    """One word or phrase of a lexicon; `tokens` is set from `word`.
+
+    A named tuple rather than a frozen dataclass: a lexicon file makes
+    thousands of entries, and a tuple is built at a fraction of the cost.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        word: str,
+        polarity: Polarity,
+        stemmed: bool = False,
+        pos_tag: PosTag = PosTag.UNCONSTRAINED,
+        strength: Strength = Strength.UNSPECIFIED,
+    ):
+        if not word:
             raise InputError("lexicon entry word is empty")
-        if self.word != self.word.lower():
-            raise InputError(f"lexicon entry word must be lowercase: {self.word!r}")
-        object.__setattr__(self, "tokens", tuple(self.word.split(" ")))
+        if word != word.lower():
+            raise InputError(f"lexicon entry word must be lowercase: {word!r}")
+        return tuple.__new__(cls, (word, polarity, stemmed, pos_tag, strength, tuple(word.split(" "))))
 
     @property
     def length(self) -> int:
@@ -88,24 +104,28 @@ def _parse_mpqa_line_counting(line: str) -> tuple[LexiconEntry, int]:
     pairs: dict[str, str] = {}
     unknown = 0
     for token in line.split():
-        if "=" not in token:
+        key, eq, value = token.partition("=")
+        if not eq:
             raise InvalidValue("entry", token)
-        key, _, value = token.partition("=")
-        if key not in _MPQA_KEYS:
+        if key in _MPQA_KEYS:
+            pairs[key] = value
+        else:
             unknown += 1
-            continue
-        pairs[key] = value
     for key in _MPQA_KEYS:
         if key not in pairs:
             raise MissingField(key, line)
 
-    if pairs["type"] not in _STRENGTHS:
+    strength = _STRENGTHS.get(pairs["type"])
+    if strength is None:
         raise InvalidValue("type", pairs["type"])
-    if pairs["pos1"] not in _POS_TAGS:
+    pos_tag = _POS_TAGS.get(pairs["pos1"])
+    if pos_tag is None:
         raise InvalidValue("pos1", pairs["pos1"])
-    if pairs["stemmed1"] not in _STEMMED:
+    stemmed = _STEMMED.get(pairs["stemmed1"])
+    if stemmed is None:
         raise InvalidValue("stemmed1", pairs["stemmed1"])
-    if pairs["priorpolarity"] not in _POLARITIES:
+    polarity = _POLARITIES.get(pairs["priorpolarity"])
+    if polarity is None:
         raise InvalidValue("priorpolarity", pairs["priorpolarity"])
     try:
         length = int(pairs["len"])
@@ -114,14 +134,7 @@ def _parse_mpqa_line_counting(line: str) -> tuple[LexiconEntry, int]:
     if length < 1:
         raise InvalidValue("len", pairs["len"])
 
-    word = pairs["word1"].lower().replace("_", " ")
-    entry = LexiconEntry(
-        word=word,
-        polarity=_POLARITIES[pairs["priorpolarity"]],
-        stemmed=_STEMMED[pairs["stemmed1"]],
-        pos_tag=_POS_TAGS[pairs["pos1"]],
-        strength=_STRENGTHS[pairs["type"]],
-    )
+    entry = LexiconEntry(pairs["word1"].lower().replace("_", " "), polarity, stemmed, pos_tag, strength)
     if entry.length != length:
         raise InvalidValue("len", pairs["len"])
     return entry, unknown
@@ -154,17 +167,9 @@ def load_wordlist(path: str | Path, polarity: Polarity) -> list[LexiconEntry]:
     path = Path(path)
     if not path.exists():
         raise LexiconNotFound(str(path))
-    seen: set[str] = set()
-    entries: list[LexiconEntry] = []
-    for raw in read_text(path).splitlines():
-        raw = raw.strip()
-        if not raw or raw.startswith(";"):
-            continue
-        word = raw.lower()
-        if word in seen:
-            continue
-        seen.add(word)
-        entries.append(LexiconEntry(word=word, polarity=polarity))
+    # one pass over the lowercased file; dict keys keep the first of each word, in file order
+    words = dict.fromkeys(line.strip() for line in read_text(path).lower().splitlines())
+    entries = [LexiconEntry(word, polarity) for word in words if word and not word.startswith(";")]
     if not entries:
         raise EmptyList(str(path))
     return entries
@@ -190,14 +195,10 @@ def build_lexicon(name: str, entries: Iterable[LexiconEntry]) -> Lexicon:
     entries = list(entries)
     if not entries:
         raise EmptyList(name)
-    unique: list[LexiconEntry] = []
-    seen: set[tuple[str, PosTag, bool]] = set()
+    unique: dict[tuple[str, PosTag, bool], LexiconEntry] = {}
     for entry in entries:
-        key = (entry.word, entry.pos_tag, entry.stemmed)
-        if key not in seen:
-            seen.add(key)
-            unique.append(entry)
-    return Lexicon(name=name, entries=tuple(unique), duplicate_warnings=len(entries) - len(unique))
+        unique.setdefault((entry.word, entry.pos_tag, entry.stemmed), entry)
+    return Lexicon(name=name, entries=tuple(unique.values()), duplicate_warnings=len(entries) - len(unique))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,14 @@ _ABBREVIATIONS = frozenset({
 })
 
 _TERMINATOR = re.compile(r"[.!?]+(?=\s|$)")
-_WORD_RUN = re.compile(r"[a-z']+")
+# A word run of [a-z']+ with its apostrophes stripped: from its first letter to
+# its last.  When it ends in "n't" after other characters, the part before
+# "n't" is one match and "n't" the next.
+_WORD = re.compile(r"[a-z][a-z']*?(?=n't'*(?![a-z']))|[a-z](?:[a-z']*[a-z])?")
+_LETTERS = re.compile(r"[a-z]+")
+# A word of this many alphanumeric characters is longer than any abbreviation
+# and is not an initial, so its "." needs no abbreviation walk.
+_LONGER_THAN_ABBREVIATIONS = max(map(len, _ABBREVIATIONS)) + 1
 
 DEFAULT_NEGATORS = ("not", "never", "no", "neither", "nor", "none", "n't")
 
@@ -74,40 +81,35 @@ def _is_abbreviation(text: str, period_at: int) -> bool:
     return len(token) == 1 and token.isalpha()
 
 
-def _split_sentences(text: str) -> list[str]:
-    sentences = []
-    start = 0
-    for match in _TERMINATOR.finditer(text):
-        if text[match.start()] == "." and match.group() == "." and _is_abbreviation(text, match.start()):
-            continue
-        sentences.append(text[start : match.end()])
-        start = match.end()
-    if start < len(text):
-        sentences.append(text[start:])
-    return [s for s in (s.strip() for s in sentences) if s]
-
-
-def _word_tokens(sentence: str) -> list[str]:
-    tokens: list[str] = []
-    for run in _WORD_RUN.findall(sentence.lower()):
-        word = run.strip("'")
-        if not word:
-            continue
-        if word.endswith("n't") and len(word) > 3:
-            tokens.append(word[:-3])
-            tokens.append("n't")
-        else:
-            tokens.append(word)
-    return tokens
-
-
 def tokenize(text: str) -> TokenizedArticle:
-    """Sentence-split then extract word tokens (alphabetic + apostrophe runs)."""
+    """Sentence-split then extract word tokens (alphabetic + apostrophe runs).
+
+    One terminator scan finds the sentence ends; each sentence is lowercased
+    and searched for words once.  See the README for the rules.
+    """
     if not text or not text.strip():
         raise EmptyText("cannot tokenize empty text")
+    ends = []
+    for match in _TERMINATOR.finditer(text):
+        at, end = match.span()
+        if (
+            end - at == 1
+            and text[at] == "."
+            and not (at >= _LONGER_THAN_ABBREVIATIONS and text[at - _LONGER_THAN_ABBREVIATIONS : at].isalnum())
+            and _is_abbreviation(text, at)
+        ):
+            continue
+        ends.append(end)
+    ends.append(len(text))
     sentences = []
-    for sentence in _split_sentences(text):
-        tokens = _word_tokens(sentence)
+    start = 0
+    for end in ends:
+        # lowercase each sentence on its own: a lowercase may be longer than
+        # its capital ("İ"), so offsets into a lowercased article would drift
+        sentence = text[start:end].lower()
+        start = end
+        # without an apostrophe every run is letters only: nothing to strip or split
+        tokens = (_WORD if "'" in sentence else _LETTERS).findall(sentence)
         if tokens:
             sentences.append(tuple(tokens))
     return TokenizedArticle(sentences=tuple(sentences))

@@ -8,6 +8,7 @@ import datetime as dt
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from newsflow.errors import (
 from newsflow.indicators import PRICE_FIELDS
 from newsflow.lexicon import Polarity, PosTag, Strength
 from newsflow.panel import INDICATOR_FIELDS, SENTIMENT_FIELDS, MarketSeries, SymbolDayArray
+from newsflow.sentiment import _ABBREVIATIONS as ABBREVIATIONS
 
 FIXTURE_SEED = 20090
 
@@ -284,6 +286,61 @@ def reference_score_article(article, lex, negation):
                 else:
                     neg_count += 1
     return pos_count, neg_count
+
+
+# The tokenizer as the package wrote it before one terminator scan per
+# article: sentences cut as stripped strings, the abbreviation walk at every
+# lone ".", and one strip/endswith step per word run.  The reference
+# newsflow.sentiment.tokenize is checked against.
+
+_REFERENCE_TERMINATOR = re.compile(r"[.!?]+(?=\s|$)")
+_REFERENCE_WORD_RUN = re.compile(r"[a-z']+")
+
+
+def _reference_is_abbreviation(text, period_at):
+    start = period_at
+    while start > 0 and (text[start - 1].isalnum() or text[start - 1] == "."):
+        start -= 1
+    token = text[start:period_at].lower().rstrip(".")
+    if not token:
+        return False
+    if token in ABBREVIATIONS:
+        return True
+    # single-letter initials such as "J." or internal-dot runs like "u.s"
+    return len(token) == 1 and token.isalpha()
+
+
+def _reference_split_sentences(text):
+    sentences = []
+    start = 0
+    for match in _REFERENCE_TERMINATOR.finditer(text):
+        if text[match.start()] == "." and match.group() == "." and _reference_is_abbreviation(text, match.start()):
+            continue
+        sentences.append(text[start : match.end()])
+        start = match.end()
+    if start < len(text):
+        sentences.append(text[start:])
+    return [s for s in (s.strip() for s in sentences) if s]
+
+
+def _reference_word_tokens(sentence):
+    tokens = []
+    for run in _REFERENCE_WORD_RUN.findall(sentence.lower()):
+        word = run.strip("'")
+        if not word:
+            continue
+        if word.endswith("n't") and len(word) > 3:
+            tokens.append(word[:-3])
+            tokens.append("n't")
+        else:
+            tokens.append(word)
+    return tokens
+
+
+def reference_tokenize(text):
+    """The sentences of word tokens of `text`, as tuples; empty sentences dropped."""
+    sentences = (tuple(_reference_word_tokens(s)) for s in _reference_split_sentences(text))
+    return tuple(s for s in sentences if s)
 
 
 # The Porter stemmer as the package wrote it before its rules were indexed by

@@ -1,4 +1,5 @@
 import codecs
+import configparser
 import contextlib
 import io
 import json
@@ -147,6 +148,7 @@ def test_bad_config_h(mini_fixture, capsys):
     pytest.param("", ["--day-boundary", "12:00+05:00"], id="day_boundary_flag_with_offset"),
     pytest.param("[run]\nseed = 2\n", [], id="duplicate_section"),
     pytest.param("[panel]\nnot a key value line\n", [], id="unparsable_line"),
+    pytest.param("[lexstats]\ntop = 5%\n", [], id="percent_sign"),
 ])
 def test_malformed_config_value_exits_2(mini_fixture, capsys, ini_extra, extra_args):
     ini = mini_fixture / "newsflow.ini"
@@ -165,6 +167,82 @@ def distilled_fixture(tmp_path_factory):
     for command in ("distill", "indicators"):
         assert run([command, "--config", root / "newsflow.ini"]) == 0
     return root
+
+
+def test_empty_panel_suites_exits_2_before_any_work(distilled_fixture, tmp_path, capsys):
+    root = tmp_path / "run"
+    shutil.copytree(distilled_fixture, root)
+    ini = root / "newsflow.ini"
+    ini.write_text(ini.read_text(encoding="utf-8") + "\n[panel]\nsuites =\n", encoding="utf-8")
+    code = run(["panel", "--config", ini, "--output", root / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR INVALID_VALUE: ") and "[panel] suites" in err and len(err.splitlines()) == 1
+    # nothing written: the output folder holds only the copied stage files
+    assert {p.name for p in (root / "out").iterdir()} == {p.name for p in (distilled_fixture / "out").iterdir()}
+
+
+def _set_ini_value(ini, section, key, value):
+    """Set one key of one section of an INI file, adding the section if it is missing."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(ini, encoding="utf-8")
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    with open(ini, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+
+
+# one INI value replaced: (section, key) -> its values, valid and not
+_INI_NUMBERS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", "x", "1.5", "1e3", "nan", "400", "9" * 30, "\u0663", "5%", "0x10"]),
+)
+INI_VALUES = {
+    ("panel", "h"): _INI_NUMBERS,
+    ("panel", "suites"): st.lists(st.sampled_from(["entire", "lags_noncumulative", "sector", "attention", "bogus", ""]),
+                                  max_size=3).map(",".join),
+    ("panel", "cluster"): st.sampled_from(["two_way", "by_entity", "by_time", "", "TWO_WAY", "bogus"]),
+    ("indicators", "window"): _INI_NUMBERS,
+    ("negation", "window"): _INI_NUMBERS,
+    ("negation", "negators"): st.lists(st.sampled_from(
+        ["not", "n't", "NEVER", "isn't", "no.", "", "42", "'", "no way", "\u0130", "\u212a", "100%"]), max_size=3,
+    ).map(",".join),
+    ("negation", "bidirectional"): st.sampled_from(["true", "no", "0", "flase", "", "%"]),
+    ("lexstats", "top"): _INI_NUMBERS,
+    ("lexstats", "min_count"): _INI_NUMBERS,
+    ("simulate", "n_days"): _INI_NUMBERS,
+    ("simulate", "n_boot"): _INI_NUMBERS,
+    ("simulate", "grid_points"): _INI_NUMBERS,
+    ("simulate", "min_active"): _INI_NUMBERS,
+    ("run", "seed"): _INI_NUMBERS,
+    ("run", "output"): st.sampled_from(["", "out", "fresh/deep", "calendar.txt", "calendar.txt/out", "50%"]),
+}
+# the command that reads each section; simulate stops at the missing panel results, after its value checks
+COMMAND_OF_SECTION = {"panel": "panel", "indicators": "indicators", "negation": "distill",
+                      "lexstats": "lexstats", "simulate": "simulate", "run": "lexstats"}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(target=st.sampled_from(sorted(INI_VALUES)).flatmap(lambda key: st.tuples(st.just(key), INI_VALUES[key])))
+def test_ini_value_mutation_keeps_the_exit_code_contract(distilled_fixture, target):
+    (section, key), value = target
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        shutil.copytree(distilled_fixture, root, dirs_exist_ok=True)
+        ini = root / "newsflow.ini"
+        _set_ini_value(ini, "run", "output", str(root / "out"))
+        _set_ini_value(ini, section, key, value)
+        err = io.StringIO()
+        # a relative [run] output is taken from the working directory
+        with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([COMMAND_OF_SECTION[section], "--config", ini])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "ERROR" not in err.getvalue()
+    else:
+        assert err.getvalue().startswith("ERROR ") and len(err.getvalue().splitlines()) == 1
 
 
 def _edit_lines(path, edit):
@@ -897,7 +975,7 @@ def test_negators_are_lowercased(mini_fixture, tmp_path):
     assert f",BL,1,{1 / 7!r},{3 / 7!r},1\n" in outputs[0].decode()
 
 
-@pytest.mark.parametrize("negator", ["isn't", "no way", "42", "not!", "'"])
+@pytest.mark.parametrize("negator", ["isn't", "no way", "42", "not!", "'", "no."])
 def test_negator_that_is_not_one_token_exits_2(mini_fixture, capsys, negator):
     code = run(["distill", "--config", _with_negation(mini_fixture, f"not,{negator},never")])
     assert code == 2

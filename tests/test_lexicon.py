@@ -116,6 +116,23 @@ def test_load_wordlist(tmp_path):
     assert all(e.pos_tag is PosTag.UNCONSTRAINED for e in entries)
 
 
+def test_load_wordlist_strips_lowercases_and_keeps_the_first(tmp_path):
+    path = tmp_path / "neg.txt"
+    path.write_text("  Fell \n\n;  Fell\nDEBT\nfell\n\tdebt\n; debt\n", encoding="utf-8")
+    assert [e.word for e in load_wordlist(path, Polarity.NEGATIVE)] == ["fell", "debt"]
+
+
+def test_lexicon_entry_fields_and_checks():
+    entry = LexiconEntry("pay off", Polarity.POSITIVE)
+    assert (entry.word, entry.polarity, entry.stemmed, entry.pos_tag, entry.strength, entry.tokens) == (
+        "pay off", Polarity.POSITIVE, False, PosTag.UNCONSTRAINED, Strength.UNSPECIFIED, ("pay", "off"))
+    assert entry.length == 2 and entry.is_scoring
+    with pytest.raises(InputError, match="^lexicon entry word is empty$"):
+        LexiconEntry("", Polarity.POSITIVE)
+    with pytest.raises(InputError, match=re.escape("lexicon entry word must be lowercase: 'Pay off'")):
+        LexiconEntry("Pay off", Polarity.NEGATIVE)
+
+
 def test_load_wordlist_empty(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("; nothing here\n", encoding="utf-8")

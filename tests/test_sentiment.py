@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SentimentRecord, cumulative_record, reference_score_article, sentiment_array
+from conftest import SentimentRecord, cumulative_record, reference_score_article, reference_tokenize, sentiment_array
 from newsflow.errors import EmptyText, NoActiveRecords, WindowOutOfRange
 from newsflow.lexicon import LexiconEntry, Polarity, PosTag, Strength, build_lexicon
 from newsflow.sentiment import (
+    DEFAULT_NEGATORS,
     SENTIMENT_FIELDS,
     NegationConfig,
     TokenizedArticle,
@@ -77,6 +78,44 @@ def test_tokenize_numbers_and_punct_excluded():
 def test_tokenize_quoted_word():
     tok = tokenize("It was 'good' news.")
     assert "good" in tok.sentences[0]
+
+
+# pieces of text where the tokenizer's rules meet: abbreviations and initials,
+# terminator runs, numbers, quotes and "n't", whitespace, and characters whose
+# lowercase is longer ("\u0130"), ASCII (the Kelvin sign) or context-dependent (sigma)
+TOKENIZER_PIECES = [
+    "Mr.", "U.S.", "e.g.", "Approx.", "J.", "j.", "No.", "Inc.", "etc.", "...", "?!", "!", "?", ".",
+    "3.5", "42.", "don't", "'n't", "can''t", "'good'", "WON'T", "x'n't", "n't", "'", "''",
+    " ", " ", "\t", "\n", "\u0130", "\u212a", "\u212a.", "\u03a3", "\u03a3.", "\u0307",
+    "Stocks", "fell", "abcdefg.", "abcdef.", "a", "1", "-", ",", "\u00e9.",
+]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(TOKENIZER_PIECES), min_size=1, max_size=16).map("".join))
+def test_tokenize_matches_the_reference_tokenizer(text):
+    if not text.strip():
+        with pytest.raises(EmptyText):
+            tokenize(text)
+        return
+    assert tokenize(text).sentences == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text, sentences", [
+    # "\u0130" lowercases to "i" and a combining dot, so "\u0130nc." is no "inc." and ends a sentence
+    ("\u0130nc. rose.", (("i", "nc"), ("rose",))),
+    ("\u212a. Rose.", (("k", "rose"),)),  # the Kelvin sign is an initial, and lowercases to "k"
+    ("It isn't 'good'. X'n't.", (("it", "is", "n't", "good"), ("x'", "n't"))),
+    ("Prices rose... U.S. shares fell?! No. 5 fell.", (("prices", "rose"), ("u", "s", "shares", "fell"),
+                                                       ("no", "fell"))),
+])
+def test_tokenize_rules(text, sentences):
+    assert tokenize(text).sentences == sentences
+
+
+def test_default_negators_are_one_token_each():
+    # the config's negator check takes this for granted for the defaults
+    assert all(tokenize(negator).sentences == ((negator,),) for negator in DEFAULT_NEGATORS)
 
 
 # score_article ---------------------------------------------------------------
