@@ -138,7 +138,11 @@ def parse_day_boundary(raw: str) -> dt.time:
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Parse the INI run file; override values win over file values."""
+    """Parse the INI run file; override values win over file values.
+
+    A relative path in the file, `[run] output` included, is taken from the
+    file's folder; an empty `[run] output` is an InvalidValue.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"config file not found: {path}")
@@ -192,6 +196,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         s.strip().upper() for s in corpus.get("symbols", "").split(",") if s.strip()
     ))
 
+    output = run.get("output", "out").strip()
+    if not output:
+        raise InvalidValue("[run] output", output)
+
     config = RunConfig(
         corpus_path=base / corpus.get("path", "corpus.jsonl"),
         corpus_format=corpus.get("format", "jsonl"),
@@ -200,7 +208,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         market_path=base / section("market").get("path", "market.csv"),
         sectors_path=(base / section("sectors")["path"]) if "path" in section("sectors") else None,
         lexicons=_parse_lexicons(parser["lexicons"], base) if parser.has_section("lexicons") else (),
-        output_dir=Path(run.get("output", "out")),
+        output_dir=base / output,
         seed=number("run", "seed", "0"),
         symbols=symbols,
         day_boundary=parse_day_boundary(corpus.get("day_boundary", "00:00")),

@@ -44,8 +44,12 @@ def garman_klass_log_vol(open_, high, low, close) -> np.ndarray:
 
     NaN where the bar is absent (NaN prices) or degenerate (variance <= 0).
     """
-    log_open = _log(open_)
-    up, down, body = (_log(price) - log_open for price in (high, low, close))
+    return _garman_klass(*map(_log, (open_, high, low, close)))
+
+
+def _garman_klass(log_open, log_high, log_low, log_close) -> np.ndarray:
+    """garman_klass_log_vol from the log prices."""
+    up, down, body = (log_price - log_open for log_price in (log_high, log_low, log_close))
     # squared by Python's float ** (libm pow), to which log_vol is pinned: numpy's
     # x * x differs from it in the last bit for about 1 value in 1,000
     var = [
@@ -57,7 +61,11 @@ def garman_klass_log_vol(open_, high, low, close) -> np.ndarray:
 
 def log_returns(close) -> np.ndarray:
     """Close-to-close log returns along the last (day) axis; NaN on the first day and after a missing close."""
-    log_close = _log(close)
+    return _differences(_log(close))
+
+
+def _differences(log_close: np.ndarray) -> np.ndarray:
+    """log_returns from the log closes."""
     out = np.full(log_close.shape, np.nan)
     out[..., 1:] = log_close[..., 1:] - log_close[..., :-1]
     return out
@@ -71,8 +79,11 @@ def fit_detrend_model(log_volume: Sequence[float], window: int = DETREND_WINDOW)
     the available history, and no forecast reads day t or later.  A day
     with fewer than `window` finite observations before it gets NaN.
 
-    All days are fitted in one batch: x is centred and scaled to [-1, 1] in
-    each window, and the (window, 3) designs are solved by QR.
+    Every window is fitted once, by its normal equations: x is centred and
+    scaled to [-1, 1] in each window and y centred on the window's mean, the
+    moments sum x**k (k <= 4) and x**k * (y - mean) (k <= 2) are summed over
+    the window itself, and all the 3 x 3 systems are solved in one batch.
+    The days whose windows coincide (a day after a missing one) share a fit.
     """
     if window < 3:
         raise SingularFit(f"a quadratic trend needs a window of at least 3 days, got {window}")
@@ -83,15 +94,27 @@ def fit_detrend_model(log_volume: Sequence[float], window: int = DETREND_WINDOW)
     days = np.flatnonzero(history >= window)
     if len(days) == 0:
         return forecast
-    support = sliding_window_view(finite, window)[history[days] - window]
-    centre = (support[:, :1] + support[:, -1:]) / 2.0
-    half_width = (support[:, -1:] - support[:, :1]) / 2.0
-    x = (support - centre) / half_width
-    q, r = np.linalg.qr(np.stack([np.ones_like(x), x, x * x], axis=-1))
-    coef = np.linalg.solve(r, q.transpose(0, 2, 1) @ values[support][..., None])[..., 0]
-    x_t = (days - centre[:, 0]) / half_width[:, 0]
-    forecast[days] = coef[:, 0] + coef[:, 1] * x_t + coef[:, 2] * x_t * x_t
+    fit = history[days] - window  # each day's window, by its first finite day
+    support = sliding_window_view(finite, window)[: fit[-1] + 1]
+    y = sliding_window_view(values[finite], window)[: fit[-1] + 1]
+    centre = (support[:, 0] + support[:, -1]) / 2.0
+    half_width = (support[:, -1] - support[:, 0]) / 2.0
+    x = (support - centre[:, None]) / half_width[:, None]
+    x2 = x * x
+    level = y.mean(axis=1)
+    dy = y - level[:, None]
+    s1, s2, s3, s4 = x.sum(axis=1), x2.sum(axis=1), _row_dot(x2, x), _row_dot(x2, x2)
+    gram = np.stack([np.full_like(s1, window), s1, s2, s1, s2, s3, s2, s3, s4], axis=-1).reshape(-1, 3, 3)
+    moments = np.stack([dy.sum(axis=1), _row_dot(x, dy), _row_dot(x2, dy)], axis=-1)
+    coef = np.linalg.solve(gram, moments[..., None])[fit, :, 0]
+    x_t = (days - centre[fit]) / half_width[fit]
+    forecast[days] = level[fit] + coef[:, 0] + coef[:, 1] * x_t + coef[:, 2] * x_t * x_t
     return forecast
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def detrended_volume(
@@ -129,10 +152,10 @@ def compute_indicators(
     degenerate bar, for ret when the day before has no bar, and for
     detrended_volume on a zero-volume day or before `window` days with volume.
     """
-    open_, high, low, close, volume = (bars.plane(name) for name in PRICE_FIELDS)
+    close, volume = bars.plane("close"), bars.plane("volume")
     present = ~np.isnan(close)
-    log_vol = garman_klass_log_vol(open_, high, low, close)
-    log_volume = _log(volume)
+    log_open, log_high, log_low, log_close, log_volume = (_log(bars.plane(name)) for name in PRICE_FIELDS)
+    log_vol = _garman_klass(log_open, log_high, log_low, log_close)
     detrended = np.full(log_volume.shape, np.nan)
     for i, series in enumerate(log_volume):
         detrended[i] = series - fit_detrend_model(series, window)
@@ -141,7 +164,7 @@ def compute_indicators(
         zero_volume_days=int(np.count_nonzero(present & ~(volume > 0))),
         warmup_days=int(np.count_nonzero(present & np.isnan(detrended))),
     )
-    values = np.stack([log_vol, detrended, log_returns(close)])
+    values = np.stack([log_vol, detrended, _differences(log_close)])
     return SymbolDayArray(INDICATOR_FIELDS, bars.symbols, values), warnings
 
 

@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 import scipy.special
+from numpy.lib.stride_tricks import sliding_window_view
 
 from newsflow._util import atomic_write_text, column_codes, read_text
 from newsflow.errors import (
@@ -220,6 +221,30 @@ def reference_uniform_band(x, y, h, grid, level, n_boot, rng_seed):
         sup = (np.abs(deviations[usable]) / se[usable, None]).max(axis=0)
         critical = max(float(np.quantile(sup, level)), critical)
     return curve, se, critical, curve - critical * se, curve + critical * se
+
+
+# The rolling quadratic detrend by one QR solve per day, as the package did
+# before it solved each window's normal equations: the reference that
+# newsflow.indicators.fit_detrend_model is checked against.
+
+def reference_fit_detrend_model(log_volume, window=120):
+    """Each day's forecast from the QR of its (window, 3) design, x scaled to [-1, 1] per window."""
+    values = np.asarray(log_volume, dtype=float)
+    forecast = np.full(len(values), np.nan)
+    finite = np.flatnonzero(~np.isnan(values))
+    history = np.searchsorted(finite, np.arange(len(values)))  # finite days before each day
+    days = np.flatnonzero(history >= window)
+    if len(days) == 0:
+        return forecast
+    support = sliding_window_view(finite, window)[history[days] - window]
+    centre = (support[:, :1] + support[:, -1:]) / 2.0
+    half_width = (support[:, -1:] - support[:, :1]) / 2.0
+    x = (support - centre) / half_width
+    q, r = np.linalg.qr(np.stack([np.ones_like(x), x, x * x], axis=-1))
+    coef = np.linalg.solve(r, q.transpose(0, 2, 1) @ values[support][..., None])[..., 0]
+    x_t = (days - centre[:, 0]) / half_width[:, 0]
+    forecast[days] = coef[:, 0] + coef[:, 1] * x_t + coef[:, 2] * x_t * x_t
+    return forecast
 
 
 # Lexicon scoring one lexicon at a time, as the package did before it walked

@@ -234,8 +234,8 @@ def test_ini_value_mutation_keeps_the_exit_code_contract(distilled_fixture, targ
         _set_ini_value(ini, "run", "output", str(root / "out"))
         _set_ini_value(ini, section, key, value)
         err = io.StringIO()
-        # a relative [run] output is taken from the working directory
-        with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        # a relative [run] output is taken from the INI's folder, here the temporary root
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = run([COMMAND_OF_SECTION[section], "--config", ini])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
@@ -710,6 +710,32 @@ def test_output_path_blocked_by_a_file_exits_2(mini_fixture, capsys, command, ou
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR INVALID_VALUE") and len(err.splitlines()) == 1
+    assert sorted(mini_fixture.rglob("*")) == before
+
+
+@pytest.mark.parametrize("flag, written", [
+    pytest.param(None, "out", id="ini_value_from_the_ini_folder"),
+    pytest.param("flagged", "sub/flagged", id="flag_from_the_working_directory"),
+])
+def test_relative_output_from_a_subfolder(mini_fixture, monkeypatch, flag, written):
+    _set_ini_value(mini_fixture / "newsflow.ini", "run", "output", "out")
+    (mini_fixture / "sub").mkdir()
+    monkeypatch.chdir(mini_fixture / "sub")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["indicators", "--config", "../newsflow.ini"] + (["--output", flag] if flag else [])) == 0
+    assert sorted(path.name for path in (mini_fixture / written).iterdir()) == [
+        "indicators.csv", "manifest_indicators.json"]
+    assert [path.name for path in (mini_fixture / "sub").iterdir()] == ([] if flag is None else ["flagged"])
+
+
+def test_empty_run_output_exits_2_before_any_work(mini_fixture, monkeypatch, capsys):
+    _set_ini_value(mini_fixture / "newsflow.ini", "run", "output", "")
+    (mini_fixture / "sub").mkdir()
+    monkeypatch.chdir(mini_fixture / "sub")
+    before = sorted(mini_fixture.rglob("*"))
+    assert run(["indicators", "--config", "../newsflow.ini"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR INVALID_VALUE") and "[run] output" in err and len(err.splitlines()) == 1
     assert sorted(mini_fixture.rglob("*")) == before
 
 

@@ -4,8 +4,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import symbol_day_array
+from conftest import reference_fit_detrend_model, symbol_day_array
 from newsflow.corpus import TradingCalendar
 from newsflow.errors import (
     InputError,
@@ -216,6 +217,53 @@ def test_detrend_no_look_ahead_in_the_batch():
         poisoned[t:] = 1e3
         assert np.array_equal(fit_detrend_model(poisoned)[: t + 1], forecast[: t + 1], equal_nan=True)
 
+
+@st.composite
+def gapped_windows(draw):
+    """(log volume, window): 3-400 days, NaN on 0-30% of them, maybe a NaN run longer than the window."""
+    n = draw(st.integers(3, 400))
+    window = draw(st.integers(3, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_volume = rng.normal(draw(st.floats(0.0, 25.0)), draw(st.floats(0.01, 2.0)), n)
+    log_volume[rng.random(n) < draw(st.floats(0.0, 0.3))] = np.nan
+    run = draw(st.sampled_from([0, window + 1, 2 * window, 3 * window]))
+    start = draw(st.integers(0, n - 1))
+    log_volume[start : start + run] = np.nan
+    return log_volume, window
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=gapped_windows())
+def test_detrend_matches_the_qr_reference(case):
+    # days after a long NaN run extrapolate far beyond their window, and days
+    # that are NaN themselves get a forecast too
+    log_volume, window = case
+    forecast = fit_detrend_model(log_volume, window)
+    expected = reference_fit_detrend_model(log_volume, window)
+    assert np.array_equal(np.isnan(forecast), np.isnan(expected))
+    defined = ~np.isnan(expected)
+    assert np.all(np.abs(forecast - expected)[defined] <= 1e-12 * np.maximum(1.0, np.abs(expected[defined])))
+
+
+def test_detrend_matches_mpmath_across_a_gap_longer_than_the_history():
+    # one day, 3,000 missing days, then 140 days: the first window puts one
+    # point at x = -1 and the other 119 within 0.08 of x = 1
+    rng = np.random.default_rng(21)
+    log_volume = np.full(3141, np.nan)
+    log_volume[0] = 12.0
+    log_volume[3001:] = 13.0 + rng.normal(0, 0.4, 140)
+    forecast = fit_detrend_model(log_volume)
+    finite = np.flatnonzero(~np.isnan(log_volume))
+    mp.mp.dps = 50
+    worst = 0.0
+    for t in range(3120, 3141):
+        support = finite[finite < t][-120:]
+        X = mp.matrix([[1, int(s), int(s) ** 2] for s in support])
+        y = mp.matrix([mp.mpf(float(log_volume[s])) for s in support])
+        coef = mp.lu_solve(X.T * X, X.T * y)
+        worst = max(worst, abs(float(coef[0] + coef[1] * t + coef[2] * t * t) - forecast[t]))
+    assert np.flatnonzero(~np.isnan(forecast))[0] == 3120
+    assert worst <= 1e-12
 
 # compute_indicators -----------------------------------------------------------
 
