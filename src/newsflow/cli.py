@@ -63,9 +63,11 @@ from .simulate import (
     simulate_scenario,
     uniform_band,
 )
+from .simulate.scenario import SIMULATION_COEFFICIENTS
 
 SENTIMENT_CSV = "sentiment.csv"
 INDICATORS_CSV = "indicators.csv"
+RESULTS_CSV = "results_entire.csv"  # simulate reads the entire suite's h = 1 cells
 
 
 def _columns(rows: list[tuple], width: int) -> list[tuple]:
@@ -295,26 +297,29 @@ def cmd_panel(config: RunConfig) -> int:
 
 
 def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[str, float]]:
+    """The intercept and SIMULATION_COEFFICIENTS of the projection's log_vol h = 1 cell.
+
+    A blank or missing estimate of any of them is a MissingInput.
+    """
     if not path.exists():
         raise MissingInput(f"panel results not found: {path} (run panel first)")
     wanted = f"log_vol/{projection}/h=1"
-    rows = read_csv_columns(
+    estimates = read_csv_columns(
         path, ("spec", "variable", "estimate"),
-        lambda columns: list(zip(columns["spec"], columns["variable"],
-                                 float_column(columns["estimate"], blank=True).tolist())),
+        lambda columns: {
+            variable: estimate
+            for spec, variable, estimate in zip(
+                columns["spec"], columns["variable"], float_column(columns["estimate"], blank=True).tolist()
+            )
+            if spec == wanted
+        },
     )
-    alpha = None
-    coefficients = {}
-    for spec, variable, estimate in rows:
-        if spec != wanted:
-            continue
-        if variable == "(intercept)":
-            alpha = None if math.isnan(estimate) else estimate
-        elif variable != "(error)":
-            coefficients[variable] = None if math.isnan(estimate) else estimate
-    if alpha is None or not coefficients:
+    if not estimates:
         raise MissingInput(f"no fitted coefficients for spec {wanted!r} in {path}")
-    return alpha, coefficients
+    for name in ("(intercept)", *SIMULATION_COEFFICIENTS):
+        if math.isnan(estimates.get(name, math.nan)):
+            raise MissingInput(f"no estimate of {name} for spec {wanted!r} in {path}")
+    return estimates["(intercept)"], {name: estimates[name] for name in SIMULATION_COEFFICIENTS}
 
 
 def _read_residual_pool(path: Path) -> np.ndarray:
@@ -353,10 +358,8 @@ def cmd_simulate(config: RunConfig) -> int:
         raise TooFewBootstraps(f"n_boot must be >= 100, got {config.sim_n_boot}")
     if config.sim_n_days < 1:
         raise InputError("n_days must be >= 1")
-    calendar = TradingCalendar.from_file(config.calendar_path)
-    sentiment = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
-    indicators = _read_indicators_csv(config.output_dir / INDICATORS_CSV, calendar)
-    market = MarketSeries.from_csv(config.market_path, calendar)
+    _, inputs = _panel_inputs(config, need_sectors=False)
+    sentiment, market = inputs.sentiment, inputs.market
 
     market_finite = market.market_return[np.isfinite(market.market_return)]
     if len(market_finite) != len(market.market_return):
@@ -372,11 +375,11 @@ def cmd_simulate(config: RunConfig) -> int:
     panel_outputs = {}
     for projection in projections:
         panel_outputs[projection] = (
-            _read_entire_coefficients(config.output_dir / config.sim_results_csv, projection),
+            _read_entire_coefficients(config.output_dir / RESULTS_CSV, projection),
             _read_residual_pool(config.output_dir / f"residuals_log_vol_{projection}.csv"),
         )
 
-    returns_by_symbol = dict(zip(indicators.symbols, indicators.plane("ret")))
+    returns_by_symbol = dict(zip(inputs.indicators.symbols, inputs.indicators.plane("ret")))
     residual_model, skipped = build_residual_model(market.market_return, returns_by_symbol)
     if skipped:
         print(f"skipped_returns={','.join(skipped)}")
@@ -399,16 +402,16 @@ def cmd_simulate(config: RunConfig) -> int:
 
         pos_x, pos_y = panel.scatter("pos")
         neg_x, neg_y = panel.scatter("neg")
+        # both bandwidths first: each side needs 20 points and two x values
+        # (TooFewPoints, DegenerateX) before the grid spans their supports
+        bandwidths = {"pos": plugin_bandwidth(pos_x, pos_y), "neg": plugin_bandwidth(neg_x, neg_y)}
         lo = float(min(pos_x.min(), neg_x.min()))
         hi = float(max(pos_x.max(), neg_x.max()))
-        if hi <= lo:
-            raise NumericalError("simulated sentiment support is degenerate")
         grid = np.linspace(lo, hi, config.sim_grid_points)
 
         fits = {}
         for which, (x, y) in (("pos", (pos_x, pos_y)), ("neg", (neg_x, neg_y))):
-            h = plugin_bandwidth(x, y)
-            fit = local_linear_fit(x, y, h, grid)
+            fit = local_linear_fit(x, y, bandwidths[which], grid)
             fits[which] = uniform_band(
                 fit, x, y, level=0.95, n_boot=config.sim_n_boot,
                 rng_seed=split_seed(config.seed, f"band:{projection}:{which}"),
@@ -452,7 +455,7 @@ def cmd_simulate(config: RunConfig) -> int:
     _write_manifest(config, "simulate", [config.market_path,
                                          config.output_dir / SENTIMENT_CSV,
                                          config.output_dir / INDICATORS_CSV,
-                                         config.output_dir / config.sim_results_csv])
+                                         config.output_dir / RESULTS_CSV])
     return 0
 
 

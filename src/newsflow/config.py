@@ -55,7 +55,6 @@ class RunConfig:
     sim_n_boot: int = 500
     sim_grid_points: int = 101
     sim_min_active: int = 30
-    sim_results_csv: str = "results_entire.csv"  # panel results consumed by simulate
     plot_x_range: tuple[float, float] | None = None
     plot_y_range: tuple[float, float] | None = None
     lexstats_min_count: int = 3
@@ -229,7 +228,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         sim_grid_points=at_least("simulate", "grid_points", "101", 2),
         # the sentiment copula needs at least 3 rows for its 2 columns
         sim_min_active=at_least("simulate", "min_active", "30", 3),
-        sim_results_csv=simulate.get("results", "results_entire.csv").strip(),
         plot_x_range=_get_range(simulate, "x_min", "x_max"),
         plot_y_range=_get_range(simulate, "y_min", "y_max"),
         lexstats_min_count=at_least("lexstats", "min_count", "3", 1),

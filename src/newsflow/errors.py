@@ -36,7 +36,6 @@ class NumericalError(NewsflowError):
 class MalformedRecord(InputError):
     def __init__(self, message: str, source: str = "", position: int | None = None):
         self.detail = message
-        self.source = source
         self.position = position
         where = f"{source}:{position}" if position is not None else source
         super().__init__(f"{where}: {message}" if where else message)
@@ -44,7 +43,6 @@ class MalformedRecord(InputError):
 
 class DuplicateId(InputError):
     def __init__(self, article_id: str):
-        self.article_id = article_id
         super().__init__(f"duplicate article id {article_id!r}")
 
 
@@ -56,14 +54,11 @@ class EmptyCorpus(InputError):
 
 class MissingField(InputError):
     def __init__(self, key: str, line: str = ""):
-        self.key = key
         super().__init__(f"missing required key {key!r}" + (f" in line {line!r}" if line else ""))
 
 
 class InvalidValue(InputError):
     def __init__(self, key: str, value: str):
-        self.key = key
-        self.value = value
         super().__init__(f"invalid value {value!r} for key {key!r}")
 
 
@@ -81,22 +76,11 @@ class EmptyText(InputError):
     pass
 
 
-class WindowOutOfRange(InputError):
-    pass
-
-
 class NoActiveRecords(InputError):
     pass
 
 
 # indicators -------------------------------------------------------------
-
-class InsufficientHistory(InputError):
-    def __init__(self, needed: int, available: int):
-        self.needed = needed
-        self.available = available
-        super().__init__(f"need {needed} past observations, have {available}")
-
 
 class SingularFit(NumericalError):
     pass
@@ -120,7 +104,6 @@ class CalendarMismatch(InputError):
 
 class RankDeficient(NumericalError):
     def __init__(self, columns: list[str]):
-        self.columns = columns
         super().__init__(f"collinear regressor columns: {', '.join(columns)}")
 
 
@@ -151,10 +134,7 @@ class NonPSDMatrix(NumericalError):
 
 
 class NonConvergence(NumericalError):
-    def __init__(self, message: str, iterations: int = 0, best_point: object = None):
-        self.iterations = iterations
-        self.best_point = best_point
-        super().__init__(message)
+    pass
 
 
 class NonStationarySolution(NumericalError):
@@ -175,7 +155,6 @@ class GridMismatch(InputError):
 
 class MissingComponent(InputError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"scenario component {name!r} is missing")
 
 

@@ -121,15 +121,10 @@ def scatter_band_figure(
     y_range: tuple[float, float] | None = None,
     max_points: int = 2000,
 ) -> str:
-    """Scatter of simulated outcomes with both smoothed curves and bands."""
+    """Scatter of simulated outcomes with both smoothed curves and bands; both fits come from uniform_band."""
     all_x = np.concatenate([pos_points[0], neg_points[0], pos_fit.grid, neg_fit.grid])
-    all_y = np.concatenate([
-        pos_points[1], neg_points[1],
-        pos_fit.band_lower[np.isfinite(pos_fit.band_lower)] if pos_fit.band_lower is not None else [],
-        pos_fit.band_upper[np.isfinite(pos_fit.band_upper)] if pos_fit.band_upper is not None else [],
-        neg_fit.band_lower[np.isfinite(neg_fit.band_lower)] if neg_fit.band_lower is not None else [],
-        neg_fit.band_upper[np.isfinite(neg_fit.band_upper)] if neg_fit.band_upper is not None else [],
-    ])
+    bands = (pos_fit.band_lower, pos_fit.band_upper, neg_fit.band_lower, neg_fit.band_upper)
+    all_y = np.concatenate([pos_points[1], neg_points[1], *(band[np.isfinite(band)] for band in bands)])
     if x_range is None:
         lo, hi = float(all_x.min()), float(all_x.max())
         pad = 0.02 * (hi - lo or 1.0)
@@ -148,10 +143,8 @@ def scatter_band_figure(
     parts.extend(_axes(canvas, "sentiment proportion", "simulated log volatility", title))
     parts.extend(_scatter(canvas, *pos_points, _POS_COLOR, max_points))
     parts.extend(_scatter(canvas, *neg_points, _NEG_COLOR, max_points))
-    if pos_fit.band_lower is not None:
-        parts.append(_band(canvas, pos_fit, _POS_COLOR))
-    if neg_fit.band_lower is not None:
-        parts.append(_band(canvas, neg_fit, _NEG_COLOR))
+    parts.append(_band(canvas, pos_fit, _POS_COLOR))
+    parts.append(_band(canvas, neg_fit, _NEG_COLOR))
     parts.append(_polyline(canvas, pos_fit.grid, pos_fit.curve, _POS_COLOR))
     parts.append(_polyline(canvas, neg_fit.grid, neg_fit.curve, _NEG_COLOR, dashed=True))
     legend_y = _MARGIN_T + 14

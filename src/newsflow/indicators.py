@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import SymbolDayArray, column_codes, float_column, read_csv_columns, reject, reject_repeats
 from .corpus import TradingCalendar
-from .errors import InputError, InsufficientHistory, MalformedRecord, PriceParseError, SingularFit
+from .errors import InputError, MalformedRecord, PriceParseError, SingularFit
 
 DETREND_WINDOW = 120
 PRICE_FIELDS = ("open", "high", "low", "close", "volume")
@@ -115,24 +115,6 @@ def fit_detrend_model(log_volume: Sequence[float], window: int = DETREND_WINDOW)
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each row of a with the same row of b."""
     return np.einsum("ij,ij->i", a, b)
-
-
-def detrended_volume(
-    raw_log_volume: Sequence[float],
-    t: int,
-    window: int = DETREND_WINDOW,
-) -> float:
-    """Out-of-sample residual of day t's log volume against the rolling quadratic trend.
-
-    The forecast comes from the series cut after day t, so it cannot see a later day.
-    """
-    values = np.asarray(raw_log_volume, dtype=float)[: t + 1]
-    if t >= len(raw_log_volume) or math.isnan(values[t]):
-        raise InputError(f"no log-volume observation at t={t}")
-    forecast = fit_detrend_model(values, window)[t]
-    if math.isnan(forecast):
-        raise InsufficientHistory(needed=window, available=int(np.count_nonzero(~np.isnan(values[:t]))))
-    return float(values[t] - forecast)
 
 
 @dataclass

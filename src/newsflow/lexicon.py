@@ -94,13 +94,8 @@ _POLARITIES = {p.value: p for p in Polarity}
 _STEMMED = {"y": True, "n": False}
 
 
-def parse_mpqa_line(line: str) -> LexiconEntry:
-    """Parse a key=value entry line; unknown keys are ignored."""
-    entry, _ = _parse_mpqa_line_counting(line)
-    return entry
-
-
-def _parse_mpqa_line_counting(line: str) -> tuple[LexiconEntry, int]:
+def parse_mpqa_line(line: str) -> tuple[LexiconEntry, int]:
+    """Parse a key=value entry line; unknown keys are ignored and counted."""
     pairs: dict[str, str] = {}
     unknown = 0
     for token in line.split():
@@ -152,7 +147,7 @@ def parse_mpqa_file(path: str | Path) -> tuple[list[LexiconEntry], int]:
         if not raw or raw.startswith(";"):
             continue
         try:
-            entry, unknown = _parse_mpqa_line_counting(raw)
+            entry, unknown = parse_mpqa_line(raw)
         except InputError as exc:
             raise MalformedRecord(str(exc), source=str(path), position=lineno) from exc
         entries.append(entry)
@@ -205,16 +200,9 @@ def build_lexicon(name: str, entries: Iterable[LexiconEntry]) -> Lexicon:
 class ComparisonReport:
     """Per-polarity unique/shared word lists, frequency-ordered."""
 
-    lexicon_a: str
-    lexicon_b: str
-    min_count: int
     unique_to_a: Mapping[Polarity, tuple[str, ...]]
     unique_to_b: Mapping[Polarity, tuple[str, ...]]
     shared: Mapping[Polarity, tuple[str, ...]]
-
-    def top(self, which: str, polarity: Polarity, k: int = 10) -> tuple[str, ...]:
-        table = {"a": self.unique_to_a, "b": self.unique_to_b, "shared": self.shared}[which]
-        return table[polarity][:k]
 
 
 def compare_lexica(
@@ -242,14 +230,7 @@ def compare_lexica(
         unique_a[polarity] = ordered(words_a - words_b)
         unique_b[polarity] = ordered(words_b - words_a)
         shared[polarity] = ordered(words_a & words_b)
-    return ComparisonReport(
-        lexicon_a=a.name,
-        lexicon_b=b.name,
-        min_count=min_count,
-        unique_to_a=unique_a,
-        unique_to_b=unique_b,
-        shared=shared,
-    )
+    return ComparisonReport(unique_to_a=unique_a, unique_to_b=unique_b, shared=shared)
 
 
 def corpus_frequencies(tokenized_articles: Iterable[Sequence[Sequence[str]]]) -> Counter[str]:

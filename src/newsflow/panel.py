@@ -229,9 +229,7 @@ class RegressionResult:
     std_errors: np.ndarray
     p_values: np.ndarray
     residuals: np.ndarray
-    n_obs: int
     entity_counts: Mapping[str, int]
-    cluster_mode: ClusterMode
     df: int
     # below len(coef_names) when the covariance is singular, as with fewer
     # clusters than regressors; the t tests then rest on a singular covariance
@@ -344,9 +342,7 @@ def fit_fixed_effects(
         std_errors=se,
         p_values=p,
         residuals=residuals,
-        n_obs=n,
         entity_counts=dict(zip(panel.symbols, counts.tolist())),
-        cluster_mode=cluster_mode,
         df=df,
         covariance_rank=cov_rank,
         psd_repaired=repaired,
@@ -419,12 +415,9 @@ def _cluster_covariance_arrays(
 
 @dataclass(frozen=True)
 class SentimentIndex:
-    column_names: tuple[str, ...]
     loadings: np.ndarray
     scores: np.ndarray
     explained_share: float
-    column_means: np.ndarray
-    column_sds: np.ndarray
 
 
 def pca_sentiment_index(matrix: np.ndarray, column_names: Sequence[str] = ("BL", "LM", "MPQA")) -> SentimentIndex:
@@ -445,12 +438,9 @@ def pca_sentiment_index(matrix: np.ndarray, column_names: Sequence[str] = ("BL",
     if loadings.sum() < 0 or (loadings.sum() == 0 and loadings[np.nonzero(loadings)[0][0]] < 0):
         loadings = -loadings
     return SentimentIndex(
-        column_names=tuple(column_names),
         loadings=loadings,
         scores=standardized @ loadings,
         explained_share=float(eigenvalues[0] / eigenvalues.sum()),
-        column_means=means,
-        column_sds=sds,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from ..errors import ConstantColumn, DimensionMismatch, NonPSDMatrix
-from .edf import EmpiricalDistribution, fit_edf
+from .edf import EmpiricalDistribution
 
 _EIG_TOL = 1e-10
 
@@ -103,14 +103,14 @@ def sample_copula(
     copula: GaussianCopula,
     marginals: Sequence[EmpiricalDistribution],
     n: int,
-    rng_seed: int | np.random.Generator,
+    rng_seed: int,
 ) -> np.ndarray:
     """Draw n rows with the copula's dependence and the given marginals."""
     if len(marginals) != copula.dimension:
         raise DimensionMismatch(
             f"{len(marginals)} marginals for dimension {copula.dimension}"
         )
-    rng = np.random.default_rng(rng_seed) if isinstance(rng_seed, int) else rng_seed
+    rng = np.random.default_rng(rng_seed)
     factor = _lower_factor(copula.correlation)
     z = rng.standard_normal((n, copula.dimension)) @ factor.T
     u = special.ndtr(z)
@@ -120,12 +120,3 @@ def sample_copula(
     for j, marginal in enumerate(marginals):
         out[:, j] = marginal.quantile(u[:, j])
     return out
-
-
-__all__ = [
-    "GaussianCopula",
-    "fit_gaussian_copula",
-    "normal_scores",
-    "sample_copula",
-    "fit_edf",
-]

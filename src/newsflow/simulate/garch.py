@@ -54,10 +54,6 @@ class MA1Garch11Params:
         if abs(self.theta) >= 1.0:
             raise InputError(f"MA coefficient must lie in (-1, 1), got {self.theta}")
 
-    @property
-    def unconditional_variance(self) -> float:
-        return self.omega / (1.0 - self.alpha - self.beta)
-
 
 def _first_order_recursion(drive: np.ndarray, c: float) -> np.ndarray:
     """y_t = drive_t + c * y_{t-1} with y_{-1} = 0, solved as a unit lower-bidiagonal system.
@@ -93,12 +89,6 @@ def filter_ma1_garch11(returns: np.ndarray, params: MA1Garch11Params) -> tuple[n
     r = np.asarray(returns, dtype=float)
     variance = float(np.var(r)) if len(r) else 0.0
     return _filter(r - params.mu, params.theta, params.omega, params.alpha, params.beta, variance)
-
-
-def standardize_residuals(returns: np.ndarray, params: MA1Garch11Params) -> np.ndarray:
-    """z_t = eps_t / sqrt(h_t)."""
-    eps, h = filter_ma1_garch11(returns, params)
-    return eps / np.sqrt(h)
 
 
 _INVALID = 1e12  # objective value where the filter or the likelihood is not finite
@@ -176,7 +166,7 @@ def fit_ma1_garch11(returns: np.ndarray, min_length: int = 250) -> MA1Garch11Par
         raise InputError("returns contain non-finite values")
     variance = float(np.var(r))
     if variance <= 0.0:
-        raise NonConvergence("zero-variance series is degenerate", iterations=0)
+        raise NonConvergence("zero-variance series is degenerate")
     # the search measures mu in sample standard deviations, so that its score
     # is on the scale of the others' (it is about n / sd in raw units)
     scale = np.array([math.sqrt(variance), 1.0, 1.0, 1.0])
@@ -195,36 +185,10 @@ def fit_ma1_garch11(returns: np.ndarray, min_length: int = 250) -> MA1Garch11Par
         for point in ((0.0, 0.05, 0.90), (0.1, 0.10, 0.80), (-0.1, 0.20, 0.50), (0.0, 0.01, 0.98), (0.0, 0.05, 0.0))
     ]
     best = min(results, key=lambda res: res.fun)
-    iterations = sum(res.nit for res in results)
     if best.fun >= _INVALID:
-        raise NonConvergence("likelihood never became finite", iterations=iterations)
-    mu, theta, omega, alpha, beta = _garch_params(best.x * scale, variance)
+        raise NonConvergence("likelihood never became finite")
     if not any(res.success for res in results):
-        raise NonConvergence(
-            f"no L-BFGS-B start converged (best nll {best.fun:.6f})",
-            iterations=iterations,
-            best_point=(mu, theta, omega, alpha, beta),
-        )
+        raise NonConvergence(f"no L-BFGS-B start converged (best nll {best.fun:.6f})")
+    mu, theta, omega, alpha, beta = _garch_params(best.x * scale, variance)
     return MA1Garch11Params(mu=mu, theta=theta, omega=omega, alpha=alpha, beta=beta, loglik=-best.fun)
 
-
-def simulate_ma1_garch11(
-    params: MA1Garch11Params,
-    n: int,
-    rng_seed: int | np.random.Generator,
-    burn_in: int = 500,
-) -> np.ndarray:
-    """Generate a return path from the process (after a burn-in stretch)."""
-    rng = np.random.default_rng(rng_seed) if isinstance(rng_seed, int) else rng_seed
-    total = n + burn_in
-    z = rng.standard_normal(total)
-    eps = np.empty(total)
-    h = np.empty(total)
-    h[0] = params.unconditional_variance
-    eps[0] = math.sqrt(h[0]) * z[0]
-    for t in range(1, total):
-        h[t] = params.omega + params.alpha * eps[t - 1] ** 2 + params.beta * h[t - 1]
-        eps[t] = math.sqrt(h[t]) * z[t]
-    r = params.mu + eps
-    r[1:] += params.theta * eps[:-1]
-    return r[burn_in:]

@@ -22,7 +22,7 @@ from .._util import fmt_column, fmt_int_column, split_seed
 from ..errors import ConstantColumn, InputError, MissingComponent
 from .copula import GaussianCopula, fit_gaussian_copula, sample_copula
 from .edf import EmpiricalDistribution, fit_edf
-from .garch import MA1Garch11Params, filter_ma1_garch11, fit_ma1_garch11
+from .garch import filter_ma1_garch11, fit_ma1_garch11
 
 if TYPE_CHECKING:
     from .._util import SymbolDayArray
@@ -51,7 +51,6 @@ class ResidualModel:
 
     labels: tuple[str, ...]  # MARKET_LABEL first, then symbols
     copula: GaussianCopula
-    garch_params: Mapping[str, MA1Garch11Params]
     median_sigmas: Mapping[str, float]
     marginals: Mapping[str, EmpiricalDistribution]
 
@@ -247,7 +246,6 @@ def build_residual_model(
             continue
         series[symbol] = values
 
-    params: dict[str, MA1Garch11Params] = {}
     sigmas: dict[str, float] = {}
     marginals: dict[str, EmpiricalDistribution] = {}
     z_by_label: dict[str, np.ndarray] = {}
@@ -255,7 +253,6 @@ def build_residual_model(
         finite = np.isfinite(values)
         observed = values[finite]
         fitted = fit_ma1_garch11(observed, min_length=min_length)
-        params[label] = fitted
         eps, h = filter_ma1_garch11(observed, fitted)
         sigma = np.sqrt(h)
         sigmas[label] = float(np.median(sigma))
@@ -275,7 +272,6 @@ def build_residual_model(
         ResidualModel(
             labels=labels,
             copula=copula,
-            garch_params=params,
             median_sigmas=sigmas,
             marginals=marginals,
         ),

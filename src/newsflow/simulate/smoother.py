@@ -46,7 +46,6 @@ class SmootherFit:
     bandwidth: float
     band_lower: np.ndarray | None = None
     band_upper: np.ndarray | None = None
-    level: float | None = None
     n_empty: int = 0
     n_points: int = 0
     n_distinct: int = 0
@@ -181,7 +180,7 @@ def uniform_band(
     y: np.ndarray,
     level: float = 0.95,
     n_boot: int = 500,
-    rng_seed: int | np.random.Generator = 0,
+    rng_seed: int = 0,
 ) -> SmootherFit:
     """Simultaneous band via the multiplier-bootstrap sup statistic.
 
@@ -196,7 +195,7 @@ def uniform_band(
         raise InputError(f"level must be in (0,1), got {level}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rng = np.random.default_rng(rng_seed) if isinstance(rng_seed, int) else rng_seed
+    rng = np.random.default_rng(rng_seed)
 
     u, index, counts = _distinct(x)
     residuals = _residuals_with_leverage(u, index, counts, y, fit.bandwidth)
@@ -221,7 +220,6 @@ def uniform_band(
         fit,
         band_lower=fit.curve - width,
         band_upper=fit.curve + width,
-        level=level,
         pointwise_se=se,
         critical_value=critical,
     )

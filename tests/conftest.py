@@ -22,7 +22,6 @@ from newsflow.errors import (
     InvalidValue,
     MalformedRecord,
     PriceParseError,
-    WindowOutOfRange,
 )
 from newsflow.indicators import PRICE_FIELDS
 from newsflow.lexicon import Polarity, PosTag, Strength
@@ -116,11 +115,11 @@ def cumulative_record(records, t, h) -> SentimentRecord:
     reference the cumulative panel specifications are checked against.
     """
     if h < 1:
-        raise WindowOutOfRange(f"h must be >= 1, got {h}")
+        raise InputError(f"h must be >= 1, got {h}")
     window = []
     for day in range(t, t + h):
         if day not in records:
-            raise WindowOutOfRange(f"no record for day {day}")
+            raise InputError(f"no record for day {day}")
         window.append(records[day])
     base = window[0]
     n = sum(r.n_articles for r in window)
@@ -756,6 +755,27 @@ def write_csv_rows(path, header, rows):
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else fmt_num(cell) for cell in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def simulate_ma1_garch11(params, n, rng_seed, burn_in=500) -> np.ndarray:
+    """A return path of n days from an MA(1)-GARCH(1,1) process, after a burn-in stretch.
+
+    The variance recursion starts at the unconditional variance and the
+    pre-sample residual is zero, as in newsflow.simulate.garch.
+    """
+    rng = np.random.default_rng(rng_seed)
+    total = n + burn_in
+    z = rng.standard_normal(total)
+    eps = np.empty(total)
+    h = np.empty(total)
+    h[0] = params.omega / (1.0 - params.alpha - params.beta)
+    eps[0] = math.sqrt(h[0]) * z[0]
+    for t in range(1, total):
+        h[t] = params.omega + params.alpha * eps[t - 1] ** 2 + params.beta * h[t - 1]
+        eps[t] = math.sqrt(h[t]) * z[t]
+    r = params.mu + eps
+    r[1:] += params.theta * eps[:-1]
+    return r[burn_in:]
 
 
 def make_article_body(rng: np.random.Generator, n_words: int) -> str:

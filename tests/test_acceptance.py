@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import format_mpqa_line
+from conftest import format_mpqa_line, simulate_ma1_garch11
 from newsflow.cli import main as cli_main
-from newsflow.indicators import detrended_volume, garman_klass_log_vol
+from newsflow.indicators import fit_detrend_model, garman_klass_log_vol
 from newsflow.lexicon import (
     LexiconEntry,
     Polarity,
@@ -35,7 +35,7 @@ from newsflow.panel import (
 from newsflow.sentiment import build_scoring_index, score_article, tokenize
 from newsflow.simulate.copula import GaussianCopula, fit_gaussian_copula, normal_scores, sample_copula
 from newsflow.simulate.edf import fit_edf
-from newsflow.simulate.garch import MA1Garch11Params, fit_ma1_garch11, simulate_ma1_garch11
+from newsflow.simulate.garch import MA1Garch11Params, fit_ma1_garch11
 from newsflow.simulate.scenario import (
     MARKET_LABEL,
     ResidualModel,
@@ -107,12 +107,12 @@ def test_criterion_02_detrend():
     s = np.arange(140, dtype=float)
     quadratic = 9.0 + 0.02 * s - 1e-4 * s**2
 
-    worst_quad = max(abs(detrended_volume(quadratic, t)) for t in range(120, 140))
+    worst_quad = float(np.max(np.abs(quadratic - fit_detrend_model(quadratic))[120:]))
     assert worst_quad < 1e-9
 
     shocked = quadratic.copy()
     shocked[125] += 0.5
-    assert abs(detrended_volume(shocked, 125) - 0.5) < 1e-9
+    assert abs(shocked[125] - fit_detrend_model(shocked)[125] - 0.5) < 1e-9
 
     rng = np.random.default_rng(102)
     for _ in range(100):
@@ -122,7 +122,9 @@ def test_criterion_02_detrend():
         poisoned = series.copy()
         if t + 1 < n:
             poisoned[t + 1 :] = rng.normal(-50, 100, n - t - 1)
-        assert detrended_volume(series, t) == detrended_volume(poisoned, t)
+        # every forecast through day t is the same, whatever the days after t hold
+        before = fit_detrend_model(series)[: t + 1]
+        assert np.array_equal(fit_detrend_model(poisoned)[: t + 1], before, equal_nan=True)
     elapsed = time.time() - start
     assert elapsed < 5.0
     report(2, f"quad residual {worst_quad:.1e}, shock ok, 100 poisoned-future series, {elapsed:.2f}s")
@@ -225,7 +227,7 @@ PAPER_ENTRY_LINES = [
 
 def test_criterion_04_mpqa_parsing():
     for line, want in PAPER_ENTRY_LINES:
-        entry = parse_mpqa_line(line)
+        entry, _ = parse_mpqa_line(line)
         assert (entry.word, entry.polarity, entry.stemmed, entry.pos_tag, entry.strength) == want
 
     rng = random.Random(104)
@@ -242,7 +244,7 @@ def test_criterion_04_mpqa_parsing():
             pos_tag=rng.choice([t for t in PosTag if t is not PosTag.UNCONSTRAINED]),
             strength=rng.choice([Strength.STRONGSUBJ, Strength.WEAKSUBJ]),
         )
-        assert parse_mpqa_line(format_mpqa_line(entry)) == entry
+        assert parse_mpqa_line(format_mpqa_line(entry)) == (entry, 0)
     report(4, "6 reference lines exact; 1000 random entries round-trip")
 
 
@@ -482,11 +484,9 @@ def _asymmetry_scenario(seed: int) -> ScenarioConfig:
     rng = np.random.default_rng(987)
     symbols = tuple(f"S{i}" for i in range(5))
     labels = (MARKET_LABEL,) + symbols
-    params = MA1Garch11Params(mu=0.0, theta=0.0, omega=1e-4, alpha=0.05, beta=0.6)
     residual_model = ResidualModel(
         labels=labels,
         copula=GaussianCopula(np.eye(len(labels))),
-        garch_params={label: params for label in labels},
         median_sigmas={label: 0.01 for label in labels},
         marginals={label: fit_edf(rng.normal(0, 1, 400)) for label in labels},
     )

@@ -957,6 +957,65 @@ def test_simulate_refuses_huge_band_sizes_before_fitting(paneled_fixture, monkey
     assert fits == []
 
 
+def _without_estimate(how, spec, name):
+    """A results file edit: blank the estimate of (spec, name), or drop its row."""
+    def edit(lines):
+        out = []
+        for line in lines:
+            cells = line.split(",")
+            if cells[:2] == [spec, name]:
+                if how == "missing":
+                    continue
+                line = ",".join(cells[:2] + [""] + cells[3:])
+            out.append(line)
+        assert len(out) == len(lines) - (how == "missing")
+        return out
+    return edit
+
+
+@pytest.mark.parametrize("how", ["blank", "missing"])
+@pytest.mark.parametrize("name", scenario.SIMULATION_COEFFICIENTS)
+def test_simulate_without_a_coefficient_exits_2_before_fitting(paneled_fixture, tmp_path, monkeypatch, capsys,
+                                                                 how, name):
+    root = tmp_path / "run"
+    shutil.copytree(paneled_fixture, root)
+    results = root / "out" / "results_entire.csv"
+    _edit_lines(results, _without_estimate(how, "log_vol/BL/h=1", name))
+    fits = []
+    monkeypatch.setattr(scenario, "fit_ma1_garch11", lambda *args, **kwargs: fits.append(1))
+    capsys.readouterr()
+    code = run(["simulate", "--config", root / "newsflow.ini", "--output", root / "out"])
+    assert code == 2
+    expected = f"ERROR MISSING_INPUT: no estimate of {name} for spec 'log_vol/BL/h=1' in {results}\n"
+    assert capsys.readouterr().err == expected
+    assert fits == []
+
+
+@pytest.fixture(scope="module")
+def long_paneled_fixture(tmp_path_factory):
+    """build_fixture(6 symbols, 300 days, 300 articles) with its panel outputs: long enough for the GARCH fits."""
+    root = build_fixture(tmp_path_factory.mktemp("long_paneled"), n_symbols=6, n_days=300, n_articles=300)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("distill", "indicators", "panel"):
+            assert run([command, "--config", root / "newsflow.ini"]) == 0
+    return root
+
+
+# with min_active = 140 and one simulated day, seeds 3 and 4 draw no active
+# symbol-day and seed 1 draws one
+@pytest.mark.parametrize("seed, n_points", [(1, 1), (3, 0), (4, 0)])
+def test_simulate_with_too_few_scatter_points_exits_2(long_paneled_fixture, capsys, seed, n_points):
+    ini = long_paneled_fixture / "sparse.ini"
+    text = (long_paneled_fixture / "newsflow.ini").read_text(encoding="utf-8")
+    assert "n_days = 250" in text and "min_active = 30" in text
+    ini.write_text(text.replace("n_days = 250", "n_days = 1").replace("min_active = 30", "min_active = 140"),
+                   encoding="utf-8")
+    capsys.readouterr()
+    code = run(["simulate", "--config", ini, "--seed", seed])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR TOO_FEW_POINTS: plug-in bandwidth needs n >= 20, got {n_points}\n"
+
+
 def test_panel_summary_counts_low_rank_cells(distilled_fixture, tmp_path, capsys):
     # 4 symbols clustered by entity identify at most 3 of the 8 coefficients' directions
     root = tmp_path / "run"
@@ -1027,6 +1086,46 @@ def test_cli_import_skips_scipy_stats_and_signal():
     assert loaded.stdout.strip() == "[]"
 
 
+# perfbench/stage.py's order: import newsflow.cli, then patch every traced
+# binding, then run the stages; the traced names, call counts and counters
+# are the benchmark's per-layer metrics
+TRACER_PROBE = """
+import contextlib, importlib, json, sys
+import newsflow.cli
+from tracer import TRACED, Tracer
+
+unresolved = [name for name, (module, attr) in TRACED.items()
+              if not callable(getattr(importlib.import_module(module), attr, None))]
+codes = []
+tracer = Tracer()
+if not unresolved:
+    tracer.install()
+    with contextlib.redirect_stdout(sys.stderr):
+        codes = [newsflow.cli.main([stage, "--config", sys.argv[1]]) for stage in ("distill", "indicators", "panel")]
+layers = sorted({span[1] for span in tracer.spans})
+print(json.dumps({"unresolved": unresolved, "codes": codes, "counters": tracer.counters, "layers": layers}))
+"""
+
+
+def test_perfbench_tracer_installs_and_counts_on_the_first_three_stages(mini_fixture):
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(newsflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, str(repo / "perfbench"), os.environ.get("PYTHONPATH")])
+    )}
+    probe = subprocess.run([sys.executable, "-c", TRACER_PROBE, str(mini_fixture / "newsflow.ini")],
+                           env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    result = json.loads(probe.stdout)
+    assert result["unresolved"] == []
+    assert result["codes"] == [0, 0, 0]
+    counters = result["counters"]
+    assert counters["sentiment.tokens"] > 0 and counters["panel.observations"] > 0
+    assert counters["corpus.unassigned"] == 0
+    assert counters["indicators.warmup_days"] == 120  # 130 days, a 120-day window
+    assert {"indicators.fit_detrend_model", "panel.assemble_panel", "sentiment.score_article"} <= set(result["layers"])
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = run(["distill", "--config", tmp_path / "absent.ini"])
     assert code == 2
@@ -1074,7 +1173,7 @@ def test_numerical_error_maps_to_exit_3(mini_fixture, monkeypatch, capsys):
     from newsflow.errors import NonConvergence
 
     def boom(config):
-        raise NonConvergence("optimizer stalled", iterations=42)
+        raise NonConvergence("optimizer stalled")
 
     monkeypatch.setitem(cli.COMMANDS, "panel", boom)
     code = run(["panel", "--config", mini_fixture / "newsflow.ini"])

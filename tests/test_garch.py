@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from conftest import simulate_ma1_garch11
 from newsflow.errors import InputError, NonConvergence, NonStationarySolution
 from newsflow.simulate import garch
-from newsflow.simulate.garch import (
-    MA1Garch11Params,
-    filter_ma1_garch11,
-    fit_ma1_garch11,
-    simulate_ma1_garch11,
-    standardize_residuals,
-)
+from newsflow.simulate.garch import MA1Garch11Params, filter_ma1_garch11, fit_ma1_garch11
 
 
 def loglikelihood(returns, params):
@@ -42,8 +37,8 @@ def test_constant_variance_reduction():
     r = rng.normal(0.3, 1.0, 400)
     omega = float(np.var(r))
     params = MA1Garch11Params(mu=0.3, theta=0.0, omega=omega, alpha=0.0, beta=0.0)
-    z = standardize_residuals(r, params)
-    assert z == pytest.approx((r - 0.3) / np.sqrt(omega), abs=1e-12)
+    eps, h = filter_ma1_garch11(r, params)
+    assert eps / np.sqrt(h) == pytest.approx((r - 0.3) / np.sqrt(omega), abs=1e-12)
 
 
 def test_presample_residual_convention():
@@ -60,8 +55,8 @@ def test_presample_residual_convention():
 
 def test_standardized_residual_variance_near_one():
     r = simulate_ma1_garch11(TRUE, 20_000, rng_seed=1)
-    z = standardize_residuals(r, TRUE)
-    assert float(np.var(z)) == pytest.approx(1.0, abs=0.05)
+    eps, h = filter_ma1_garch11(r, TRUE)
+    assert float(np.var(eps / np.sqrt(h))) == pytest.approx(1.0, abs=0.05)
 
 
 def test_recovery_single_long_path():
@@ -258,7 +253,8 @@ def test_iid_boundary_optimum_at_least_nelder_mead():
 def test_fit_targets_the_sample_variance(pipeline_fixture_dir):
     # the series simulate fits: the market and every symbol's log-close returns
     for r in _fixture_returns(pipeline_fixture_dir, n_symbols=None).values():
-        assert fit_ma1_garch11(r).unconditional_variance == pytest.approx(float(np.var(r)), rel=1e-12)
+        fitted = fit_ma1_garch11(r)
+        assert fitted.omega / (1.0 - fitted.alpha - fitted.beta) == pytest.approx(float(np.var(r)), rel=1e-12)
 
 
 def test_garch_path_fit_evaluation_count(monkeypatch):

@@ -8,18 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import reference_fit_detrend_model, symbol_day_array
 from newsflow.corpus import TradingCalendar
-from newsflow.errors import (
-    InputError,
-    InsufficientHistory,
-    PriceParseError,
-)
+from newsflow.errors import InputError, PriceParseError
 from newsflow.indicators import (
     PRICE_FIELDS,
     AttentionGroup,
     attention_groups,
     attention_ratio,
     compute_indicators,
-    detrended_volume,
     fit_detrend_model,
     garman_klass_log_vol,
     load_market_bars,
@@ -106,20 +101,25 @@ def quad_series(n, a=10.0, b=0.01, c=-1e-4):
     return a + b * s + c * s**2
 
 
+def detrended(series):
+    """Each day's residual against its forecast from fit_detrend_model on the whole series."""
+    return series - fit_detrend_model(series)
+
+
 def test_detrend_exact_quadratic_zero_residual():
     series = quad_series(121)
-    assert abs(detrended_volume(series, 120)) < 1e-9
+    assert abs(detrended(series)[120]) < 1e-9
 
 
 def test_detrend_constant_zero_residual():
     series = np.full(125, 13.2)
-    assert abs(detrended_volume(series, 124)) < 1e-9
+    assert abs(detrended(series)[124]) < 1e-9
 
 
 def test_detrend_shock_recovery():
     series = quad_series(121)
     series[120] += 0.5
-    assert detrended_volume(series, 120) == pytest.approx(0.5, abs=1e-9)
+    assert detrended(series)[120] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_detrend_matches_normal_equation_oracle():
@@ -133,12 +133,12 @@ def test_detrend_matches_normal_equation_oracle():
     y = series[t - 120 : t]
     coef = np.linalg.solve(X.T @ X, X.T @ y)
     forecast = coef[0] + coef[1] * (t - t0) + coef[2] * (t - t0) ** 2
-    assert detrended_volume(series, t) == pytest.approx(series[t] - forecast, abs=1e-9)
+    assert detrended(series)[t] == pytest.approx(series[t] - forecast, abs=1e-9)
 
 
 def test_detrend_insufficient_history():
-    with pytest.raises(InsufficientHistory):
-        detrended_volume(quad_series(100), 99)
+    # day 99 has 99 days before it, fewer than the 120-day window
+    assert np.isnan(fit_detrend_model(quad_series(100))[99])
 
 
 def test_detrend_no_look_ahead():
@@ -149,7 +149,8 @@ def test_detrend_no_look_ahead():
         t = int(rng.integers(120, n))
         poisoned = series.copy()
         poisoned[t + 1 :] = rng.normal(1000, 500, max(n - t - 1, 0))
-        assert detrended_volume(series, t) == detrended_volume(poisoned, t)
+        before = fit_detrend_model(series)[: t + 1]
+        assert np.array_equal(fit_detrend_model(poisoned)[: t + 1], before, equal_nan=True)
 
 
 def test_detrend_skips_missing_history():
@@ -159,15 +160,15 @@ def test_detrend_skips_missing_history():
     # window takes the last 120 finite observations before t
     forecast = fit_detrend_model(series)
     assert np.isnan(forecast[121]) and not np.isnan(forecast[122])  # 119, then 120 finite days before
-    assert abs(detrended_volume(series, 128)) < 1e-8
+    assert abs(detrended(series)[128]) < 1e-8
 
 
 def test_detrend_trend_invariance():
     rng = np.random.default_rng(13)
     base = rng.normal(0, 0.2, 140)
     trend = 4.0 + 0.02 * np.arange(140) + 3e-4 * np.arange(140) ** 2
-    v_base = detrended_volume(base + 10.0, 130)
-    v_trended = detrended_volume(base + 10.0 + trend, 130)
+    v_base = detrended(base + 10.0)[130]
+    v_trended = detrended(base + 10.0 + trend)[130]
     assert v_trended == pytest.approx(v_base, abs=1e-9)
 
 

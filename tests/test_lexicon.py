@@ -36,7 +36,7 @@ PAPER_LINES = [
 
 @pytest.mark.parametrize("line,expected", PAPER_LINES)
 def test_parse_example_entries(line, expected):
-    entry = parse_mpqa_line(line)
+    entry, _ = parse_mpqa_line(line)
     assert (entry.word, entry.polarity, entry.stemmed, entry.pos_tag, entry.strength) == expected
 
 
@@ -51,14 +51,15 @@ def test_parse_invalid_value():
 
 
 def test_parse_unknown_keys_ignored():
-    entry = parse_mpqa_line(
+    entry, unknown = parse_mpqa_line(
         "type=weaksubj len=1 word1=fine pos1=adj stemmed1=n priorpolarity=positive extra=zz"
     )
     assert entry.word == "fine"
+    assert unknown == 1
 
 
 def test_parse_multiword_entry():
-    entry = parse_mpqa_line(
+    entry, _ = parse_mpqa_line(
         "type=weaksubj len=2 word1=pay_off pos1=verb stemmed1=n priorpolarity=positive"
     )
     assert entry.word == "pay off"
@@ -104,7 +105,7 @@ def test_round_trip_random_entries():
     rng = random.Random(1234)
     for _ in range(1000):
         entry = _random_entry(rng)
-        assert parse_mpqa_line(format_mpqa_line(entry)) == entry
+        assert parse_mpqa_line(format_mpqa_line(entry)) == (entry, 0)
 
 
 def test_load_wordlist(tmp_path):
@@ -251,4 +252,4 @@ def test_compare_lexica_frequency_ordering_with_tie_break():
     b = build_lexicon("B", [LexiconEntry("zeta", Polarity.NEGATIVE)])
     report = compare_lexica(a, b, {"alpha": 5, "beta": 9, "gamma": 5}, min_count=1)
     assert report.unique_to_a[Polarity.POSITIVE] == ("beta", "alpha", "gamma")
-    assert report.top("a", Polarity.POSITIVE, k=2) == ("beta", "alpha")
+    assert report.unique_to_a[Polarity.POSITIVE][:2] == ("beta", "alpha")

@@ -141,9 +141,8 @@ def test_rank_deficient_names_columns():
     x = np.column_stack([x1, 2.0 * x1])
     entities = np.repeat([0, 1], 20)
     panel = make_panel(rng.normal(0, 1, 40), x, entities, np.tile(np.arange(20), 2))
-    with pytest.raises(RankDeficient) as err:
+    with pytest.raises(RankDeficient, match="^collinear regressor columns: doubled$"):
         fit_fixed_effects(panel, coef_names=("base", "doubled"))
-    assert "doubled" in err.value.columns
 
 
 def test_residuals_match_within_residuals():

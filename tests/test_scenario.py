@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import SentimentRecord, sentiment_array
+from conftest import SentimentRecord, sentiment_array, simulate_ma1_garch11
 from newsflow.errors import InputError, MissingComponent
 from newsflow.simulate.copula import GaussianCopula
 from newsflow.simulate.edf import fit_edf
-from newsflow.simulate.garch import MA1Garch11Params, simulate_ma1_garch11
+from newsflow.simulate.garch import MA1Garch11Params
 from newsflow.simulate.scenario import (
     MARKET_LABEL,
     ResidualModel,
@@ -38,11 +38,9 @@ def residual_model(symbols, seed=0):
     rng = np.random.default_rng(seed)
     labels = (MARKET_LABEL,) + tuple(symbols)
     d = len(labels)
-    params = MA1Garch11Params(mu=0.0, theta=0.0, omega=1e-4, alpha=0.05, beta=0.6)
     return ResidualModel(
         labels=labels,
         copula=GaussianCopula(np.eye(d)),
-        garch_params={label: params for label in labels},
         median_sigmas={label: 0.01 for label in labels},
         marginals={label: fit_edf(rng.normal(0, 1, 400)) for label in labels},
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SentimentRecord, cumulative_record, reference_score_article, reference_tokenize, sentiment_array
-from newsflow.errors import EmptyText, NoActiveRecords, WindowOutOfRange
+from newsflow.errors import EmptyText, InputError, NoActiveRecords
 from newsflow.lexicon import LexiconEntry, Polarity, PosTag, Strength, build_lexicon
 from newsflow.sentiment import (
     DEFAULT_NEGATORS,
@@ -434,7 +434,7 @@ def test_cumulative_empty_window():
 
 def test_cumulative_out_of_range():
     day_records = {0: _day_record([], "A", 0)}
-    with pytest.raises(WindowOutOfRange):
+    with pytest.raises(InputError, match="no record for day 1"):
         cumulative_record(day_records, 0, 2)
 
 

@@ -251,7 +251,7 @@ def _const_fit(grid, value, half_width):
     curve = np.full(len(grid), float(value))
     return SmootherFit(
         grid=grid, curve=curve, bandwidth=0.1,
-        band_lower=curve - half_width, band_upper=curve + half_width, level=0.95,
+        band_lower=curve - half_width, band_upper=curve + half_width,
     )
 
 
@@ -276,7 +276,7 @@ def test_overlap_constructed_interval():
 
     upper = SmootherFit(
         grid=grid, curve=curve, bandwidth=0.1,
-        band_lower=curve - 0.1, band_upper=curve + 0.1, level=0.95,
+        band_lower=curve - 0.1, band_upper=curve + 0.1,
     )
     intervals = band_overlap_region(lower, upper)
     assert len(intervals) == 1
