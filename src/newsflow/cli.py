@@ -337,9 +337,11 @@ BAND_BYTES = 1 << 30  # the largest float64 array one band may allocate
 def _check_band_size(config: RunConfig, n_symbols: int) -> None:
     """Refuse sizes whose band arrays would exceed BAND_BYTES, before anything is fitted or allocated.
 
-    A band has at most n = symbols × n_days points.  Its largest float64
-    arrays are the n × n_boot bootstrap multipliers, the grid_points × n
-    weights that contract them and the grid_points × n_boot deviations.
+    A band has at most n = symbols × n_days points on m <= n distinct x
+    values.  Its largest float64 arrays are the m × n_boot bootstrap
+    multipliers, the grid_points × m weights that contract them and the
+    grid_points × n_boot deviations.  m is known only after the simulation,
+    so n stands in for it.
     """
     n = n_symbols * config.sim_n_days
     grid, n_boot = config.sim_grid_points, config.sim_n_boot

@@ -13,9 +13,12 @@ runs over the m distinct values u_k with their counts c_k: the local sums
 s0, s1 and s2 weigh u_k by c_k, fits and leverage residuals use per-value
 sums of y, and standard errors per-value sums of squared residuals.  The
 weight matrices are grid × m and m × m (in blocks of rows) instead of
-grid × n and n × n.  The bootstrap still draws one multiplier per point (an n × n_boot matrix), so
-the random stream is that of the per-point sums; results differ from them
-only by rounding.
+grid × n and n × n.  The bootstrap draws one Gaussian multiplier per
+distinct value (an m × n_boot matrix): given the residuals, the per-point
+multiplier deviations are Gaussian with covariance W diag(r²) Wᵀ, so the
+points of one value share a draw scaled by the root of their summed squared
+residuals.  Fits and standard errors match the per-point sums up to
+rounding; the band's critical value comes from this smaller draw.
 """
 
 from __future__ import annotations
@@ -200,12 +203,15 @@ def uniform_band(
     u, index, counts = _distinct(x)
     residuals = _residuals_with_leverage(u, index, counts, y, fit.bandwidth)
     weights, empty = _equivalent_weights(u, counts, fit.grid, fit.bandwidth)
-    se = np.sqrt(weights**2 @ np.bincount(index, residuals**2, minlength=len(u)))
+    squares = np.bincount(index, residuals**2, minlength=len(u))
+    se = np.sqrt(weights**2 @ squares)
     se[empty] = np.nan
 
-    # one multiplier per point, so the random stream does not depend on ties
-    multipliers = rng.standard_normal((len(x), n_boot))
-    deviations = (weights[:, index] * residuals) @ multipliers
+    # one multiplier per distinct value, scaled by the root of its summed
+    # squared residuals: the same Gaussian law as one multiplier per point
+    draws = rng.standard_normal((len(u), n_boot))
+    draws *= np.sqrt(squares)[:, None]
+    deviations = weights @ draws
     usable = ~empty & (se > 0)
     if usable.any():
         ratios = np.abs(deviations[usable]) / se[usable, None]

@@ -212,7 +212,13 @@ def reference_uniform_band(x, y, h, grid, level, n_boot, rng_seed):
     residuals = reference_residuals_with_leverage(x, y, h)
     se = np.sqrt((weights**2 * residuals[None, :] ** 2).sum(axis=1))
     se[empty] = np.nan
-    multipliers = np.random.default_rng(rng_seed).standard_normal((len(x), n_boot))
+    # the package draws one row per distinct value; point i gets its value's
+    # draw times r_i / s_k, so a value's terms r_i * multiplier sum to s_k * z_k
+    _, index = np.unique(x, return_inverse=True)
+    draws = np.random.default_rng(rng_seed).standard_normal((index.max() + 1, n_boot))
+    s = np.sqrt(np.bincount(index, residuals**2))
+    share = np.divide(residuals, s[index], out=np.zeros(len(x)), where=s[index] > 0)
+    multipliers = share[:, None] * draws[index]
     deviations = weights @ (residuals[:, None] * multipliers)
     usable = ~empty & (se > 0)
     critical = float(scipy.special.ndtri(0.5 + level / 2.0))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,6 +243,37 @@ def test_band_bad_level():
     fit = local_linear_fit(x, y, 0.08, grid)
     with pytest.raises(InputError):
         uniform_band(fit, x, y, level=1.5, n_boot=200)
+
+
+def test_band_memory_does_not_grow_with_the_points_of_a_value():
+    # 5,000 points on 50 values: per-point multipliers alone would take 40 MB
+    rng = np.random.default_rng(14)
+    x = rng.choice(rng.uniform(0.0, 1.0, 50), 5000)
+    y = np.sin(3.0 * x) + rng.normal(0.0, 0.3, len(x))
+    fit = local_linear_fit(x, y, 0.1, np.linspace(0.1, 0.9, 41))
+    tracemalloc.start()
+    try:
+        uniform_band(fit, x, y, n_boot=1000, rng_seed=15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_band_coverage_on_tied_x():
+    # criterion 10's coverage check with x rounded to 61 values, so one draw
+    # per value and one per point are different bootstraps
+    truth = lambda t: np.sin(3.0 * t)
+    grid = np.linspace(0.1, 0.9, 41)
+    covered = 0
+    for rep in range(200):
+        rng = np.random.default_rng(2000 + rep)
+        x = np.round(60.0 * rng.uniform(0.0, 1.0, 500)) / 60.0
+        y = truth(x) + 0.3 * rng.standard_normal(len(x))
+        fit = local_linear_fit(x, y, 0.7 * plugin_bandwidth(x, y), grid)
+        banded = uniform_band(fit, x, y, level=0.95, n_boot=500, rng_seed=int(rng.integers(2**31)))
+        covered += bool(np.all((banded.band_lower <= truth(grid)) & (truth(grid) <= banded.band_upper)))
+    assert covered / 200 >= 0.90
 
 
 # overlap ---------------------------------------------------------------------------
