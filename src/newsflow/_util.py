@@ -16,7 +16,7 @@ from typing import Callable, Mapping, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import InputError, MalformedRecord
+from .errors import InputError, InvalidValue, MalformedRecord, MissingInput
 
 T = TypeVar("T")
 
@@ -24,9 +24,15 @@ T = TypeVar("T")
 def read_text(path: str | Path) -> str:
     """A UTF-8 text file, with or without a byte-order mark.
 
-    Bytes that are not UTF-8 raise MalformedRecord with the file and line.
+    Every input file is read here, so this is where a file that cannot be
+    read is caught: an absent path, a directory or a file without read
+    permission raises MissingInput, "cannot read <path>: <reason>".  Bytes
+    that are not UTF-8 raise MalformedRecord with the file and line.
     """
-    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        raise MissingInput(f"cannot read {path}: {exc.strerror}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -245,17 +251,24 @@ def fmt_int_column(values: Sequence[int] | np.ndarray) -> list[str]:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write a file via temp-file + rename so partial output never lands."""
+    """Write a file via temp-file + rename so partial output never lands.
+
+    A path that cannot be written, such as one a directory stands at, is an
+    InvalidValue of `[run] output`.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InvalidValue("[run] output", f"{path} ({exc.strerror})") from None
         raise
 
 

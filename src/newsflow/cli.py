@@ -34,14 +34,7 @@ from ._util import (
 )
 from .config import RunConfig, config_fingerprint, load_config, parse_day_boundary
 from .corpus import TradingCalendar
-from .errors import (
-    InputError,
-    InvalidValue,
-    MissingInput,
-    NewsflowError,
-    NumericalError,
-    TooFewBootstraps,
-)
+from .errors import InputError, InvalidValue, LexiconNotFound, MissingInput, NewsflowError, NumericalError
 from .indicators import INDICATOR_FIELDS
 from .panel import (
     SUITES,
@@ -83,6 +76,8 @@ def _write_manifest(config: RunConfig, command: str, inputs: list[Path]) -> None
 
 
 def _load_lexica(config: RunConfig) -> dict[str, lex_mod.Lexicon]:
+    if not config.lexicons:
+        raise LexiconNotFound("no lexicons configured")
     lexica = {}
     for source in config.lexicons:
         if source.kind == "wordlists":
@@ -104,7 +99,6 @@ def _load_assigned_corpus(config: RunConfig) -> tuple[TradingCalendar, corpus_mo
 
 
 def cmd_distill(config: RunConfig) -> int:
-    config.validate(need=("corpus", "calendar", "lexicons"))
     calendar, assigned = _load_assigned_corpus(config)
     lexica = _load_lexica(config)
 
@@ -154,7 +148,6 @@ def cmd_distill(config: RunConfig) -> int:
 
 
 def cmd_indicators(config: RunConfig) -> int:
-    config.validate(need=("prices", "calendar"))
     calendar = TradingCalendar.from_file(config.calendar_path)
     bars = ind_mod.load_market_bars(config.prices_path, calendar)
     indicators, warnings = ind_mod.compute_indicators(bars, window=config.detrend_window)
@@ -255,13 +248,13 @@ def _panel_inputs(config: RunConfig, need_sectors: bool) -> tuple[TradingCalenda
     market = MarketSeries.from_csv(config.market_path, calendar)
     sectors = None
     if need_sectors:
-        config.validate(need=("sectors",))
+        if config.sectors_path is None:
+            raise MissingInput("sector suite requires a sectors CSV")
         sectors = _load_sectors(config.sectors_path)
     return calendar, PanelInputs(sentiment=sentiment, indicators=indicators, market=market, sectors=sectors)
 
 
 def cmd_panel(config: RunConfig) -> int:
-    config.validate(need=("calendar", "market"))
     calendar, inputs = _panel_inputs(config, need_sectors="sector" in config.suites)
     cluster = ClusterMode(config.cluster_mode)
 
@@ -355,11 +348,6 @@ def _check_band_size(config: RunConfig, n_symbols: int) -> None:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    config.validate(need=("calendar", "market"))
-    if config.sim_n_boot < 100:
-        raise TooFewBootstraps(f"n_boot must be >= 100, got {config.sim_n_boot}")
-    if config.sim_n_days < 1:
-        raise InputError("n_days must be >= 1")
     _, inputs = _panel_inputs(config, need_sectors=False)
     sentiment, market = inputs.sentiment, inputs.market
 
@@ -462,7 +450,6 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_lexstats(config: RunConfig) -> int:
-    config.validate(need=("corpus", "lexicons"))
     articles = corpus_mod.load_articles(config.corpus_path, config.corpus_format)
     if config.symbols:
         articles = corpus_mod.filter_by_symbols(articles, config.symbols)
@@ -504,7 +491,6 @@ def cmd_lexstats(config: RunConfig) -> int:
 
 
 def cmd_report(config: RunConfig) -> int:
-    config.validate(need=("calendar",))
     calendar = TradingCalendar.from_file(config.calendar_path)
     sentiment = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
 
@@ -600,9 +586,6 @@ def main(argv=None) -> int:
         return 3
     except NewsflowError as exc:
         print(f"ERROR {exc.error_code}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"ERROR MISSING_INPUT: {exc}", file=sys.stderr)
         return 2
 
 

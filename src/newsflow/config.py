@@ -1,4 +1,7 @@
-"""Run configuration: one INI-style declarative file plus CLI flag overrides."""
+"""Run configuration: one INI-style declarative file plus CLI flag overrides.
+
+load_config checks every value once, flags included, before any command runs.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import InputError, InvalidValue, LexiconNotFound, MissingInput
+from ._util import read_text
+from .errors import InputError, InvalidValue, TooFewBootstraps
 from .panel import SUITES, ClusterMode
 from .sentiment import DEFAULT_NEGATORS, NegationConfig, tokenize
 
@@ -59,31 +63,6 @@ class RunConfig:
     plot_y_range: tuple[float, float] | None = None
     lexstats_min_count: int = 3
     lexstats_top: int = 10
-
-    def validate(self, need: tuple[str, ...] = ()) -> None:
-        """Check invariants; `need` lists the inputs the command will read."""
-        if not 1 <= self.lag_h <= 5:
-            raise InputError(f"lag h must be in 1..5, got {self.lag_h}")
-        if self.detrend_window < 10:
-            raise InputError(f"detrend window must be >= 10, got {self.detrend_window}")
-        if "corpus" in need and not self.corpus_path.exists():
-            raise MissingInput(f"corpus not found: {self.corpus_path}")
-        if "calendar" in need and not self.calendar_path.exists():
-            raise MissingInput(f"calendar not found: {self.calendar_path}")
-        if "prices" in need and not self.prices_path.exists():
-            raise MissingInput(f"price CSV not found: {self.prices_path}")
-        if "market" in need and not self.market_path.exists():
-            raise MissingInput(f"market CSV not found: {self.market_path}")
-        if "lexicons" in need:
-            if not self.lexicons:
-                raise LexiconNotFound("no lexicons configured")
-            for source in self.lexicons:
-                for path in source.paths:
-                    if not path.exists():
-                        raise LexiconNotFound(f"lexicon file not found: {path}")
-        if "sectors" in need:
-            if self.sectors_path is None or not self.sectors_path.exists():
-                raise MissingInput("sector suite requires a sectors CSV")
 
 
 def _parse_lexicons(section: configparser.SectionProxy, base: Path) -> tuple[LexiconSource, ...]:
@@ -140,18 +119,20 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Parse the INI run file; override values win over file values.
 
     A relative path in the file, `[run] output` included, is taken from the
-    file's folder; an empty `[run] output` is an InvalidValue.
+    file's folder.  Every value is checked here, once, after the overrides
+    are applied, so a flag is held to the same bounds as the INI key it
+    overrides, whichever command runs.  The input files are checked where
+    they are read (`_util.read_text`), not here.
     """
     path = Path(path)
-    if not path.exists():
-        raise MissingInput(f"config file not found: {path}")
+    text = read_text(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_string(text, source=str(path))
         # interpolate every value now, so that a stray "%" is a malformed file, not a traceback
         for name in parser.sections():
             parser.items(name)
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except configparser.Error as exc:
         detail = " ".join(str(exc).split())  # configparser messages span lines
         raise InputError(f"malformed config file {path}: {detail}") from None
     base = path.parent
@@ -223,7 +204,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         sim_projections=tuple(
             s.strip().upper() for s in simulate.get("projections", "").split(",") if s.strip()
         ),
-        sim_n_days=at_least("simulate", "n_days", "300", 1),
+        sim_n_days=number("simulate", "n_days", "300"),
         sim_n_boot=number("simulate", "n_boot", "500"),
         sim_grid_points=at_least("simulate", "grid_points", "101", 2),
         # the sentiment copula needs at least 3 rows for its 2 columns
@@ -237,6 +218,14 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         clean = {k: v for k, v in overrides.items() if v is not None}
         if clean:
             config = replace(config, **clean)
+    if not 1 <= config.lag_h <= 5:
+        raise InputError(f"lag h must be in 1..5, got {config.lag_h}")
+    if config.detrend_window < 10:
+        raise InputError(f"detrend window must be >= 10, got {config.detrend_window}")
+    if config.sim_n_days < 1:
+        raise InputError("n_days must be >= 1")
+    if config.sim_n_boot < 100:
+        raise TooFewBootstraps(f"n_boot must be >= 100, got {config.sim_n_boot}")
     if not config.suites:
         raise InvalidValue("[panel] suites", "")
     for suite in config.suites:
@@ -276,6 +265,6 @@ def config_fingerprint(config: RunConfig, input_paths: list[Path]) -> dict:
     checksums = {}
     for p in sorted(set(map(str, input_paths))):
         path = Path(p)
-        if path.exists() and path.is_file():
+        if path.is_file():
             checksums[p] = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"config_sha256": config_hash, "inputs": checksums}

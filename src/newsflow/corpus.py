@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ._util import RowRejected, read_text
-from .errors import DuplicateId, EmptyCorpus, InputError, MalformedRecord
+from .errors import DuplicateId, EmptyCorpus, InputError, MalformedRecord, MissingInput
 
 _MIDNIGHT = dt.time(0, 0)
 
@@ -169,8 +169,6 @@ def _article_from_record(record: dict, source: str, position: int) -> Article:
 def load_articles(path: str | Path, format: str = "jsonl") -> ArticleSet:
     """Load a corpus; each article's day stays None until assign_trading_days."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"corpus path does not exist: {path}")
     if format == "jsonl":
         articles = _load_jsonl(path)
     elif format == "directory_of_text_files":
@@ -201,6 +199,8 @@ def _load_jsonl(path: Path) -> list[Article]:
 
 def _load_directory(path: Path) -> list[Article]:
     """Directory format: ``<name>.json`` metadata sidecar + ``<name>.txt`` body."""
+    if not path.exists():  # an absent directory globs to no articles
+        raise MissingInput(f"cannot read {path}: No such file or directory")
     articles = []
     for meta_path in sorted(path.glob("*.json")):
         body_path = meta_path.with_suffix(".txt")

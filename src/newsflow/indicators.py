@@ -158,10 +158,6 @@ def load_market_bars(path: str | Path, calendar: TradingCalendar) -> SymbolDayAr
     non-finite or nonpositive price, a negative volume, or prices out of the
     order low <= open, close <= high raise PriceParseError with the line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise PriceParseError(f"price file does not exist: {path}")
-
     def convert(columns):
         symbols, symbol = column_codes(list(map(str.upper, columns["symbol"])))
         blank = [code for code, name in enumerate(symbols) if not name.strip()]

@@ -139,7 +139,7 @@ def parse_mpqa_file(path: str | Path) -> tuple[list[LexiconEntry], int]:
     """All entries of a structured lexicon file plus total unknown-key count."""
     path = Path(path)
     if not path.exists():
-        raise LexiconNotFound(str(path))
+        raise LexiconNotFound(f"lexicon file not found: {path}")
     entries = []
     warnings = 0
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
@@ -161,7 +161,7 @@ def load_wordlist(path: str | Path, polarity: Polarity) -> list[LexiconEntry]:
     """Flat one-word-per-line list; lowercased, deduplicated, ';' comments."""
     path = Path(path)
     if not path.exists():
-        raise LexiconNotFound(str(path))
+        raise LexiconNotFound(f"lexicon file not found: {path}")
     # one pass over the lowercased file; dict keys keep the first of each word, in file order
     words = dict.fromkeys(line.strip() for line in read_text(path).lower().splitlines())
     entries = [LexiconEntry(word, polarity) for word in words if word and not word.startswith(";")]

@@ -713,6 +713,90 @@ def test_output_path_blocked_by_a_file_exits_2(mini_fixture, capsys, command, ou
     assert sorted(mini_fixture.rglob("*")) == before
 
 
+def test_output_file_blocked_by_a_directory_exits_2(mini_fixture, capsys):
+    (mini_fixture / "out" / "sentiment.csv").mkdir(parents=True)
+    code = run(["distill", "--config", mini_fixture / "newsflow.ini"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR INVALID_VALUE") and "'[run] output'" in err and len(err.splitlines()) == 1
+    # the temporary file is removed and no manifest is written
+    assert [path.name for path in (mini_fixture / "out").iterdir()] == ["sentiment.csv"]
+
+
+# an input file, a command that reads it, and the ERROR code when the file is missing
+UNREADABLE_INPUTS = [
+    ("corpus.jsonl", ["distill"], "MISSING_INPUT"),
+    ("corpus.jsonl", ["lexstats"], "MISSING_INPUT"),
+    ("calendar.txt", ["distill"], "MISSING_INPUT"),
+    ("calendar.txt", ["indicators"], "MISSING_INPUT"),
+    ("calendar.txt", ["panel"], "MISSING_INPUT"),
+    ("calendar.txt", ["report"], "MISSING_INPUT"),
+    ("prices.csv", ["indicators"], "MISSING_INPUT"),
+    ("market.csv", ["panel"], "MISSING_INPUT"),
+    ("market.csv", ["simulate"], "MISSING_INPUT"),
+    ("sectors.csv", ["panel", "--suite", "sector"], "MISSING_INPUT"),
+    ("bl_neg.txt", ["distill"], "LEXICON_NOT_FOUND"),
+    ("bl_neg.txt", ["lexstats"], "LEXICON_NOT_FOUND"),
+    ("mpqa.tff", ["distill"], "LEXICON_NOT_FOUND"),
+    ("mpqa.tff", ["lexstats"], "LEXICON_NOT_FOUND"),
+    ("out/sentiment.csv", ["panel"], "MISSING_INPUT"),
+    ("out/sentiment.csv", ["report"], "MISSING_INPUT"),
+    ("out/indicators.csv", ["panel"], "MISSING_INPUT"),
+    ("out/results_entire.csv", ["simulate"], "MISSING_INPUT"),
+    ("out/residuals_log_vol_BL.csv", ["simulate"], "MISSING_INPUT"),
+]
+
+
+@pytest.mark.parametrize("how", ["missing", "directory"])
+@pytest.mark.parametrize("name, command, missing_code", [
+    pytest.param(name, command, code, id=f"{name}-{'_'.join(command)}") for name, command, code in UNREADABLE_INPUTS
+])
+def test_unreadable_input_exits_2_with_one_error_line(paneled_fixture, tmp_path, capsys, name, command,
+                                                      missing_code, how):
+    root = _copy_of(paneled_fixture, tmp_path / "run")
+    (root / name).unlink()
+    if how == "directory":
+        (root / name).mkdir()
+    capsys.readouterr()
+    code = run([*command, "--config", root / "newsflow.ini", "--output", root / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    if how == "missing":
+        assert err.startswith(f"ERROR {missing_code}: ") and len(err.splitlines()) == 1
+    else:
+        assert err == f"ERROR MISSING_INPUT: cannot read {root / name}: Is a directory\n"
+
+
+def test_missing_corpus_directory_exits_2(distilled_fixture, tmp_path, capsys):
+    root = _copy_of(distilled_fixture, tmp_path / "run")
+    _corpus_as_directory(root)
+    shutil.rmtree(root / "corpus")
+    code = run(["distill", "--config", root / "newsflow.ini", "--output", root / "out"])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR MISSING_INPUT: cannot read {root / 'corpus'}: No such file or directory\n"
+
+
+def test_config_path_that_is_a_directory_exits_2(mini_fixture, capsys):
+    code = run(["distill", "--config", mini_fixture])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR MISSING_INPUT: cannot read {mini_fixture}: Is a directory\n"
+    assert not (mini_fixture / "out").exists()
+
+
+@pytest.mark.parametrize("ini_extra, extra_args, expected", [
+    pytest.param("[simulate]\nn_boot = 50\n", [], "TOO_FEW_BOOTSTRAPS: n_boot must be >= 100, got 50", id="n_boot=50"),
+    pytest.param("", ["--n-boot", 99], "TOO_FEW_BOOTSTRAPS: n_boot must be >= 100, got 99", id="n_boot_flag=99"),
+    pytest.param("", ["--n-days", 0], "INPUT_ERROR: n_days must be >= 1", id="n_days_flag=0"),
+])
+def test_config_value_is_checked_whatever_the_command(mini_fixture, capsys, ini_extra, extra_args, expected):
+    ini = mini_fixture / "newsflow.ini"
+    ini.write_text(ini.read_text(encoding="utf-8") + "\n" + ini_extra, encoding="utf-8")
+    code = run(["distill", "--config", ini, *extra_args])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR {expected}\n"
+    assert not (mini_fixture / "out").exists()
+
+
 @pytest.mark.parametrize("flag, written", [
     pytest.param(None, "out", id="ini_value_from_the_ini_folder"),
     pytest.param("flagged", "sub/flagged", id="flag_from_the_working_directory"),
