@@ -1,18 +1,20 @@
-"""Small shared helpers: checked text and CSV input, the symbol × day array it is
-read into, deterministic CSV output, atomic writes, seed streams."""
+"""Small shared helpers: checked text input, CSV input streamed in blocks into
+label and number columns, the symbol × day array it is read into,
+deterministic CSV output, atomic writes, seed streams."""
 
 from __future__ import annotations
 
 import codecs
 import csv
 import gc
-import io
 import os
 import tempfile
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import count, islice
 from pathlib import Path
-from typing import Callable, Mapping, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -49,92 +51,279 @@ class RowRejected(Exception):
         self.row = row
 
 
+# the kinds of column read_csv_columns reads: labels; finite floats; finite
+# floats, an empty cell NaN; integers, as floats
+KEY, FLOAT, FLOAT_OR_BLANK, INT = "key", "float", "float or blank", "int"
+BLOCK_ROWS = 1024  # rows parsed at a time, and turned into columns before the next
+
+
+@dataclass(frozen=True)
+class KeyColumn:
+    """A column of labels: its distinct cells, in order of first appearance, and each row's index into them."""
+
+    cells: list[str]
+    codes: np.ndarray
+
+    def __getitem__(self, row: int) -> str:
+        return self.cells[self.codes[row]]
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.cells.__getitem__, self.codes.tolist())
+
+    def map(self, fn: Callable[[str], str]) -> "KeyColumn":
+        """fn applied to every cell, so to each distinct cell once."""
+        return KeyColumn(list(map(fn, self.cells)), self.codes)
+
+    def head(self, n_rows: int) -> "KeyColumn":
+        """The column's first n_rows rows."""
+        return KeyColumn(self.cells, self.codes[:n_rows])
+
+
+@dataclass(frozen=True)
+class NumberColumn:
+    """A column of numbers as floats, NaN from its first bad cell on.
+
+    `fault` is that cell's row and message, None if every cell is good;
+    `exact` holds the integer cells a float may round, by row.
+    """
+
+    values: np.ndarray
+    fault: tuple[int, str] | None
+    exact: Mapping[int, int]
+
+    def head(self, n_rows: int) -> "NumberColumn":
+        """The column's first n_rows rows, with its fault if it lies among them."""
+        fault = self.fault if self.fault is not None and self.fault[0] < n_rows else None
+        return NumberColumn(self.values[:n_rows], fault, self.exact)
+
+    def integer(self, row: int) -> int:
+        """The integer a good cell of an INT column holds, exactly."""
+        return self.exact.get(row, int(self.values[row]))
+
+
+Column = KeyColumn | NumberColumn
+
+
 def read_csv_columns(
     path: str | Path,
-    required: Sequence[str],
-    convert: Callable[[Mapping[str, Sequence[str]]], T],
+    kinds: Mapping[str, str],
+    convert: Callable[[Mapping[str, Column]], T],
 ) -> T:
-    """`convert` applied to the non-blank data rows, as a column -> cells mapping.
+    """`convert` applied to the non-blank data rows, as required column -> column.
 
-    The file is read by read_text and parsed once by csv.reader.  A file
-    without a header, or without a required column, raises MalformedRecord
-    with the file and line.  `convert` checks whole columns: for the first row
-    that breaks a rule it raises RowRejected, checking the rules of a row in a
-    fixed order.  Then, or when a row's field count differs from the header's
-    or csv cannot read a row, _first_fault raises MalformedRecord for the
-    first offending row in file order, with its line and message.
+    `kinds` names each required column's kind.  The file is streamed through
+    csv.reader in blocks of BLOCK_ROWS rows, and each block is turned into
+    columns before the next is read: a KEY column into its distinct cells and
+    one code per row, a number column into a float array by one float() or
+    int() per cell, recording its first bad cell.  So no cell outlives its
+    block but the first of each distinct label.
+
+    A file without a header, or without a required column, raises
+    MalformedRecord with the file and line; a file that cannot be read, or
+    that is not UTF-8, raises what read_text raises.  `convert` checks whole
+    columns: for the first row that breaks a rule it raises RowRejected,
+    checking the rules of a row in a fixed order.  Then, or when a row's
+    field count differs from the header's or csv cannot read a row,
+    _first_fault raises MalformedRecord for the first offending row in file
+    order, with its line and message.
     """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = next(reader, [])
-        if not header:
-            raise InputError("no header")
-        missing = [name for name in required if name not in header]
-        if missing:
-            raise InputError(f"missing column(s) {', '.join(missing)}")
-    except (InputError, csv.Error) as exc:
-        # an empty file has read no line yet
-        raise MalformedRecord(str(exc), source=str(path), position=max(reader.line_num, 1)) from exc
-    # the parse and the transpose make one container per row and per column,
-    # and the cyclic garbage collector would scan them all again and again:
-    # it is paused there, and left as the caller had it
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _csv_text(path) as handle:
+        reader = csv.reader(handle)
         try:
-            rows = list(filter(None, reader))
+            header = next(reader, [])
+            if not header:
+                raise InputError("no header")
+            missing = [name for name in kinds if name not in header]
+            if missing:
+                raise InputError(f"missing column(s) {', '.join(missing)}")
+        except (InputError, csv.Error) as exc:
+            # an empty file has read no line yet
+            raise MalformedRecord(str(exc), source=str(path), position=max(reader.line_num, 1)) from exc
+        try:
+            with _gc_paused():
+                columns, ragged = _encode(filter(None, reader), header, kinds)
         except csv.Error:
-            rows = None
-        del reader  # and with it the parser's copy of the text
-        columns = None
-        if rows is not None and set(map(len, rows)) <= {len(header)}:
-            columns = _transpose(header, rows)
-        del rows  # the cells live on in the columns
-    finally:
-        if collecting:
-            gc.enable()
-    if columns is not None:
+            columns = None
+    if columns is not None and ragged is None:
         try:
             return convert(columns)
         except RowRejected:
             pass
-    _first_fault(path, header, convert)
+    del columns  # before the error path encodes the file again
+    _first_fault(path, header, kinds, convert)
 
 
-def _transpose(header: Sequence[str], rows: Sequence[Sequence[str]]) -> dict[str, list[str]]:
-    # one map per column: zip(*rows) would make an iterator per row for the
-    # cyclic garbage collector to scan again and again on large files
-    return {name: list(map(itemgetter(j), rows)) for j, name in enumerate(header)}
+@contextmanager
+def _csv_text(path: str | Path) -> Iterator[TextIO]:
+    """The file as UTF-8 text for csv.reader, decoded to its end whatever the reader does.
+
+    So an invalid byte anywhere in the file, like a file that cannot be read,
+    raises read_text's error for it, before any other fault the file has.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            try:
+                yield handle
+            finally:
+                while handle.read(1 << 20):
+                    pass
+    except (OSError, UnicodeDecodeError):
+        read_text(path)
+        raise
 
 
-def _first_fault(path: str | Path, header: Sequence[str], convert: Callable) -> NoReturn:
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    # the csv parser makes one list per row, and the cyclic garbage collector
+    # would scan them again and again: it is paused, and left as the caller had it
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _encode(
+    rows: Iterator[list[str]], header: Sequence[str], kinds: Mapping[str, str]
+) -> tuple[dict[str, Column], tuple[int, int] | None]:
+    """The rows as columns of the required kinds, block by block.
+
+    They end before the first row whose field count differs from the
+    header's; that row's index and field count are returned with them, or None.
+    """
+    at = {name: j for j, name in enumerate(header)}  # a repeated name is its last column
+    encoders = {name: _Keys() if kind == KEY else _Numbers(kind) for name, kind in kinds.items()}
+    n_rows, ragged = 0, None
+    while block := list(islice(rows, BLOCK_ROWS)):
+        if set(map(len, block)) != {len(header)}:
+            cut = next(i for i, cells in enumerate(block) if len(cells) != len(header))
+            ragged = (n_rows + cut, len(block[cut]))
+            del block[cut:]
+        if block:
+            cells = list(zip(*block))
+            for name, encoder in encoders.items():
+                encoder.add(cells[at[name]], n_rows)
+            n_rows += len(block)
+        if ragged is not None:
+            break
+    return {name: encoder.column() for name, encoder in encoders.items()}, ragged
+
+
+def _concatenate(blocks: list[np.ndarray], dtype: type) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)
+
+
+class _Keys:
+    """A KEY column, a block at a time: codes in order of first appearance."""
+
+    def __init__(self):
+        self.code_of: dict[str, int] = defaultdict(count().__next__)
+        self.blocks: list[np.ndarray] = []
+
+    def add(self, cells: Sequence[str], start: int) -> None:
+        self.blocks.append(np.fromiter(map(self.code_of.__getitem__, cells), dtype=np.intp, count=len(cells)))
+
+    def column(self) -> KeyColumn:
+        return KeyColumn(list(self.code_of), _concatenate(self.blocks, np.intp))
+
+
+class _Numbers:
+    """A number column, a block at a time, up to its first bad cell."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.blocks: list[np.ndarray] = []
+        self.fault: tuple[int, str] | None = None
+        self.exact: dict[int, int] = {}
+
+    def add(self, cells: Sequence[str], start: int) -> None:
+        if self.fault is not None:  # no prefix that reaches these rows is ever accepted
+            self.blocks.append(np.full(len(cells), np.nan))
+            return
+        values, fault, exact = _parse_numbers(cells, self.kind)
+        self.blocks.append(values)
+        if fault is not None:
+            self.fault = (start + fault[0], fault[1])
+        self.exact.update((start + row, value) for row, value in exact.items())
+
+    def column(self) -> NumberColumn:
+        return NumberColumn(_concatenate(self.blocks, float), self.fault, self.exact)
+
+
+def _parse_numbers(
+    cells: Sequence[str], kind: str
+) -> tuple[np.ndarray, tuple[int, str] | None, dict[int, int]]:
+    """One block of a number column: its floats, NaN from its first bad cell on,
+    that cell's index and message or None, and the integers a float may round."""
+    text = [cell or "nan" for cell in cells] if kind == FLOAT_OR_BLANK else cells
+    parse = int if kind == INT else float
+    fault = None
+    try:
+        parsed = list(map(parse, text))
+        values = np.array(parsed, dtype=float)
+    except (ValueError, OverflowError):
+        fault = _first_error(parse, text)
+        parsed = list(map(parse, text[:fault[0]]))
+        values = np.array(parsed, dtype=float)
+    if kind == INT:
+        big = np.flatnonzero(np.abs(values) > 2.0 ** 53).tolist()
+        exact = {row: parsed[row] for row in big}
+    else:
+        exact = {}
+        nonfinite = np.flatnonzero(~np.isfinite(values)).tolist()
+        row = next((row for row in nonfinite if cells[row]), None)  # a blank cell is not one
+        if row is not None:
+            fault = (row, f"non-finite number {cells[row]!r}")
+    if fault is not None:
+        values = np.concatenate([values[:fault[0]], np.full(len(cells) - fault[0], np.nan)])
+    return values, fault, exact
+
+
+def _first_error(parse: Callable[[str], object], cells: Sequence[str]) -> tuple[int, str]:
+    for row, cell in enumerate(cells):
+        try:
+            float(parse(cell))
+        except (ValueError, OverflowError) as exc:
+            return row, str(exc)
+    raise AssertionError("no cell to reject")
+
+
+def _first_fault(path: str | Path, header: Sequence[str], kinds: Mapping[str, str], convert: Callable) -> NoReturn:
     """MalformedRecord for the first row in file order that read_csv_columns rejects.
 
-    Rows are read again one at a time, up to the first that has the wrong
-    field count or that csv cannot read.  `convert` then runs on shorter and
-    shorter leading runs of the rows before it: a run that ends just before
-    a row `convert` rejected holds no offending row if `convert` accepts it.
+    The rows are encoded again as read_csv_columns encodes them, noting each
+    one's line, up to the first that has the wrong field count or that csv
+    cannot read.  `convert` then runs on shorter and shorter leading runs of
+    the rows before it: a run that ends just before a row `convert` rejected
+    holds no offending row if `convert` accepts it.
     """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    next(reader)
-    rows: list[list[str]] = []
     lines: list[int] = []
     fault: tuple[str, int] | None = None  # (message, line)
-    try:
-        for cells in reader:
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                fault = (f"{len(cells)} fields where the header has {len(header)}", reader.line_num)
-                break
-            rows.append(cells)
-            lines.append(reader.line_num)
-    except csv.Error as exc:
-        fault = (str(exc), reader.line_num)
-    n_rows = len(rows)
+
+    def rows():
+        nonlocal fault
+        try:
+            for cells in reader:
+                if cells:
+                    lines.append(reader.line_num)
+                    yield cells
+        except csv.Error as exc:
+            fault = (str(exc), reader.line_num)
+
+    with _csv_text(path) as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        with _gc_paused():
+            columns, ragged = _encode(rows(), header, kinds)
+    n_rows = len(lines)
+    if ragged is not None:
+        n_rows, width = ragged
+        fault = (f"{width} fields where the header has {len(header)}", lines[n_rows])
     while True:
         try:
-            convert(_transpose(header, rows[:n_rows]))
+            convert({name: column.head(n_rows) for name, column in columns.items()})
             break
         except RowRejected as exc:
             fault, n_rows = (str(exc), lines[exc.row]), exc.row
@@ -158,50 +347,19 @@ def reject_repeats(keys: np.ndarray, message: Callable[[int], str]) -> None:
         reject(~first, message)
 
 
-def float_column(cells: Sequence[str], blank: bool = False) -> np.ndarray:
-    """Finite float cells as an array, converted by one float() per cell.
-
-    With `blank`, an empty cell is NaN.  The first cell float() rejects, or
-    the first non-finite one, raises RowRejected.
-    """
-    text = [cell or "nan" for cell in cells] if blank else cells
-    try:
-        values = np.array(list(map(float, text)), dtype=float)
-    except ValueError:
-        _reject_first(float, text)
-    bad = ~np.isfinite(values)
-    if blank:
-        bad &= np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
-    reject(bad, lambda row: f"non-finite number {cells[row]!r}")
-    return values
+def numbers(column: NumberColumn) -> np.ndarray:
+    """A number column's floats; its first bad cell raises RowRejected."""
+    if column.fault is not None:
+        raise RowRejected(*column.fault)
+    return column.values
 
 
-def int_column(cells: Sequence[str]) -> np.ndarray:
-    """Integer cells as a float array, converted by one int() per cell.
-
-    The first cell int() rejects, or the first too large for a float,
-    raises RowRejected.
-    """
-    try:
-        return np.array(list(map(int, cells)), dtype=float)
-    except (ValueError, OverflowError):
-        _reject_first(lambda cell: float(int(cell)), cells)
-
-
-def _reject_first(parse: Callable[[str], object], cells: Sequence[str]) -> NoReturn:
-    for row, cell in enumerate(cells):
-        try:
-            parse(cell)
-        except (ValueError, OverflowError) as exc:
-            raise RowRejected(row, str(exc)) from None
-    raise AssertionError("no cell to reject")
-
-
-def column_codes(cells: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct cells of a column, and each cell's index into them."""
-    distinct = sorted(set(cells))
+def column_codes(column: KeyColumn) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct cells of a column, and each row's index into them."""
+    distinct = sorted(set(column.cells))
     code_of = {cell: code for code, cell in enumerate(distinct)}
-    return distinct, np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
+    recode = np.fromiter(map(code_of.__getitem__, column.cells), dtype=np.intp, count=len(column.cells))
+    return distinct, recode[column.codes]
 
 
 @dataclass(frozen=True)

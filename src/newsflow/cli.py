@@ -19,13 +19,16 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import figures, indicators as ind_mod, lexicon as lex_mod, sentiment as sent_mod
 from ._util import (
+    FLOAT,
+    FLOAT_OR_BLANK,
+    INT,
+    KEY,
     SymbolDayArray,
     atomic_write_text,
     column_codes,
-    float_column,
     fmt_column,
     fmt_int_column,
-    int_column,
+    numbers,
     read_csv_columns,
     reject,
     reject_repeats,
@@ -182,16 +185,16 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, Symb
         reject_repeats((lexicon * len(symbols) + symbol) * len(calendar) + day, lambda row: (
             f"duplicate sentiment row for {columns['lexicon'][row]} {columns['symbol'][row]} {columns['date'][row]}"
         ))
-        active, n_articles = int_column(columns["I"]), int_column(columns["n_articles"])
+        active, n_articles = numbers(columns["I"]), numbers(columns["n_articles"])
 
         def counts(row):
-            return int(columns["I"][row]), int(columns["n_articles"][row])
+            return columns["I"].integer(row), columns["n_articles"].integer(row)
 
         reject(n_articles < 0, lambda row: f"negative sentiment n_articles {counts(row)[1]}")
         reject(active != (n_articles > 0), lambda row: (
             "sentiment I={} with n_articles={}; I is 1 exactly when n_articles > 0".format(*counts(row))
         ))
-        pos, neg = float_column(columns["pos"]), float_column(columns["neg"])
+        pos, neg = numbers(columns["pos"]), numbers(columns["neg"])
 
         def shares(row):
             return f"pos={pos[row].item()!r} and neg={neg[row].item()!r}"
@@ -211,7 +214,8 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, Symb
             )
         return out
 
-    sentiment = read_csv_columns(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), convert)
+    kinds = {"symbol": KEY, "date": KEY, "lexicon": KEY, "I": INT, "pos": FLOAT, "neg": FLOAT, "n_articles": INT}
+    sentiment = read_csv_columns(path, kinds, convert)
     if not sentiment:
         raise MissingInput(f"sentiment file {path} is empty")
     return sentiment
@@ -226,19 +230,20 @@ def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> SymbolDayArra
         symbols, symbol = column_codes(columns["symbol"])
         reject_repeats(symbol * len(calendar) + day,
                        lambda row: f"duplicate indicator row for {columns['symbol'][row]} {columns['date'][row]}")
-        values = np.stack([float_column(columns[name], blank=True) for name in INDICATOR_FIELDS])
+        values = np.stack([numbers(columns[name]) for name in INDICATOR_FIELDS])
         return SymbolDayArray.from_columns(INDICATOR_FIELDS, symbols, symbol, day, values, len(calendar))
 
-    return read_csv_columns(path, ("symbol", "date", *INDICATOR_FIELDS), convert)
+    return read_csv_columns(path, {"symbol": KEY, "date": KEY, **dict.fromkeys(INDICATOR_FIELDS, FLOAT_OR_BLANK)},
+                            convert)
 
 
 def _load_sectors(path: Path) -> dict[str, str]:
     def convert(columns):
-        symbols = list(map(str.upper, columns["symbol"]))
+        symbols = columns["symbol"].map(str.upper)
         reject_repeats(column_codes(symbols)[1], lambda row: f"duplicate sector row for {symbols[row]}")
         return dict(zip(symbols, columns["sector"]))
 
-    return read_csv_columns(path, ("symbol", "sector"), convert)
+    return read_csv_columns(path, {"symbol": KEY, "sector": KEY}, convert)
 
 
 def _panel_inputs(config: RunConfig, need_sectors: bool) -> tuple[TradingCalendar, PanelInputs]:
@@ -298,11 +303,11 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
         raise MissingInput(f"panel results not found: {path} (run panel first)")
     wanted = f"log_vol/{projection}/h=1"
     estimates = read_csv_columns(
-        path, ("spec", "variable", "estimate"),
+        path, {"spec": KEY, "variable": KEY, "estimate": FLOAT_OR_BLANK},
         lambda columns: {
             variable: estimate
             for spec, variable, estimate in zip(
-                columns["spec"], columns["variable"], float_column(columns["estimate"], blank=True).tolist()
+                columns["spec"], columns["variable"], numbers(columns["estimate"]).tolist()
             )
             if spec == wanted
         },
@@ -318,7 +323,7 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
 def _read_residual_pool(path: Path) -> np.ndarray:
     if not path.exists():
         raise MissingInput(f"residual file not found: {path} (run panel first)")
-    values = read_csv_columns(path, ("residual",), lambda columns: float_column(columns["residual"]))
+    values = read_csv_columns(path, {"residual": FLOAT}, lambda columns: numbers(columns["residual"]))
     if not len(values):
         raise MissingInput(f"residual file {path} is empty")
     return values

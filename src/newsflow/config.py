@@ -19,6 +19,13 @@ from .panel import SUITES, ClusterMode
 from .sentiment import DEFAULT_NEGATORS, NegationConfig, tokenize
 
 LEXICON_KINDS = ("wordlists", "mpqa")
+# (field, INI key, flag, lowest, highest) of the bounded values a flag can
+# set; a value out of bounds is an InvalidValue of the flag, if one set it
+FLAGGED_BOUNDS = (
+    ("lag_h", "[panel] h", "--h", 1, 5),
+    ("detrend_window", "[indicators] window", "--window", 10, math.inf),
+    ("sim_n_days", "[simulate] n_days", "--n-days", 1, math.inf),
+)
 
 
 @dataclass(frozen=True)
@@ -121,8 +128,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     A relative path in the file, `[run] output` included, is taken from the
     file's folder.  Every value is checked here, once, after the overrides
     are applied, so a flag is held to the same bounds as the INI key it
-    overrides, whichever command runs.  The input files are checked where
-    they are read (`_util.read_text`), not here.
+    overrides, whichever command runs; a value out of bounds is an
+    InvalidValue that names the flag, if one set it, or else the key.  The
+    input files are checked where they are read (`_util.read_text`), not
+    here.
     """
     path = Path(path)
     text = read_text(path)
@@ -214,16 +223,12 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         lexstats_min_count=at_least("lexstats", "min_count", "3", 1),
         lexstats_top=at_least("lexstats", "top", "10", 1),
     )
-    if overrides:
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        if clean:
-            config = replace(config, **clean)
-    if not 1 <= config.lag_h <= 5:
-        raise InputError(f"lag h must be in 1..5, got {config.lag_h}")
-    if config.detrend_window < 10:
-        raise InputError(f"detrend window must be >= 10, got {config.detrend_window}")
-    if config.sim_n_days < 1:
-        raise InputError("n_days must be >= 1")
+    flagged = {k: v for k, v in (overrides or {}).items() if v is not None}
+    config = replace(config, **flagged)
+    for field, key, flag, low, high in FLAGGED_BOUNDS:
+        value = getattr(config, field)
+        if not low <= value <= high:
+            raise InvalidValue(flag if field in flagged else key, str(value))
     if config.sim_n_boot < 100:
         raise TooFewBootstraps(f"n_boot must be >= 100, got {config.sim_n_boot}")
     if not config.suites:
@@ -266,5 +271,14 @@ def config_fingerprint(config: RunConfig, input_paths: list[Path]) -> dict:
     for p in sorted(set(map(str, input_paths))):
         path = Path(p)
         if path.is_file():
-            checksums[p] = hashlib.sha256(path.read_bytes()).hexdigest()
+            checksums[p] = _file_sha256(path)
     return {"config_sha256": config_hash, "inputs": checksums}
+
+
+def _file_sha256(path: Path) -> str:
+    """The file's SHA-256, read 1 MiB at a time rather than whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -16,11 +16,11 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from ._util import RowRejected, read_text
+from ._util import KeyColumn, RowRejected, read_text
 from .errors import DuplicateId, EmptyCorpus, InputError, MalformedRecord, MissingInput
 
 _MIDNIGHT = dt.time(0, 0)
@@ -86,19 +86,19 @@ class TradingCalendar:
             days.append(day)
         return cls(days=tuple(days))
 
-    def days_of(self, dates: Sequence[str], off_calendar: Callable[[str, dt.date], str]) -> np.ndarray:
+    def days_of(self, dates: KeyColumn, off_calendar: Callable[[str, dt.date], str]) -> np.ndarray:
         """The ordinal of each ISO date cell, parsing each distinct cell once.
 
         The first cell that is not an ISO date, or whose date is not a trading
         day, raises RowRejected; off_calendar(cell, date) words the latter.
         """
-        day_of = {}
-        for cell in set(dates):
+        day_of = []
+        for cell in dates.cells:
             try:
-                day_of[cell] = self.index.get(dt.date.fromisoformat(cell), -1)
+                day_of.append(self.index.get(dt.date.fromisoformat(cell), -1))
             except ValueError:
-                day_of[cell] = -1
-        days = np.fromiter(map(day_of.__getitem__, dates), dtype=np.intp, count=len(dates))
+                day_of.append(-1)
+        days = np.array(day_of, dtype=np.intp)[dates.codes]
         if (days < 0).any():
             row = int((days < 0).argmax())
             try:

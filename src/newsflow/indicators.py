@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import SymbolDayArray, column_codes, float_column, read_csv_columns, reject, reject_repeats
+from ._util import FLOAT, KEY, SymbolDayArray, column_codes, numbers, read_csv_columns, reject, reject_repeats
 from .corpus import TradingCalendar
 from .errors import InputError, MalformedRecord, PriceParseError, SingularFit
 
@@ -31,12 +31,15 @@ INDICATOR_FIELDS = ("log_vol", "detrended_volume", "ret")
 def _log(values) -> np.ndarray:
     """math.log of each element; NaN where an element is NaN or not positive.
 
-    One pass in Python rather than np.log, which differs from the libm log
-    by one ulp on some prices: log_vol and ret are pinned to the libm values.
+    math.log maps over the positive elements rather than np.log, which
+    differs from the libm log by one ulp on some prices: log_vol and ret are
+    pinned to the libm values.
     """
     values = np.asarray(values, dtype=float)
-    logs = [math.log(x) if x > 0 else math.nan for x in values.ravel().tolist()]
-    return np.array(logs, dtype=float).reshape(values.shape)
+    logs = np.full(values.shape, np.nan)
+    positive = values > 0
+    logs[positive] = np.fromiter(map(math.log, values[positive].tolist()), dtype=float)
+    return logs
 
 
 def garman_klass_log_vol(open_, high, low, close) -> np.ndarray:
@@ -159,7 +162,7 @@ def load_market_bars(path: str | Path, calendar: TradingCalendar) -> SymbolDayAr
     order low <= open, close <= high raise PriceParseError with the line.
     """
     def convert(columns):
-        symbols, symbol = column_codes(list(map(str.upper, columns["symbol"])))
+        symbols, symbol = column_codes(columns["symbol"].map(str.upper))
         blank = [code for code, name in enumerate(symbols) if not name.strip()]
         reject(np.isin(symbol, blank), lambda row: "empty symbol")
         day = calendar.days_of(columns["date"], lambda cell, date: f"date {date} not in trading calendar")
@@ -169,7 +172,7 @@ def load_market_bars(path: str | Path, calendar: TradingCalendar) -> SymbolDayAr
 
         reject_repeats(symbol * len(calendar) + day,
                        lambda row: f"second bar for {symbols[symbol[row]]} on {calendar.days[day[row]]}")
-        values = np.stack([float_column(columns[name]) for name in PRICE_FIELDS])
+        values = np.stack([numbers(columns[name]) for name in PRICE_FIELDS])
         open_, high, low, close, volume = values
         reject(values[:4].min(axis=0) <= 0, lambda row: f"{where(row)}: prices must be positive")
         reject(volume < 0, lambda row: f"{where(row)}: negative volume")
@@ -180,7 +183,7 @@ def load_market_bars(path: str | Path, calendar: TradingCalendar) -> SymbolDayAr
         return SymbolDayArray.from_columns(PRICE_FIELDS, symbols, symbol, day, values, len(calendar))
 
     try:
-        bars = read_csv_columns(path, ("symbol", "date", *PRICE_FIELDS), convert)
+        bars = read_csv_columns(path, {"symbol": KEY, "date": KEY, **dict.fromkeys(PRICE_FIELDS, FLOAT)}, convert)
     except MalformedRecord as exc:
         raise PriceParseError(exc.detail, line=exc.position) from exc
     if not bars.symbols:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import special
 
-from ._util import SymbolDayArray, float_column, read_csv_columns, reject_repeats
+from ._util import FLOAT, KEY, SymbolDayArray, numbers, read_csv_columns, reject_repeats
 from .corpus import TradingCalendar
 from .errors import (
     CalendarMismatch,
@@ -67,11 +67,11 @@ class MarketSeries:
             reject_repeats(day, lambda row: f"duplicate market date {calendar.days[day[row]]}")
             ret = np.full(len(calendar), np.nan)
             vix = np.full(len(calendar), np.nan)
-            ret[day] = float_column(columns["market_return"])
-            vix[day] = float_column(columns["vix"])
+            ret[day] = numbers(columns["market_return"])
+            vix[day] = numbers(columns["vix"])
             return cls(market_return=ret, vix=vix)
 
-        return read_csv_columns(path, ("date", "market_return", "vix"), convert)
+        return read_csv_columns(path, {"date": KEY, "market_return": FLOAT, "vix": FLOAT}, convert)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 import scipy.special
 from numpy.lib.stride_tricks import sliding_window_view
 
-from newsflow._util import atomic_write_text, column_codes, read_text
+from newsflow._util import atomic_write_text, read_text
 from newsflow.errors import (
     CalendarMismatch,
     InputError,
@@ -66,7 +66,9 @@ def symbol_day_array(fields, rows, n_days) -> SymbolDayArray:
 
     A day outside the calendar raises CalendarMismatch.
     """
-    symbols, symbol_index = column_codes([row[0] for row in rows])
+    symbols = sorted({row[0] for row in rows})
+    code_of = {symbol: code for code, symbol in enumerate(symbols)}
+    symbol_index = np.array([code_of[row[0]] for row in rows], dtype=np.intp)
     days = np.array([row[1] for row in rows], dtype=np.intp)
     outside = days[(days < 0) | (days >= n_days)]
     if outside.size:

@@ -786,7 +786,14 @@ def test_config_path_that_is_a_directory_exits_2(mini_fixture, capsys):
 @pytest.mark.parametrize("ini_extra, extra_args, expected", [
     pytest.param("[simulate]\nn_boot = 50\n", [], "TOO_FEW_BOOTSTRAPS: n_boot must be >= 100, got 50", id="n_boot=50"),
     pytest.param("", ["--n-boot", 99], "TOO_FEW_BOOTSTRAPS: n_boot must be >= 100, got 99", id="n_boot_flag=99"),
-    pytest.param("", ["--n-days", 0], "INPUT_ERROR: n_days must be >= 1", id="n_days_flag=0"),
+    pytest.param("", ["--n-days", 0], "INVALID_VALUE: invalid value '0' for key '--n-days'", id="n_days_flag=0"),
+    pytest.param("[simulate]\nn_days = 0\n", [], "INVALID_VALUE: invalid value '0' for key '[simulate] n_days'",
+                 id="n_days=0"),
+    pytest.param("[panel]\nh = 6\n", [], "INVALID_VALUE: invalid value '6' for key '[panel] h'", id="h=6"),
+    pytest.param("", ["--h", 0], "INVALID_VALUE: invalid value '0' for key '--h'", id="h_flag=0"),
+    pytest.param("[indicators]\nwindow = 9\n", [], "INVALID_VALUE: invalid value '9' for key '[indicators] window'",
+                 id="window=9"),
+    pytest.param("", ["--window", 9], "INVALID_VALUE: invalid value '9' for key '--window'", id="window_flag=9"),
 ])
 def test_config_value_is_checked_whatever_the_command(mini_fixture, capsys, ini_extra, extra_args, expected):
     ini = mini_fixture / "newsflow.ini"
@@ -1009,7 +1016,7 @@ def test_simulate_checks_n_days_before_fitting(paneled_fixture, monkeypatch, cap
     code = run(["simulate", "--config", paneled_fixture / "newsflow.ini", "--output", paneled_fixture / "out",
                 "--n-days", 0])
     assert code == 2
-    assert capsys.readouterr().err == "ERROR INPUT_ERROR: n_days must be >= 1\n"
+    assert capsys.readouterr().err == "ERROR INVALID_VALUE: invalid value '0' for key '--n-days'\n"
     assert fits == []
 
 

@@ -11,6 +11,7 @@ from newsflow.corpus import TradingCalendar
 from newsflow.errors import InputError, PriceParseError
 from newsflow.indicators import (
     PRICE_FIELDS,
+    _log,
     AttentionGroup,
     attention_groups,
     attention_ratio,
@@ -332,6 +333,19 @@ def test_gk_and_returns_equal_the_per_bar_formulas_to_the_last_bit():
     closes = prices[3]
     expected = [math.log(c) - math.log(prev) for c, prev in zip(closes[1:], closes)]
     assert log_returns(close)[1:].tolist() == expected
+
+
+@pytest.mark.parametrize("shape", [(0,), (7,), (3, 40), ()], ids=["empty", "flat", "symbol_by_day", "scalar"])
+def test_log_equals_the_per_element_libm_log_to_the_bit(shape):
+    rng = np.random.default_rng(11)
+    values = np.exp(rng.normal(3.0, 2.0, size=shape))
+    special = np.array([np.nan, 0.0, -0.0, -1.5, np.inf, -np.inf, 5e-324, 1.0])
+    flat = values.reshape(-1)
+    flat[: min(flat.size, special.size)] = special[: flat.size]
+    got = _log(values)
+    want = np.array([math.log(x) if x > 0 else math.nan for x in values.ravel().tolist()]).reshape(values.shape)
+    assert got.shape == values.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_compute_indicators_on_gapped_bars_with_zero_volume_days_match_per_day_references():
