@@ -35,12 +35,11 @@ from ._util import (
     split_seed,
     write_csv,
 )
-from .config import RunConfig, config_fingerprint, load_config, parse_day_boundary
+from .config import SETTINGS, RunConfig, config_fingerprint, load_config
 from .corpus import TradingCalendar
 from .errors import InputError, InvalidValue, LexiconNotFound, MissingInput, NewsflowError, NumericalError
 from .indicators import INDICATOR_FIELDS
 from .panel import (
-    SUITES,
     ClusterMode,
     MarketSeries,
     PanelInputs,
@@ -552,39 +551,25 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command, the INI file and one text option per flagged setting; load_config parses the texts."""
     parser = argparse.ArgumentParser(
         prog="newsflow",
         description="Distill news flow into sentiment variables and stock-reaction analytics.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default="newsflow.ini", help="INI run configuration")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--output", default=None, help="output directory")
-    parser.add_argument("--h", dest="lag_h", type=int, default=None, help="panel lag (1..5)")
-    parser.add_argument("--suite", action="append", default=None,
-                        help=f"panel suite (repeatable): {', '.join(SUITES)}")
-    parser.add_argument("--n-boot", dest="sim_n_boot", type=int, default=None)
-    parser.add_argument("--n-days", dest="sim_n_days", type=int, default=None)
-    parser.add_argument("--day-boundary", dest="day_boundary", default=None,
-                        help="session boundary clock time, e.g. 00:00")
-    parser.add_argument("--window", dest="detrend_window", type=int, default=None)
+    for setting in SETTINGS:
+        if setting.flag:
+            parser.add_argument(setting.flag, dest=setting.field, action="append" if setting.many else "store",
+                                metavar=setting.option.upper(),
+                                help=f"overrides {setting.key}" + (" (repeatable)" if setting.many else ""))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {
-            "seed": args.seed,
-            "output_dir": Path(args.output) if args.output else None,
-            "lag_h": args.lag_h,
-            "suites": tuple(args.suite) if args.suite else None,
-            "sim_n_boot": args.sim_n_boot,
-            "sim_n_days": args.sim_n_days,
-            "day_boundary": parse_day_boundary(args.day_boundary) if args.day_boundary else None,
-            "detrend_window": args.detrend_window,
-        }
-        config = load_config(args.config, overrides=overrides)
+        config = load_config(args.config, overrides=vars(args))
         return COMMANDS[args.command](config)
     except NumericalError as exc:
         print(f"ERROR {exc.error_code}: {exc}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """Run configuration: one INI-style declarative file plus CLI flag overrides.
 
-load_config checks every value once, flags included, before any command runs.
+SETTINGS declares each scalar setting once, with its INI key, default,
+parser and flag; load_config checks every value once, flags included,
+before any command runs.
 """
 
 from __future__ import annotations
@@ -10,22 +12,17 @@ import datetime as dt
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from ._util import read_text
+from .corpus import CORPUS_FORMATS
 from .errors import InputError, InvalidValue, TooFewBootstraps
 from .panel import SUITES, ClusterMode
 from .sentiment import DEFAULT_NEGATORS, NegationConfig, tokenize
 
 LEXICON_KINDS = ("wordlists", "mpqa")
-# (field, INI key, flag, lowest, highest) of the bounded values a flag can
-# set; a value out of bounds is an InvalidValue of the flag, if one set it
-FLAGGED_BOUNDS = (
-    ("lag_h", "[panel] h", "--h", 1, 5),
-    ("detrend_window", "[indicators] window", "--window", 10, math.inf),
-    ("sim_n_days", "[simulate] n_days", "--n-days", 1, math.inf),
-)
 
 
 @dataclass(frozen=True)
@@ -52,44 +49,135 @@ class RunConfig:
     market_path: Path
     lexicons: tuple[LexiconSource, ...]
     output_dir: Path
-    seed: int = 0
-    symbols: tuple[str, ...] = ()
-    day_boundary: dt.time = dt.time(0, 0)
-    negation: NegationConfig = NegationConfig()
-    detrend_window: int = 120
-    lag_h: int = 1
-    suites: tuple[str, ...] = ("entire",)
-    cluster_mode: str = "two_way"
-    sectors_path: Path | None = None
-    sim_projections: tuple[str, ...] = ()
-    sim_n_days: int = 300
-    sim_n_boot: int = 500
-    sim_grid_points: int = 101
-    sim_min_active: int = 30
-    plot_x_range: tuple[float, float] | None = None
-    plot_y_range: tuple[float, float] | None = None
-    lexstats_min_count: int = 3
-    lexstats_top: int = 10
+    seed: int
+    symbols: tuple[str, ...]
+    day_boundary: dt.time
+    negation: NegationConfig
+    detrend_window: int
+    lag_h: int
+    suites: tuple[str, ...]
+    cluster_mode: str
+    sectors_path: Path | None
+    sim_projections: tuple[str, ...]
+    sim_n_days: int
+    sim_n_boot: int
+    sim_grid_points: int
+    sim_min_active: int
+    plot_x_range: tuple[float, float] | None
+    plot_y_range: tuple[float, float] | None
+    lexstats_min_count: int
+    lexstats_top: int
 
 
-def _parse_lexicons(section: configparser.SectionProxy, base: Path) -> tuple[LexiconSource, ...]:
+# Parsers of a setting's text: each returns the value, or raises ValueError
+# (KeyError for a lookup) for a text that is malformed or out of bounds.
+
+def _integer(low=-math.inf, high=math.inf):
+    def parse(text):
+        value = int(text)
+        if not low <= value <= high:
+            raise ValueError(text)
+        return value
+
+    return parse
+
+
+def _one_of(*choices):
+    def parse(text):
+        if text not in choices:
+            raise ValueError(text)
+        return text
+
+    return parse
+
+
+def _boolean(text):
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _clock_time(text):
+    """Article timestamps are compared as naive UTC, so a time with an offset is rejected."""
+    boundary = dt.time.fromisoformat(text)
+    if boundary.tzinfo is not None:
+        raise ValueError(text)
+    return boundary
+
+
+def _n_boot(text):
+    value = int(text)
+    if value < 100:
+        raise TooFewBootstraps(f"n_boot must be >= 100, got {value}")
+    return value
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+@dataclass(frozen=True)
+class Setting:
+    field: str  # of RunConfig; negation_* are RunConfig.negation's
+    section: str
+    option: str
+    default: str
+    parse: Callable[[str], object]
+    flag: str | None = None
+    # the file's value is a comma list and the flag repeatable; each item is parsed, a repeat dropped
+    many: bool = False
+
+    @property
+    def key(self) -> str:
+        return f"[{self.section}] {self.option}"
+
+
+# every scalar setting: its RunConfig field, INI key, default text, parser and flag
+SETTINGS = (
+    Setting("seed", "run", "seed", "0", int, "--seed"),
+    # a relative path in the file is taken from the file's folder, a flag's from the working directory
+    Setting("output_dir", "run", "output", "out", Path, "--output"),
+    Setting("corpus_format", "corpus", "format", "jsonl", _one_of(*CORPUS_FORMATS)),
+    Setting("day_boundary", "corpus", "day_boundary", "00:00", _clock_time, "--day-boundary"),
+    Setting("negation_window", "negation", "window", "5", _integer(0)),
+    Setting("negation_bidirectional", "negation", "bidirectional", "true", _boolean),
+    Setting("detrend_window", "indicators", "window", "120", _integer(10), "--window"),
+    Setting("lag_h", "panel", "h", "1", _integer(1, 5), "--h"),
+    Setting("suites", "panel", "suites", "entire", _one_of(*SUITES), "--suite", many=True),
+    Setting("cluster_mode", "panel", "cluster", "two_way", _one_of(*(mode.value for mode in ClusterMode))),
+    Setting("sim_n_days", "simulate", "n_days", "300", _integer(1), "--n-days"),
+    Setting("sim_n_boot", "simulate", "n_boot", "500", _n_boot, "--n-boot"),
+    Setting("sim_grid_points", "simulate", "grid_points", "101", _integer(2)),
+    # the sentiment copula needs at least 3 rows for its 2 columns
+    Setting("sim_min_active", "simulate", "min_active", "30", _integer(3)),
+    Setting("lexstats_min_count", "lexstats", "min_count", "3", _integer(1)),
+    Setting("lexstats_top", "lexstats", "top", "10", _integer(1)),
+)
+
+
+def _parsed(parse, text: str, key: str):
+    """parse(text); an empty text, or one parse rejects, is an InvalidValue of key."""
+    try:
+        if text:
+            return parse(text)
+    except (ValueError, KeyError):
+        pass
+    raise InvalidValue(key, text)
+
+
+def _items(text: str) -> list[str]:
+    """The non-blank items of a comma list, stripped."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _parse_lexicons(section, base: Path) -> tuple[LexiconSource, ...]:
     sources = []
     for name, value in section.items():
         kind, _, path_list = value.partition(":")
-        paths = tuple(base / p.strip() for p in path_list.split(",") if p.strip())
+        paths = tuple(base / p for p in _items(path_list))
         sources.append(LexiconSource(name=name.upper(), kind=kind.strip(), paths=paths))
     return tuple(sources)
-
-
-def _parse_number(raw: str, key: str, kind=int):
-    """Parse an integer (or finite float) INI value; a malformed one is InvalidValue."""
-    try:
-        value = kind(raw)
-    except ValueError:
-        raise InvalidValue(key, raw) from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise InvalidValue(key, raw)
-    return value
 
 
 def _get_range(section, lo_key, hi_key):
@@ -98,46 +186,28 @@ def _get_range(section, lo_key, hi_key):
     hi = section.get(hi_key, "").strip()
     if not lo and not hi:
         return None
-    if not (lo and hi):
-        missing = hi_key if lo else lo_key
-        raise InvalidValue(f"[simulate] {missing}", "")
-    low = _parse_number(lo, f"[simulate] {lo_key}", float)
-    high = _parse_number(hi, f"[simulate] {hi_key}", float)
+    low = _parsed(_finite, lo, f"[simulate] {lo_key}")
+    high = _parsed(_finite, hi, f"[simulate] {hi_key}")
     if low >= high:
         raise InvalidValue(f"[simulate] {lo_key}", f"{lo} (not below {hi_key} = {hi})")
     return (low, high)
 
 
-def parse_day_boundary(raw: str) -> dt.time:
-    """Session boundary clock time, e.g. ``00:00``; shared by INI and CLI flag.
-
-    Article timestamps are compared as naive UTC, so a time with an offset is rejected.
-    """
-    try:
-        boundary = dt.time.fromisoformat(raw)
-    except ValueError as exc:
-        raise InputError(f"bad day_boundary {raw!r}") from exc
-    if boundary.tzinfo is not None:
-        raise InputError(f"bad day_boundary {raw!r}: no UTC offset allowed")
-    return boundary
-
-
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Parse the INI run file; override values win over file values.
+    """Parse the INI run file; a flag's text wins over the file's value.
 
-    A relative path in the file, `[run] output` included, is taken from the
-    file's folder.  Every value is checked here, once, after the overrides
-    are applied, so a flag is held to the same bounds as the INI key it
-    overrides, whichever command runs; a value out of bounds is an
-    InvalidValue that names the flag, if one set it, or else the key.  The
-    input files are checked where they are read (`_util.read_text`), not
-    here.
+    `overrides` maps a SETTINGS field to its flag's text (a list of texts
+    for a repeatable flag), or to None for a flag not given.  Each setting's
+    text, the flag's if given, else the file's, else the default, is parsed
+    and checked once, whichever command runs; an empty, malformed or
+    out-of-bounds text is an InvalidValue that names the flag, if one set
+    it, or else the key.  The input files are checked where they are read
+    (`_util.read_text`), not here.
     """
     path = Path(path)
-    text = read_text(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read_string(text, source=str(path))
+        parser.read_string(read_text(path), source=str(path))
         # interpolate every value now, so that a stray "%" is a malformed file, not a traceback
         for name in parser.sections():
             parser.items(name)
@@ -149,98 +219,53 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     def section(name):
         return parser[name] if parser.has_section(name) else {}
 
-    corpus = section("corpus")
-    negation = section("negation")
-    panel = section("panel")
-    simulate = section("simulate")
-    run = section("run")
+    flagged = {field: text for field, text in (overrides or {}).items() if text is not None}
+    values, keys = {}, {}
+    for setting in SETTINGS:
+        if setting.flag and setting.field in flagged:
+            key, texts = setting.flag, flagged[setting.field]
+            texts = texts if setting.many else [texts]
+        else:
+            key, text = setting.key, section(setting.section).get(setting.option, setting.default)
+            # a blank item of a list is skipped: "entire," is one suite
+            texts = (_items(text) or [""]) if setting.many else [text]
+        items = [_parsed(setting.parse, text.strip(), key) for text in texts]
+        values[setting.field] = tuple(dict.fromkeys(items)) if setting.many else items[0]
+        keys[setting.field] = key
+    output = values["output_dir"]
+    if "output_dir" not in flagged:
+        output = values["output_dir"] = base / output
+    # the output directory is made at the first write, which a file at or above it would stop
+    if not next(folder for folder in (output, *output.parents) if folder.exists()).is_dir():
+        raise InvalidValue(keys["output_dir"], str(output))
 
-    def number(name, key, default):
-        return _parse_number(section(name).get(key, default).strip(), f"[{name}] {key}")
-
-    def at_least(name, key, default, low):
-        value = number(name, key, default)
-        if value < low:
-            raise InvalidValue(f"[{name}] {key}", str(value))
-        return value
-
-    window = at_least("negation", "window", "5", 0)
-    bidirectional_raw = negation.get("bidirectional", "true").strip().lower()
-    if bidirectional_raw not in parser.BOOLEAN_STATES:
-        raise InvalidValue("[negation] bidirectional", bidirectional_raw)
-    cluster_mode = panel.get("cluster", "two_way").strip()
-    if cluster_mode not in {mode.value for mode in ClusterMode}:
-        raise InvalidValue("[panel] cluster", cluster_mode)
-
-    negators = tuple(
-        t.strip().lower() for t in negation.get("negators", ",".join(DEFAULT_NEGATORS)).split(",") if t.strip()
-    )
+    negators = [t.lower() for t in _items(section("negation").get("negators", ",".join(DEFAULT_NEGATORS)))]
     for negator in negators:
         # a negator matches one token, so it must tokenize to itself; the
         # defaults do (a test checks it), so only a configured one is tokenized
         if negator not in DEFAULT_NEGATORS and tokenize(negator).sentences != ((negator,),):
             raise InvalidValue("[negation] negators", negator)
-    # a repeated symbol is listed once, in the order of its first mention
-    symbols = tuple(dict.fromkeys(
-        s.strip().upper() for s in corpus.get("symbols", "").split(",") if s.strip()
-    ))
-
-    output = run.get("output", "out").strip()
-    if not output:
-        raise InvalidValue("[run] output", output)
-
-    config = RunConfig(
+    corpus = section("corpus")
+    simulate = section("simulate")
+    return RunConfig(
         corpus_path=base / corpus.get("path", "corpus.jsonl"),
-        corpus_format=corpus.get("format", "jsonl"),
         calendar_path=base / corpus.get("calendar", "calendar.txt"),
         prices_path=base / section("prices").get("path", "prices.csv"),
         market_path=base / section("market").get("path", "market.csv"),
         sectors_path=(base / section("sectors")["path"]) if "path" in section("sectors") else None,
-        lexicons=_parse_lexicons(parser["lexicons"], base) if parser.has_section("lexicons") else (),
-        output_dir=base / output,
-        seed=number("run", "seed", "0"),
-        symbols=symbols,
-        day_boundary=parse_day_boundary(corpus.get("day_boundary", "00:00")),
+        lexicons=_parse_lexicons(section("lexicons"), base),
+        # a repeated symbol is listed once, in the order of its first mention
+        symbols=tuple(dict.fromkeys(s.upper() for s in _items(corpus.get("symbols", "")))),
         negation=NegationConfig(
-            window=window,
+            window=values.pop("negation_window"),
             negators=frozenset(negators),
-            bidirectional=parser.BOOLEAN_STATES[bidirectional_raw],
+            bidirectional=values.pop("negation_bidirectional"),
         ),
-        detrend_window=number("indicators", "window", "120"),
-        lag_h=number("panel", "h", "1"),
-        suites=tuple(s.strip() for s in panel.get("suites", "entire").split(",") if s.strip()),
-        cluster_mode=cluster_mode,
-        sim_projections=tuple(
-            s.strip().upper() for s in simulate.get("projections", "").split(",") if s.strip()
-        ),
-        sim_n_days=number("simulate", "n_days", "300"),
-        sim_n_boot=number("simulate", "n_boot", "500"),
-        sim_grid_points=at_least("simulate", "grid_points", "101", 2),
-        # the sentiment copula needs at least 3 rows for its 2 columns
-        sim_min_active=at_least("simulate", "min_active", "30", 3),
+        sim_projections=tuple(s.upper() for s in _items(simulate.get("projections", ""))),
         plot_x_range=_get_range(simulate, "x_min", "x_max"),
         plot_y_range=_get_range(simulate, "y_min", "y_max"),
-        lexstats_min_count=at_least("lexstats", "min_count", "3", 1),
-        lexstats_top=at_least("lexstats", "top", "10", 1),
+        **values,
     )
-    flagged = {k: v for k, v in (overrides or {}).items() if v is not None}
-    config = replace(config, **flagged)
-    for field, key, flag, low, high in FLAGGED_BOUNDS:
-        value = getattr(config, field)
-        if not low <= value <= high:
-            raise InvalidValue(flag if field in flagged else key, str(value))
-    if config.sim_n_boot < 100:
-        raise TooFewBootstraps(f"n_boot must be >= 100, got {config.sim_n_boot}")
-    if not config.suites:
-        raise InvalidValue("[panel] suites", "")
-    for suite in config.suites:
-        if suite not in SUITES:
-            raise InvalidValue("[panel] suites", suite)
-    # the output directory is made at the first write, which a file at or above it would stop
-    output = config.output_dir
-    if not next(path for path in (output, *output.parents) if path.exists()).is_dir():
-        raise InvalidValue("[run] output", str(output))
-    return config
 
 
 def _jsonable(value):

@@ -168,13 +168,10 @@ def _article_from_record(record: dict, source: str, position: int) -> Article:
 
 def load_articles(path: str | Path, format: str = "jsonl") -> ArticleSet:
     """Load a corpus; each article's day stays None until assign_trading_days."""
-    path = Path(path)
-    if format == "jsonl":
-        articles = _load_jsonl(path)
-    elif format == "directory_of_text_files":
-        articles = _load_directory(path)
-    else:
+    if format not in CORPUS_FORMATS:
         raise InputError(f"unknown corpus format {format!r}")
+    path = Path(path)
+    articles = CORPUS_FORMATS[format](path)
     if not articles:
         raise EmptyCorpus(f"no articles found in {path}")
     return ArticleSet(articles=tuple(articles))
@@ -215,6 +212,10 @@ def _load_directory(path: Path) -> list[Article]:
         record["body"] = read_text(body_path)
         articles.append(_article_from_record(record, str(meta_path), 1))
     return articles
+
+
+# the loader of each corpus format, named by [corpus] format
+CORPUS_FORMATS = {"jsonl": _load_jsonl, "directory_of_text_files": _load_directory}
 
 
 def assign_trading_days(

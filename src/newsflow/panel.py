@@ -235,7 +235,6 @@ class RegressionResult:
     # clusters than regressors; the t tests then rest on a singular covariance
     covariance_rank: int
     psd_repaired: bool = False
-    demeaned_x: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     # the panel's rows: entity codes into `symbols`, and trading days
     entities: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     symbols: tuple[str, ...] = field(repr=False, default=())
@@ -346,7 +345,6 @@ def fit_fixed_effects(
         df=df,
         covariance_rank=cov_rank,
         psd_repaired=repaired,
-        demeaned_x=x_dm,
         entities=entities,
         symbols=panel.symbols,
         times=times,

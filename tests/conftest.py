@@ -164,6 +164,12 @@ def unique_group_sums(values, groups):
     return labels, inverse, counts, sums
 
 
+def unique_demeaned(values, groups):
+    """`values` less the mean of each row's group, by unique_group_sums."""
+    _, inverse, counts, sums = unique_group_sums(values, groups)
+    return values - (sums.T / counts).T[inverse]
+
+
 def unique_sandwich(x, u, groups, k):
     """One-way cluster sandwich on the unique_group_sums of the scores, with the small-sample factor."""
     n = len(u)

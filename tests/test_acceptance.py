@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import format_mpqa_line, simulate_ma1_garch11
+from conftest import format_mpqa_line, simulate_ma1_garch11, unique_demeaned
 from newsflow.cli import main as cli_main
 from newsflow.indicators import fit_detrend_model, garman_klass_log_vol
 from newsflow.lexicon import (
@@ -320,7 +320,7 @@ def test_criterion_06_clustered_se():
         y = x @ beta_true + rng.normal(0, 1, n)
         panel = PanelDataset(spec=spec, entities=entities, symbols=symbols, times=times, y=y, x=x)
         result = fit_fixed_effects(panel, ("a", "b", "c"), ClusterMode.BY_ENTITY)
-        x_dm = result.demeaned_x
+        x_dm = unique_demeaned(x, entities)
         sigma2 = float(result.residuals @ result.residuals) / (n - k - n_entities)
         classical = np.sqrt(np.diag(sigma2 * np.linalg.inv(x_dm.T @ x_dm)))
         ratio_clustered.append(result.std_errors)

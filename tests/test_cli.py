@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 import newsflow
 from newsflow import indicators, sentiment
 from conftest import build_fixture, trading_days, write_calendar
-from newsflow.cli import _read_entire_coefficients, _read_residual_pool, main
-from newsflow.config import load_config
+from newsflow.cli import COMMANDS, _read_entire_coefficients, _read_residual_pool, main
+from newsflow.config import SETTINGS, load_config
 from newsflow.errors import MalformedRecord
 from newsflow.simulate import scenario
 
@@ -217,9 +217,12 @@ INI_VALUES = {
     ("simulate", "min_active"): _INI_NUMBERS,
     ("run", "seed"): _INI_NUMBERS,
     ("run", "output"): st.sampled_from(["", "out", "fresh/deep", "calendar.txt", "calendar.txt/out", "50%"]),
+    ("corpus", "format"): st.sampled_from(["jsonl", "directory_of_text_files", "xml", "", "JSONL"]),
+    ("corpus", "day_boundary"): st.sampled_from(["00:00", "09:30", "23:59:59", "24:00", "25:00", "12:00+05:00",
+                                                 "", "noon", "9", "%"]),
 }
 # the command that reads each section; simulate stops at the missing panel results, after its value checks
-COMMAND_OF_SECTION = {"panel": "panel", "indicators": "indicators", "negation": "distill",
+COMMAND_OF_SECTION = {"panel": "panel", "indicators": "indicators", "negation": "distill", "corpus": "distill",
                       "lexstats": "lexstats", "simulate": "simulate", "run": "lexstats"}
 
 
@@ -243,6 +246,49 @@ def test_ini_value_mutation_keeps_the_exit_code_contract(distilled_fixture, targ
         assert "ERROR" not in err.getvalue()
     else:
         assert err.getvalue().startswith("ERROR ") and len(err.getvalue().splitlines()) == 1
+
+
+# one flag's texts: (flag, command that reads its value) -> its texts, valid and not, as for the INI keys
+_FLAG_SUITES = st.sampled_from(["entire", "lags_noncumulative", "attention", "sector", "bogus", "", "entire,sector"])
+FLAG_TEXTS = {
+    ("--seed", "lexstats"): _INI_NUMBERS,
+    ("--output", "lexstats"): st.sampled_from(["", " ", "out", "fresh/deep", "calendar.txt", "calendar.txt/out"]),
+    ("--h", "panel"): _INI_NUMBERS,
+    ("--suite", "panel"): st.lists(_FLAG_SUITES, min_size=1, max_size=3),
+    ("--n-boot", "simulate"): _INI_NUMBERS,
+    ("--n-days", "simulate"): _INI_NUMBERS,
+    ("--day-boundary", "distill"): st.sampled_from(["00:00", "09:30", "25:00", "12:00+05:00", "", "noon", "-1"]),
+    ("--window", "indicators"): _INI_NUMBERS,
+}
+
+
+def test_every_flag_is_mutated():
+    assert sorted(flag for flag, _ in FLAG_TEXTS) == sorted(setting.flag for setting in SETTINGS if setting.flag)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(target=st.sampled_from(sorted(FLAG_TEXTS)).flatmap(lambda key: st.tuples(st.just(key), FLAG_TEXTS[key])))
+def test_flag_mutation_keeps_the_exit_code_contract(distilled_fixture, target):
+    (flag, command), texts = target
+    texts = texts if isinstance(texts, list) else [texts]
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        shutil.copytree(distilled_fixture, root, dirs_exist_ok=True)
+        ini = root / "newsflow.ini"
+        _set_ini_value(ini, "run", "output", str(root / "out"))
+        err = io.StringIO()
+        # a relative --output is taken from the working directory, here the temporary root
+        with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([command, "--config", ini, *(arg for text in texts for arg in (flag, text))])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and re.fullmatch(r"ERROR [A-Z_]+: .*", lines[0])
+    # a value load_config refuses names the flag that set it
+    if lines and lines[0].startswith("ERROR INVALID_VALUE") and "n_days, n_boot, grid_points" not in lines[0]:
+        assert lines[0].endswith(f" for key '{flag}'")
 
 
 def _edit_lines(path, edit):
@@ -690,8 +736,21 @@ def test_unknown_panel_suite_exits_2_before_writing(distilled_fixture, tmp_path,
                 "--suite", "entire", "--suite", "bogus"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("ERROR INVALID_VALUE") and "'bogus'" in err and len(err.splitlines()) == 1
+    assert err == "ERROR INVALID_VALUE: invalid value 'bogus' for key '--suite'\n"
     assert sorted(path.name for path in (root / "out").iterdir()) == before
+
+
+@pytest.mark.parametrize("ini_suites, extra_args", [
+    pytest.param("entire, entire", [], id="ini"),
+    pytest.param("entire", ["--suite", "entire", "--suite", "entire"], id="flag"),
+])
+def test_repeated_panel_suite_runs_once(distilled_fixture, tmp_path, capsys, ini_suites, extra_args):
+    root = _copy_of(distilled_fixture, tmp_path / "run")
+    _set_ini_value(root / "newsflow.ini", "panel", "suites", ini_suites)
+    capsys.readouterr()
+    assert run(["panel", "--config", root / "newsflow.ini", "--output", root / "out", *extra_args]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("suite=entire cells=12 ")
 
 
 @pytest.mark.parametrize("command", ["distill", "indicators", "panel", "simulate", "lexstats", "report"])
@@ -785,6 +844,17 @@ def test_config_path_that_is_a_directory_exits_2(mini_fixture, capsys):
 
 @pytest.mark.parametrize("ini_extra, extra_args, expected", [
     pytest.param("[simulate]\nn_boot = 50\n", [], "TOO_FEW_BOOTSTRAPS: n_boot must be >= 100, got 50", id="n_boot=50"),
+    pytest.param("[corpus]\nformat = xml\n", [], "INVALID_VALUE: invalid value 'xml' for key '[corpus] format'",
+                 id="format=xml"),
+    pytest.param("", ["--h", "abc"], "INVALID_VALUE: invalid value 'abc' for key '--h'", id="h_flag=abc"),
+    pytest.param("", ["--seed", "x"], "INVALID_VALUE: invalid value 'x' for key '--seed'", id="seed_flag=x"),
+    pytest.param("", ["--output", ""], "INVALID_VALUE: invalid value '' for key '--output'", id="output_flag=empty"),
+    pytest.param("", ["--day-boundary", ""], "INVALID_VALUE: invalid value '' for key '--day-boundary'",
+                 id="day_boundary_flag=empty"),
+    pytest.param("", ["--day-boundary", "25:00"], "INVALID_VALUE: invalid value '25:00' for key '--day-boundary'",
+                 id="day_boundary_flag=25:00"),
+    pytest.param("", ["--suite", "bogus"], "INVALID_VALUE: invalid value 'bogus' for key '--suite'",
+                 id="suite_flag=bogus"),
     pytest.param("", ["--n-boot", 99], "TOO_FEW_BOOTSTRAPS: n_boot must be >= 100, got 99", id="n_boot_flag=99"),
     pytest.param("", ["--n-days", 0], "INVALID_VALUE: invalid value '0' for key '--n-days'", id="n_days_flag=0"),
     pytest.param("[simulate]\nn_days = 0\n", [], "INVALID_VALUE: invalid value '0' for key '[simulate] n_days'",
@@ -797,10 +867,15 @@ def test_config_path_that_is_a_directory_exits_2(mini_fixture, capsys):
 ])
 def test_config_value_is_checked_whatever_the_command(mini_fixture, capsys, ini_extra, extra_args, expected):
     ini = mini_fixture / "newsflow.ini"
-    ini.write_text(ini.read_text(encoding="utf-8") + "\n" + ini_extra, encoding="utf-8")
-    code = run(["distill", "--config", ini, *extra_args])
-    assert code == 2
-    assert capsys.readouterr().err == f"ERROR {expected}\n"
+    extra = configparser.ConfigParser(interpolation=None)
+    extra.read_string(ini_extra)
+    for section in extra.sections():
+        for key, value in extra[section].items():
+            _set_ini_value(ini, section, key, value)
+    for command in COMMANDS:
+        code = run([command, "--config", ini, *extra_args])
+        assert code == 2
+        assert capsys.readouterr().err == f"ERROR {expected}\n"
     assert not (mini_fixture / "out").exists()
 
 
@@ -1165,6 +1240,18 @@ def test_contraction_negator_is_one_token(mini_fixture):
     assert load_config(ini).negation.negators == frozenset({"n't", "never"})
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["distill", "--config", ini]) == 0
+
+
+def test_readme_configuration_example_documents_every_setting(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "newsflow.ini").write_text(block, encoding="utf-8")
+    assert load_config(tmp_path / "newsflow.ini").output_dir == tmp_path / "out"
+    documented = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    documented.read_string(block)
+    assert [s.key for s in SETTINGS if not documented.has_option(s.section, s.option)] == []
+    # the example gives every setting its default value, but for the seed
+    assert [s.key for s in SETTINGS if documented[s.section][s.option] != s.default] == ["[run] seed"]
 
 
 def test_cli_import_skips_scipy_stats_and_signal():

@@ -8,6 +8,7 @@ from conftest import (
     cumulative_record,
     indicator_array,
     sentiment_array,
+    unique_demeaned,
     unique_group_sums,
     unique_sandwich,
 )
@@ -164,7 +165,7 @@ def test_singleton_clusters_equal_scaled_hc0():
     result = fit_fixed_effects(panel, ("a", "b"), ClusterMode.BY_ENTITY)
     # every observation its own cluster: use unique times trick is not possible
     # here, so call internals through _cluster_covariance_arrays with unique labels
-    x_dm = result.demeaned_x
+    x_dm = unique_demeaned(panel.x, panel.entities)
     u = result.residuals
     n, k = x_dm.shape
     bread = np.linalg.inv(x_dm.T @ x_dm)
@@ -184,7 +185,7 @@ def test_by_entity_matches_bruteforce_meat():
     y, x, entities, times, _, _ = random_panel(rng, 2, 60, 2)
     panel = make_panel(y, x, entities, times)
     result = fit_fixed_effects(panel, ("a", "b"), ClusterMode.BY_ENTITY)
-    x_dm, u = result.demeaned_x, result.residuals
+    x_dm, u = unique_demeaned(panel.x, panel.entities), result.residuals
     n, k = x_dm.shape
     bread = np.linalg.inv(x_dm.T @ x_dm)
     meat = np.zeros((k, k))
@@ -225,7 +226,7 @@ def test_two_way_matches_bruteforce_on_unbalanced_panel():
     keep = rng.random(len(y)) > 0.25  # gaps make the panel unbalanced
     y, x, entities, times = y[keep], x[keep], entities[keep], times[keep]
     result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b", "c"), ClusterMode.TWO_WAY)
-    x_dm, u = result.demeaned_x, result.residuals
+    x_dm, u = unique_demeaned(x, entities), result.residuals
     expected = (
         bruteforce_sandwich(x_dm, u, entities)
         + bruteforce_sandwich(x_dm, u, times)
@@ -249,7 +250,7 @@ def test_psd_repaired_set_for_an_indefinite_two_way_covariance():
     rng = np.random.default_rng(2)
     y, x, entities, times, _, _ = random_panel(rng, 3, 4, 2)
     result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b"), ClusterMode.TWO_WAY)
-    x_dm, u = result.demeaned_x, result.residuals
+    x_dm, u = unique_demeaned(x, entities), result.residuals
     raw = (
         bruteforce_sandwich(x_dm, u, entities)
         + bruteforce_sandwich(x_dm, u, times)
@@ -362,11 +363,10 @@ def test_bincount_grouping_matches_the_unique_oracle_to_the_bit(seed):
             for got, expected in zip(_group_sums(values, groups), unique_group_sums(values, groups)):
                 assert np.array_equal(got, expected)
     for values in (y, x):
-        _, inverse, counts, sums = unique_group_sums(values, entities)
-        assert np.array_equal(_demean_by_group(values, entities), values - (sums.T / counts).T[inverse])
+        assert np.array_equal(_demean_by_group(values, entities), unique_demeaned(values, entities))
 
     result = fit_fixed_effects(make_panel(y, x, entities, times), ("a", "b", "c"), ClusterMode.TWO_WAY)
-    x_dm, u = result.demeaned_x, result.residuals
+    x_dm, u = unique_demeaned(x, entities), result.residuals
     for groups in (entities, times):
         assert np.array_equal(_sandwich(x_dm, u, groups, 3), unique_sandwich(x_dm, u, groups, 3))
     # the intersection term: every row its own cluster, with no grouping
@@ -386,7 +386,7 @@ def test_two_way_counts_only_the_days_that_have_rows():
     panel = make_panel(y, x, entities, times)
     result = fit_fixed_effects(panel, ("a", "b"), ClusterMode.TWO_WAY)
     assert result.df == 10 - 1  # 10 time clusters, fewer than 30 entities; not 12
-    x_dm, u = result.demeaned_x, result.residuals
+    x_dm, u = unique_demeaned(panel.x, panel.entities), result.residuals
     # the time sandwich's small-sample factor counts 10 clusters
     assert _sandwich(x_dm, u, times, 2) == pytest.approx(bruteforce_sandwich(x_dm, u, times), rel=1e-12)
     expected, expected_df = unique_covariance(x_dm, u, panel.entities, times, ClusterMode.TWO_WAY, 2)
@@ -410,7 +410,7 @@ def test_entity_codes_skip_the_symbols_of_the_axis_that_have_no_rows():
     assert np.array_equal(inverse, o_inverse) and np.array_equal(counts, o_counts) and np.array_equal(sums, o_sums)
     assert list(result.fixed_effects) == list(result.entity_counts) == ["S0", "S2"]
     assert list(result.entity_counts.values()) == o_counts.tolist()
-    x_dm, u, k = result.demeaned_x, result.residuals, panel.x.shape[1]
+    x_dm, u, k = unique_demeaned(panel.x, panel.entities), result.residuals, panel.x.shape[1]
     assert np.array_equal(_sandwich(x_dm, u, panel.entities, k), unique_sandwich(x_dm, u, labels, k))
 
 
