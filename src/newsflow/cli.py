@@ -91,17 +91,17 @@ def _load_lexica(config: RunConfig) -> dict[str, lex_mod.Lexicon]:
     return lexica
 
 
-def _load_assigned_corpus(config: RunConfig) -> tuple[TradingCalendar, corpus_mod.ArticleSet]:
-    calendar = TradingCalendar.from_file(config.calendar_path)
+def _load_corpus(config: RunConfig) -> corpus_mod.ArticleSet:
+    """The configured corpus, kept to [corpus] symbols if any are listed."""
     articles = corpus_mod.load_articles(config.corpus_path, config.corpus_format)
     if config.symbols:
         articles = corpus_mod.filter_by_symbols(articles, config.symbols)
-    assigned = corpus_mod.assign_trading_days(articles, calendar, config.day_boundary)
-    return calendar, assigned
+    return articles
 
 
 def cmd_distill(config: RunConfig) -> int:
-    calendar, assigned = _load_assigned_corpus(config)
+    calendar = TradingCalendar.from_file(config.calendar_path)
+    assigned = corpus_mod.assign_trading_days(_load_corpus(config), calendar, config.day_boundary)
     lexica = _load_lexica(config)
 
     universe = sorted(config.symbols) if config.symbols else sorted(assigned.symbols)
@@ -113,14 +113,15 @@ def cmd_distill(config: RunConfig) -> int:
     # one mention per (scored article, symbol of the universe), in article order
     cells, mentioned, word_counts, counts = [], [], [], []
     zero_word = 0
-    usable = [a for a in assigned.articles if a.day is not None]
-    for article in usable:
+    for article, day in zip(assigned.articles, assigned.days):
+        if day is None:
+            continue
         tok = sent_mod.tokenize(article.title + ". " + article.body)
         if tok.word_count == 0:
             zero_word += 1
             continue
         for symbol in article.symbols & row_of.keys():
-            cells.append(row_of[symbol] * n_days + article.day)
+            cells.append(row_of[symbol] * n_days + day)
             mentioned.append(len(word_counts))
         word_counts.append(tok.word_count)
         counts.append(sent_mod.score_article(tok, index, config.negation))
@@ -144,7 +145,7 @@ def cmd_distill(config: RunConfig) -> int:
         ],
     )
     _write_manifest(config, "distill", [config.corpus_path, config.calendar_path])
-    print(f"articles={len(assigned.articles)} assigned={len(usable)} "
+    print(f"articles={len(assigned)} assigned={len(assigned) - assigned.unassigned_count} "
           f"unassigned={assigned.unassigned_count} zero_word={zero_word} rows={n_cells * len(names)}")
     return 0
 
@@ -340,14 +341,20 @@ def _check_band_size(config: RunConfig, n_symbols: int) -> None:
     grid_points × n_boot deviations.  m is known only after the simulation,
     so n stands in for it.
     """
-    n = n_symbols * config.sim_n_days
-    grid, n_boot = config.sim_grid_points, config.sim_n_boot
-    size = 8 * max(n * n_boot, grid * n, grid * n_boot)
+    n_days, n_boot, grid = config.sim_n_days, config.sim_n_boot, config.sim_grid_points
+    n = n_symbols * n_days
+    # the largest array, and the settings that size it
+    size, fields = max((8 * n * n_boot, ("sim_n_days", "sim_n_boot")),
+                       (8 * grid * n, ("sim_n_days", "sim_grid_points")),
+                       (8 * grid * n_boot, ("sim_n_boot", "sim_grid_points")))
     if size > BAND_BYTES:
+        # a flag that set one of those sizes is named, as for any other refused value
+        flagged = [field for field in fields if config.keys[field].startswith("--")]
+        key = ", ".join(config.keys[field] for field in flagged) or "[simulate] n_days, n_boot, grid_points"
+        values = ", ".join(str(getattr(config, field)) for field in flagged) or f"{n_days}, {n_boot}, {grid}"
         raise InvalidValue(
-            "[simulate] n_days, n_boot, grid_points",
-            f"{config.sim_n_days}, {n_boot}, {grid} (a band over {n_symbols} symbols needs an array of "
-            f"{size} bytes, above {BAND_BYTES})",
+            key,
+            f"{values} (a band over {n_symbols} symbols needs an array of {size} bytes, above {BAND_BYTES})",
         )
 
 
@@ -454,9 +461,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_lexstats(config: RunConfig) -> int:
-    articles = corpus_mod.load_articles(config.corpus_path, config.corpus_format)
-    if config.symbols:
-        articles = corpus_mod.filter_by_symbols(articles, config.symbols)
+    articles = _load_corpus(config)
     lexica = _load_lexica(config)
 
     tokenized = []
@@ -550,26 +555,42 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that refuses a malformed command line with an InputError, not a usage block."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+class _Once(argparse.Action):
+    """Store a single-valued option's text; the option given twice is refused, not overridden."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"argument {option_string}: given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command, the INI file and one text option per flagged setting; load_config parses the texts."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="newsflow",
         description="Distill news flow into sentiment variables and stock-reaction analytics.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", default="newsflow.ini", help="INI run configuration")
+    parser.add_argument("--config", action=_Once, help="INI run configuration (default: newsflow.ini)")
     for setting in SETTINGS:
         if setting.flag:
-            parser.add_argument(setting.flag, dest=setting.field, action="append" if setting.many else "store",
+            parser.add_argument(setting.flag, dest=setting.field, action="append" if setting.many else _Once,
                                 metavar=setting.option.upper(),
                                 help=f"overrides {setting.key}" + (" (repeatable)" if setting.many else ""))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, overrides=vars(args))
+        args = build_parser().parse_args(argv)
+        config = load_config("newsflow.ini" if args.config is None else args.config, overrides=vars(args))
         return COMMANDS[args.command](config)
     except NumericalError as exc:
         print(f"ERROR {exc.error_code}: {exc}", file=sys.stderr)

@@ -12,8 +12,8 @@ import datetime as dt
 import hashlib
 import json
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._util import read_text
@@ -67,6 +67,8 @@ class RunConfig:
     plot_y_range: tuple[float, float] | None
     lexstats_min_count: int
     lexstats_top: int
+    # the flag or INI key that set each SETTINGS field, for messages; not part of the fingerprint
+    keys: Mapping[str, str] = field(repr=False, compare=False)
 
 
 # Parsers of a setting's text: each returns the value, or raises ValueError
@@ -264,6 +266,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         sim_projections=tuple(s.upper() for s in _items(simulate.get("projections", ""))),
         plot_x_range=_get_range(simulate, "x_min", "x_max"),
         plot_y_range=_get_range(simulate, "y_min", "y_max"),
+        keys=keys,
         **values,
     )
 
@@ -290,7 +293,7 @@ def _jsonable(value):
 
 def config_fingerprint(config: RunConfig, input_paths: list[Path]) -> dict:
     """Manifest payload: config hash plus per-input checksums (provenance)."""
-    payload = {k: _jsonable(v) for k, v in sorted(vars(config).items())}
+    payload = {k: _jsonable(v) for k, v in sorted(vars(config).items()) if k != "keys"}
     config_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     checksums = {}
     for p in sorted(set(map(str, input_paths))):

@@ -1,11 +1,12 @@
 """Article corpus loading, validation, and trading-day alignment.
 
 Articles arrive either as one-JSON-object-per-line files or as a directory
-of text files with JSON metadata sidecars.  A trading calendar (one ISO date
-per line) assigns each article to the trading day whose session window
-contains its timestamp; the window for day t runs from the day boundary of t
-up to (not including) the boundary of the next trading day, so weekend and
-holiday articles fall back to the previous trading day.
+of text files with JSON metadata sidecars.  Each record is checked once, by
+the loader that reads it; the records themselves carry no checks.  A trading
+calendar (one ISO date per line) assigns each article to the trading day
+whose session window contains its timestamp; the window for day t runs from
+the day boundary of t up to (not including) the boundary of the next trading
+day, so weekend and holiday articles fall back to the previous trading day.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import datetime as dt
 import io
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -42,28 +43,16 @@ class Article:
     title: str
     body: str
     contributor: str | None = None
-    day: int | None = None  # trading-day ordinal, set by assign_trading_days
-
-    def __post_init__(self):
-        if not self.id:
-            raise MalformedRecord("article id is empty")
-        if not self.body:
-            raise MalformedRecord(f"article {self.id!r} has empty body")
 
 
 @dataclass(frozen=True)
 class TradingCalendar:
-    """Strictly increasing trading dates with contiguous ordinals from 0."""
+    """Strictly increasing trading dates, as from_file checks them, with contiguous ordinals from 0."""
 
     days: tuple[dt.date, ...]
     index: Mapping[dt.date, int] = field(repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.days:
-            raise InputError("trading calendar is empty")
-        for prev, cur in zip(self.days, self.days[1:]):
-            if cur <= prev:
-                raise InputError(f"calendar dates not strictly increasing at {cur}")
         object.__setattr__(self, "index", {d: t for t, d in enumerate(self.days)})
 
     def __len__(self) -> int:
@@ -84,6 +73,8 @@ class TradingCalendar:
                 raise MalformedRecord(f"calendar dates not strictly increasing at {day}",
                                       source=str(path), position=lineno)
             days.append(day)
+        if not days:
+            raise InputError("trading calendar is empty")
         return cls(days=tuple(days))
 
     def days_of(self, dates: KeyColumn, off_calendar: Callable[[str, dt.date], str]) -> np.ndarray:
@@ -116,17 +107,15 @@ class TradingCalendar:
 @dataclass(frozen=True)
 class ArticleSet:
     articles: tuple[Article, ...]
-    unassigned_count: int = 0
-
-    def __post_init__(self):
-        ids = set()
-        for art in self.articles:
-            if art.id in ids:
-                raise DuplicateId(art.id)
-            ids.add(art.id)
+    # each article's trading-day ordinal, None outside every session window; set by assign_trading_days
+    days: tuple[int | None, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.articles)
+
+    @property
+    def unassigned_count(self) -> int:
+        return self.days.count(None) if self.days is not None else 0
 
     @property
     def symbols(self) -> set[str]:
@@ -153,27 +142,32 @@ def _article_from_record(record: dict, source: str, position: int) -> Article:
         published = _parse_timestamp(record["published_at"])
     except ValueError as exc:
         raise MalformedRecord(f"bad published_at: {exc}", source=source, position=position) from exc
-    try:
-        return Article(
-            id=str(record["id"]),
-            published_at=published,
-            symbols=frozenset(s.upper() for s in symbols),
-            title=record["title"],
-            body=record["body"],
-            contributor=record.get("contributor"),
-        )
-    except MalformedRecord as exc:
-        raise MalformedRecord(str(exc), source=source, position=position) from exc
+    article_id = str(record["id"])
+    if not article_id:
+        raise MalformedRecord("article id is empty", source=source, position=position)
+    if not record["body"]:
+        raise MalformedRecord(f"article {article_id!r} has empty body", source=source, position=position)
+    return Article(
+        id=article_id,
+        published_at=published,
+        symbols=frozenset(s.upper() for s in symbols),
+        title=record["title"],
+        body=record["body"],
+        contributor=record.get("contributor"),
+    )
 
 
 def load_articles(path: str | Path, format: str = "jsonl") -> ArticleSet:
-    """Load a corpus; each article's day stays None until assign_trading_days."""
-    if format not in CORPUS_FORMATS:
-        raise InputError(f"unknown corpus format {format!r}")
+    """Load a corpus of checked, distinct-id records; `format` is a key of CORPUS_FORMATS."""
     path = Path(path)
     articles = CORPUS_FORMATS[format](path)
     if not articles:
         raise EmptyCorpus(f"no articles found in {path}")
+    ids = set()
+    for art in articles:
+        if art.id in ids:
+            raise DuplicateId(art.id)
+        ids.add(art.id)
     return ArticleSet(articles=tuple(articles))
 
 
@@ -223,31 +217,27 @@ def assign_trading_days(
     calendar: TradingCalendar,
     boundary: dt.time = _MIDNIGHT,
 ) -> ArticleSet:
-    """Map each article to the trading day whose window contains it.
+    """The same articles, with the trading day whose window contains each.
 
     Day t covers [boundary(date_t), boundary(date_{t+1})); the last day's
     window closes at boundary(last date + 1 calendar day).  Articles outside
-    every window keep day=None and are counted, never dropped.
+    every window get day None and are counted, never dropped.
     """
     starts = [dt.datetime.combine(d, boundary) for d in calendar.days]
     end = dt.datetime.combine(calendar.days[-1] + dt.timedelta(days=1), boundary)
-
-    assigned: list[Article] = []
-    unassigned = 0
-    for art in article_set.articles:
-        stamp = art.published_at
-        if stamp < starts[0] or stamp >= end:
-            assigned.append(replace(art, day=None))
-            unassigned += 1
-            continue
-        assigned.append(replace(art, day=bisect_right(starts, stamp) - 1))
-    return ArticleSet(articles=tuple(assigned), unassigned_count=unassigned)
+    days = tuple(
+        bisect_right(starts, art.published_at) - 1 if starts[0] <= art.published_at < end else None
+        for art in article_set.articles
+    )
+    return ArticleSet(articles=article_set.articles, days=days)
 
 
 def filter_by_symbols(article_set: ArticleSet, symbols: Iterable[str]) -> ArticleSet:
-    """Keep articles whose symbol set intersects ``symbols`` (case-insensitive)."""
+    """Keep articles whose symbol set intersects ``symbols`` (case-insensitive), and their days."""
     wanted = {s.upper() for s in symbols}
-    if not wanted:
-        raise InputError("symbol filter is empty")
-    kept = tuple(a for a in article_set.articles if a.symbols & wanted)
-    return ArticleSet(articles=kept, unassigned_count=sum(1 for a in kept if a.day is None))
+    kept = [i for i, art in enumerate(article_set.articles) if art.symbols & wanted]
+    days = article_set.days
+    return ArticleSet(
+        articles=tuple(article_set.articles[i] for i in kept),
+        days=None if days is None else tuple(days[i] for i in kept),
+    )

@@ -45,37 +45,22 @@ class Strength(enum.Enum):
 SCORING_POLARITIES = (Polarity.POSITIVE, Polarity.NEGATIVE)
 
 
-class _LexiconEntryFields(NamedTuple):
-    word: str  # lowercase; multiword entries use single spaces
-    polarity: Polarity
-    stemmed: bool
-    pos_tag: PosTag
-    strength: Strength
-    tokens: tuple[str, ...]  # word split at its spaces
-
-
-class LexiconEntry(_LexiconEntryFields):
-    """One word or phrase of a lexicon; `tokens` is set from `word`.
+class LexiconEntry(NamedTuple):
+    """One word or phrase of a lexicon, as its loader checked it.
 
     A named tuple rather than a frozen dataclass: a lexicon file makes
     thousands of entries, and a tuple is built at a fraction of the cost.
     """
 
-    __slots__ = ()
+    word: str  # lowercase; multiword entries use single spaces
+    polarity: Polarity
+    stemmed: bool = False
+    pos_tag: PosTag = PosTag.UNCONSTRAINED
+    strength: Strength = Strength.UNSPECIFIED
 
-    def __new__(
-        cls,
-        word: str,
-        polarity: Polarity,
-        stemmed: bool = False,
-        pos_tag: PosTag = PosTag.UNCONSTRAINED,
-        strength: Strength = Strength.UNSPECIFIED,
-    ):
-        if not word:
-            raise InputError("lexicon entry word is empty")
-        if word != word.lower():
-            raise InputError(f"lexicon entry word must be lowercase: {word!r}")
-        return tuple.__new__(cls, (word, polarity, stemmed, pos_tag, strength, tuple(word.split(" "))))
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(self.word.split(" "))
 
     @property
     def length(self) -> int:
@@ -130,6 +115,8 @@ def parse_mpqa_line(line: str) -> tuple[LexiconEntry, int]:
         raise InvalidValue("len", pairs["len"])
 
     entry = LexiconEntry(pairs["word1"].lower().replace("_", " "), polarity, stemmed, pos_tag, strength)
+    if not entry.word:
+        raise InputError("lexicon entry word is empty")
     if entry.length != length:
         raise InvalidValue("len", pairs["len"])
     return entry, unknown
@@ -211,9 +198,7 @@ def compare_lexica(
     corpus_freq: Mapping[str, int],
     min_count: int = 1,
 ) -> ComparisonReport:
-    """Unique and shared scoring words, restricted to corpus-frequency >= min_count."""
-    if min_count < 1:
-        raise InputError("min_count must be >= 1")
+    """Unique and shared scoring words, restricted to corpus-frequency >= min_count >= 1."""
 
     def qualifying(words: set[str]) -> set[str]:
         return {w for w in words if corpus_freq.get(w, 0) >= min_count}

@@ -286,9 +286,41 @@ def test_flag_mutation_keeps_the_exit_code_contract(distilled_fixture, target):
         assert lines == []
     else:
         assert len(lines) == 1 and re.fullmatch(r"ERROR [A-Z_]+: .*", lines[0])
-    # a value load_config refuses names the flag that set it
-    if lines and lines[0].startswith("ERROR INVALID_VALUE") and "n_days, n_boot, grid_points" not in lines[0]:
+    # a value load_config or the band-size check refuses names the flag that set it
+    if lines and lines[0].startswith("ERROR INVALID_VALUE"):
         assert lines[0].endswith(f" for key '{flag}'")
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["panel", "--h"], "INPUT_ERROR: argument --h: expected one argument", id="flag_without_value"),
+    pytest.param(["panel", "--bogus"], "INPUT_ERROR: unrecognized arguments: --bogus", id="unknown_flag"),
+    pytest.param(["bogus"], "INPUT_ERROR: argument command: invalid choice: 'bogus'", id="unknown_command"),
+    pytest.param([], "INPUT_ERROR: the following arguments are required: command", id="no_command"),
+    pytest.param(["panel", "--h", "1", "--h", "2"], "INPUT_ERROR: argument --h: given more than once",
+                 id="repeated_flag"),
+    pytest.param(["panel", "--config", "a.ini"], "INPUT_ERROR: argument --config: given more than once",
+                 id="repeated_config"),
+    pytest.param(["distill", "--day-boundary", "-x"], "INPUT_ERROR: argument --day-boundary: expected one argument",
+                 id="value_like_a_flag"),
+    # a negative number is taken as the value, and load_config refuses it naming the flag
+    pytest.param(["simulate", "--n-days", "-5"], "INVALID_VALUE: invalid value '-5' for key '--n-days'",
+                 id="negative_value"),
+])
+def test_malformed_command_line_is_one_error_line(distilled_fixture, capsys, args, message):
+    capsys.readouterr()
+    code = run([*args[:1], "--config", distilled_fixture / "newsflow.ini", *args[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"ERROR {message}")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["panel", "--help"], ["panel", "--h", "1", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exit_:
+        run(args)
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: newsflow") and "overrides [simulate] n_boot" in out and err == ""
 
 
 def _edit_lines(path, edit):
@@ -1095,16 +1127,24 @@ def test_simulate_checks_n_days_before_fitting(paneled_fixture, monkeypatch, cap
     assert fits == []
 
 
-@pytest.mark.parametrize("edit, extra_args", [
-    pytest.param(("n_boot = 150", "n_boot = 1000000000000"), [], id="n_boot"),
-    pytest.param(("n_days = 250", "n_days = 1000000000000"), [], id="n_days"),
-    pytest.param(("min_active = 30", "min_active = 30\ngrid_points = 1000000000000"), [], id="grid_points"),
-    pytest.param(None, ["--n-boot", 10**12], id="n_boot_flag"),
-    pytest.param(None, ["--n-days", 10**12], id="n_days_flag"),
+INI_BAND_KEY = "'[simulate] n_days, n_boot, grid_points'"
+
+
+@pytest.mark.parametrize("edit, extra_args, key", [
+    pytest.param(("n_boot = 150", "n_boot = 1000000000000"), [], INI_BAND_KEY, id="n_boot"),
+    pytest.param(("n_days = 250", "n_days = 1000000000000"), [], INI_BAND_KEY, id="n_days"),
+    pytest.param(("min_active = 30", "min_active = 30\ngrid_points = 1000000000000"), [], INI_BAND_KEY,
+                 id="grid_points"),
+    pytest.param(None, ["--n-boot", 10**12], "'--n-boot'", id="n_boot_flag"),
+    pytest.param(None, ["--n-days", 10**12], "'--n-days'", id="n_days_flag"),
     # 4 symbols x 250 days x 134,218 draws is the first multiplier matrix above 1 GiB
-    pytest.param(None, ["--n-boot", 134_218], id="n_boot_flag_at_the_bound"),
+    pytest.param(None, ["--n-boot", 134_218], "'--n-boot'", id="n_boot_flag_at_the_bound"),
+    pytest.param(None, ["--n-days", 10**6, "--n-boot", 10**6], "'--n-days, --n-boot'", id="both_flags"),
+    # the refused array is the grid_points x (4 x 250) weights, which --n-boot does not size
+    pytest.param(("min_active = 30", "min_active = 30\ngrid_points = 1000000000000"), ["--n-boot", 200],
+                 INI_BAND_KEY, id="grid_points_with_n_boot_flag"),
 ])
-def test_simulate_refuses_huge_band_sizes_before_fitting(paneled_fixture, monkeypatch, capsys, edit, extra_args):
+def test_simulate_refuses_huge_band_sizes_before_fitting(paneled_fixture, monkeypatch, capsys, edit, extra_args, key):
     ini = paneled_fixture / "newsflow.ini"
     if edit is not None:
         text = ini.read_text(encoding="utf-8")
@@ -1119,7 +1159,7 @@ def test_simulate_refuses_huge_band_sizes_before_fitting(paneled_fixture, monkey
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR INVALID_VALUE: ") and len(err.splitlines()) == 1
-    assert "n_days, n_boot, grid_points" in err and "Traceback" not in err
+    assert err.endswith(f" bytes, above {1 << 30})' for key {key}\n") and "Traceback" not in err
     assert fits == []
 
 

@@ -123,15 +123,23 @@ def test_load_wordlist_strips_lowercases_and_keeps_the_first(tmp_path):
     assert [e.word for e in load_wordlist(path, Polarity.NEGATIVE)] == ["fell", "debt"]
 
 
-def test_lexicon_entry_fields_and_checks():
+def test_lexicon_entry_fields():
     entry = LexiconEntry("pay off", Polarity.POSITIVE)
     assert (entry.word, entry.polarity, entry.stemmed, entry.pos_tag, entry.strength, entry.tokens) == (
         "pay off", Polarity.POSITIVE, False, PosTag.UNCONSTRAINED, Strength.UNSPECIFIED, ("pay", "off"))
     assert entry.length == 2 and entry.is_scoring
-    with pytest.raises(InputError, match="^lexicon entry word is empty$"):
-        LexiconEntry("", Polarity.POSITIVE)
-    with pytest.raises(InputError, match=re.escape("lexicon entry word must be lowercase: 'Pay off'")):
-        LexiconEntry("Pay off", Polarity.NEGATIVE)
+
+
+def test_mpqa_entry_without_a_word_is_refused_by_its_loader(tmp_path):
+    line = "type=weaksubj len=1 word1= pos1=noun stemmed1=n priorpolarity=negative"
+    with pytest.raises(InputError) as err:
+        parse_mpqa_line(line)
+    assert (err.value.error_code, str(err.value)) == ("INPUT_ERROR", "lexicon entry word is empty")
+    path = tmp_path / "mpqa.tff"
+    path.write_text(f"{PAPER_LINES[0][0]}\n{line}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        parse_mpqa_file(path)
+    assert (err.value.error_code, str(err.value)) == ("MALFORMED_RECORD", f"{path}:2: lexicon entry word is empty")
 
 
 def test_load_wordlist_empty(tmp_path):
@@ -196,11 +204,6 @@ def test_build_lexicon_duplicates_keep_first():
     lex = build_lexicon("X", entries)
     assert lex.duplicate_warnings == 1
     assert [(e.word, e.polarity) for e in lex.entries] == [("good", Polarity.POSITIVE)]
-
-
-def test_entry_rejects_uppercase():
-    with pytest.raises(InputError):
-        LexiconEntry("Good", Polarity.POSITIVE)
 
 
 def _lex(name, positive, negative=()):
