@@ -37,7 +37,7 @@ from ._util import (
 )
 from .config import SETTINGS, RunConfig, config_fingerprint, load_config
 from .corpus import TradingCalendar
-from .errors import InputError, InvalidValue, LexiconNotFound, MissingInput, NewsflowError, NumericalError
+from .errors import InputError, InvalidValue, LexiconNotFound, MissingComponent, MissingInput, NewsflowError, NumericalError
 from .indicators import INDICATOR_FIELDS
 from .panel import (
     ClusterMode,
@@ -389,6 +389,8 @@ def cmd_simulate(config: RunConfig) -> int:
         (alpha, coefficients), pool = panel_outputs[projection]
         models, diagnostics = build_sentiment_models(sentiment[projection], min_active=config.sim_min_active)
         models = [m for m in models if m.symbol in residual_model.labels]
+        if not models:
+            raise MissingComponent("sentiment models")
         scenario = ScenarioConfig(
             alpha=alpha,
             coefficients=coefficients,
@@ -464,11 +466,9 @@ def cmd_lexstats(config: RunConfig) -> int:
     articles = _load_corpus(config)
     lexica = _load_lexica(config)
 
-    tokenized = []
-    for article in articles.articles:
-        tok = sent_mod.tokenize(article.title + ". " + article.body)
-        tokenized.append(tok.sentences)
-    freq = lex_mod.corpus_frequencies(tokenized)
+    freq = lex_mod.corpus_frequencies(
+        sent_mod.tokenize(article.title + ". " + article.body).sentences for article in articles.articles
+    )
 
     rows = []
     names = sorted(lexica)
@@ -575,6 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command, the INI file and one text option per flagged setting; load_config parses the texts."""
     parser = _Parser(
         prog="newsflow",
+        allow_abbrev=False,
         description="Distill news flow into sentiment variables and stock-reaction analytics.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))

@@ -31,14 +31,6 @@ class LexiconSource:
     kind: str  # wordlists: positive,negative paths; mpqa: one entries file
     paths: tuple[Path, ...]
 
-    def __post_init__(self):
-        if self.kind not in LEXICON_KINDS:
-            raise InputError(f"unknown lexicon format {self.kind!r} for {self.name}")
-        if self.kind == "wordlists" and len(self.paths) != 2:
-            raise InputError(f"lexicon {self.name}: wordlists format needs pos,neg paths")
-        if self.kind == "mpqa" and len(self.paths) != 1:
-            raise InputError(f"lexicon {self.name}: mpqa format takes exactly one path")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -176,9 +168,17 @@ def _items(text: str) -> list[str]:
 def _parse_lexicons(section, base: Path) -> tuple[LexiconSource, ...]:
     sources = []
     for name, value in section.items():
+        name = name.upper()
         kind, _, path_list = value.partition(":")
+        kind = kind.strip()
         paths = tuple(base / p for p in _items(path_list))
-        sources.append(LexiconSource(name=name.upper(), kind=kind.strip(), paths=paths))
+        if kind not in LEXICON_KINDS:
+            raise InputError(f"unknown lexicon format {kind!r} for {name}")
+        if kind == "wordlists" and len(paths) != 2:
+            raise InputError(f"lexicon {name}: wordlists format needs pos,neg paths")
+        if kind == "mpqa" and len(paths) != 1:
+            raise InputError(f"lexicon {name}: mpqa format takes exactly one path")
+        sources.append(LexiconSource(name=name, kind=kind, paths=paths))
     return tuple(sources)
 
 

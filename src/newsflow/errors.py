@@ -137,10 +137,6 @@ class NonConvergence(NumericalError):
     pass
 
 
-class NonStationarySolution(NumericalError):
-    pass
-
-
 class DegenerateX(InputError):
     pass
 

@@ -54,10 +54,6 @@ class MarketSeries:
     market_return: np.ndarray
     vix: np.ndarray
 
-    def __post_init__(self):
-        if len(self.market_return) != len(self.vix):
-            raise CalendarMismatch("market return and vix series differ in length")
-
     @classmethod
     def from_csv(cls, path: str | Path, calendar: TradingCalendar) -> "MarketSeries":
         """One row per trading day; a date outside the calendar or repeated is an error."""
@@ -81,12 +77,6 @@ class PanelSpec:
     cumulative: bool = False
     projection: str = "BL"
     subsample: str | None = None
-
-    def __post_init__(self):
-        if self.dependent not in DEPENDENTS:
-            raise InputError(f"unknown dependent {self.dependent!r}")
-        if not 1 <= self.h <= 5:
-            raise InputError(f"lag h must be in 1..5, got {self.h}")
 
     @property
     def label(self) -> str:
@@ -116,18 +106,6 @@ class PanelDataset:
     x: np.ndarray
     dropped: Mapping[str, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if len(self.y) == 0:
-            raise EmptyPanel(self.spec.label)
-        if self.entities.min() < 0 or self.entities.max() >= len(self.symbols):
-            raise InputError(f"entity code outside the {len(self.symbols)} symbols")
-        n_days = int(self.times.max()) + 1
-        if np.bincount(self.entities * n_days + self.times).max() > 1:
-            raise InputError("duplicate (symbol, day) observation")
-        counts = np.bincount(self.entities, minlength=len(self.symbols))
-        if counts.min() < 2:
-            raise TooFewObservations(f"entity {self.symbols[counts.argmin()]} has {counts.min()} observation")
-
     @property
     def observations(self) -> np.recarray:
         """One (symbol, day, dependent, regressors) record per row."""
@@ -154,7 +132,7 @@ def assemble_panel(
     t..t+h-1; all control variables stay dated t.  The panel's symbols are
     the selected ones that keep rows, in axis order (sorted, on the axes of
     the stage-file readers and the suites), and each row's entity code is
-    its symbol's index among them.
+    its symbol's index among them.  A panel without rows is an EmptyPanel.
     """
     if ((sentiment.fields, indicators.fields) != (SENTIMENT_FIELDS, INDICATOR_FIELDS)
             or sentiment.symbols != indicators.symbols
@@ -206,6 +184,8 @@ def assemble_panel(
         "singleton_entity": int(per_symbol[~has_rows].sum()),
     }
     kept_rows, times = np.nonzero(keep)
+    if not len(times):
+        raise EmptyPanel(spec.label)
     kept = columns[keep]
     return PanelDataset(
         spec=spec,

@@ -26,18 +26,6 @@ class GaussianCopula:
     correlation: np.ndarray
     repaired: bool = False
 
-    def __post_init__(self):
-        corr = np.asarray(self.correlation, dtype=float)
-        if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-            raise DimensionMismatch("correlation matrix must be square")
-        if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-            raise NonPSDMatrix("correlation diagonal must be 1")
-        if not np.allclose(corr, corr.T, atol=1e-12):
-            raise NonPSDMatrix("correlation matrix must be symmetric")
-        if np.linalg.eigvalsh(corr).min() < -_EIG_TOL:
-            raise NonPSDMatrix("correlation matrix has negative eigenvalues")
-        object.__setattr__(self, "correlation", corr)
-
     @property
     def dimension(self) -> int:
         return self.correlation.shape[0]

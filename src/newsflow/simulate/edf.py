@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TooFewPoints
-
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -20,10 +18,7 @@ class EmpiricalDistribution:
     sorted_values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.sorted_values, dtype=float)
-        if values.ndim != 1 or len(values) < 2:
-            raise TooFewPoints("empirical distribution needs at least 2 points")
-        object.__setattr__(self, "sorted_values", np.sort(values))
+        object.__setattr__(self, "sorted_values", np.sort(np.asarray(self.sorted_values, dtype=float)))
 
     @property
     def n(self) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
 
-from ..errors import InputError, NonConvergence, NonStationarySolution
+from ..errors import InputError, NonConvergence
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _PERSISTENCE_CAP = 1.0 - 1e-7  # alpha + beta stays below 1
@@ -41,18 +41,6 @@ class MA1Garch11Params:
     alpha: float
     beta: float
     loglik: float | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.omega <= 0.0:
-            raise NonStationarySolution(f"omega must be positive, got {self.omega}")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise NonStationarySolution("alpha and beta must be nonnegative")
-        if self.alpha + self.beta >= 1.0:
-            raise NonStationarySolution(
-                f"alpha + beta must be < 1, got {self.alpha + self.beta}"
-            )
-        if abs(self.theta) >= 1.0:
-            raise InputError(f"MA coefficient must lie in (-1, 1), got {self.theta}")
 
 
 def _first_order_recursion(drive: np.ndarray, c: float) -> np.ndarray:

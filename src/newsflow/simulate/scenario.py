@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .._util import fmt_column, fmt_int_column, split_seed
-from ..errors import ConstantColumn, InputError, MissingComponent
+from ..errors import ConstantColumn, MissingComponent
 from .copula import GaussianCopula, fit_gaussian_copula, sample_copula
 from .edf import EmpiricalDistribution, fit_edf
 from .garch import filter_ma1_garch11, fit_ma1_garch11
@@ -40,10 +40,6 @@ class SymbolSentimentModel:
     pos_marginal: EmpiricalDistribution
     neg_marginal: EmpiricalDistribution
 
-    def __post_init__(self):
-        if not 0.0 <= self.arrival_prob <= 1.0:
-            raise InputError(f"arrival probability must be in [0,1], got {self.arrival_prob}")
-
 
 @dataclass(frozen=True)
 class ResidualModel:
@@ -53,12 +49,6 @@ class ResidualModel:
     copula: GaussianCopula
     median_sigmas: Mapping[str, float]
     marginals: Mapping[str, EmpiricalDistribution]
-
-    def __post_init__(self):
-        if not self.labels or self.labels[0] != MARKET_LABEL:
-            raise InputError("residual model labels must start with the market series")
-        if self.copula.dimension != len(self.labels):
-            raise MissingComponent("residual copula dimension")
 
 
 @dataclass(frozen=True)
@@ -71,17 +61,6 @@ class ScenarioConfig:
     rng_seed: int
     sentiment_models: tuple[SymbolSentimentModel, ...]
     residual_model: ResidualModel
-
-    def __post_init__(self):
-        for name in SIMULATION_COEFFICIENTS:
-            if name not in self.coefficients:
-                raise MissingComponent(f"coefficient {name}")
-        if len(self.residual_pool) == 0:
-            raise MissingComponent("regression residuals")
-        if self.n_days < 1:
-            raise InputError("n_days must be >= 1")
-        if not self.sentiment_models:
-            raise MissingComponent("sentiment models")
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ class SmootherFit:
     pointwise_se: np.ndarray | None = field(repr=False, default=None)
     critical_value: float | None = None
 
-    def __post_init__(self):
-        if len(self.grid) > 1 and not np.all(np.diff(self.grid) > 0):
-            raise InputError("evaluation grid must be strictly increasing")
-
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted distinct values u of x, each point's index into u, and the counts as floats."""
@@ -108,6 +104,8 @@ def local_linear_fit(
         raise InputError(f"bandwidth must be positive, got {h}")
     if len(x) != len(y) or len(x) < 2:
         raise TooFewPoints("need matching x/y with at least 2 points")
+    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
+        raise InputError("evaluation grid must be strictly increasing")
     u, index, counts = _distinct(x)
     weights, empty = _equivalent_weights(u, counts, grid, h)
     curve = weights @ np.bincount(index, y, minlength=len(u))

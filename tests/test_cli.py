@@ -193,6 +193,18 @@ def _set_ini_value(ini, section, key, value):
         parser.write(handle)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("csv:pos.txt", "unknown lexicon format 'csv' for BL"),
+    ("wordlists:pos.txt", "lexicon BL: wordlists format needs pos,neg paths"),
+    ("mpqa:pos.txt,neg.txt", "lexicon BL: mpqa format takes exactly one path"),
+])
+def test_malformed_lexicon_source_exits_2(mini_fixture, capsys, value, message):
+    ini = mini_fixture / "newsflow.ini"
+    _set_ini_value(ini, "lexicons", "BL", value)
+    assert run(["report", "--config", ini]) == 2
+    assert capsys.readouterr().err == f"ERROR INPUT_ERROR: {message}\n"
+
+
 # one INI value replaced: (section, key) -> its values, valid and not
 _INI_NUMBERS = st.one_of(
     st.integers(-3, 40).map(str),
@@ -305,6 +317,13 @@ def test_flag_mutation_keeps_the_exit_code_contract(distilled_fixture, target):
     # a negative number is taken as the value, and load_config refuses it naming the flag
     pytest.param(["simulate", "--n-days", "-5"], "INVALID_VALUE: invalid value '-5' for key '--n-days'",
                  id="negative_value"),
+    # only the full flags are accepted, not their prefixes
+    pytest.param(["indicators", "--wind", "10"], "INPUT_ERROR: unrecognized arguments: --wind 10",
+                 id="abbreviated_flag"),
+    pytest.param(["report", "--conf", "x.ini"], "INPUT_ERROR: unrecognized arguments: --conf x.ini",
+                 id="abbreviated_config"),
+    pytest.param(["report", "--out", "DIR"], "INPUT_ERROR: unrecognized arguments: --out DIR",
+                 id="abbreviated_output"),
 ])
 def test_malformed_command_line_is_one_error_line(distilled_fixture, capsys, args, message):
     capsys.readouterr()
@@ -1222,6 +1241,16 @@ def test_simulate_with_too_few_scatter_points_exits_2(long_paneled_fixture, caps
     assert capsys.readouterr().err == f"ERROR TOO_FEW_POINTS: plug-in bandwidth needs n >= 20, got {n_points}\n"
 
 
+def test_simulate_with_every_symbol_below_min_active_exits_2(long_paneled_fixture, capsys):
+    ini = long_paneled_fixture / "inactive.ini"
+    text = (long_paneled_fixture / "newsflow.ini").read_text(encoding="utf-8")
+    # no symbol is active on more days than the calendar has
+    ini.write_text(text.replace("min_active = 30", "min_active = 301"), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["simulate", "--config", ini]) == 2
+    assert capsys.readouterr().err == "ERROR MISSING_COMPONENT: scenario component 'sentiment models' is missing\n"
+
+
 def test_panel_summary_counts_low_rank_cells(distilled_fixture, tmp_path, capsys):
     # 4 symbols clustered by entity identify at most 3 of the 8 coefficients' directions
     root = tmp_path / "run"
@@ -1305,43 +1334,64 @@ def test_cli_import_skips_scipy_stats_and_signal():
 
 
 # perfbench/stage.py's order: import newsflow.cli, then patch every traced
-# binding, then run the stages; the traced names, call counts and counters
+# binding, then run each stage as a cli.<stage> span; the traced names, call counts and counters
 # are the benchmark's per-layer metrics
 TRACER_PROBE = """
 import contextlib, importlib, json, sys
 import newsflow.cli
 from tracer import TRACED, Tracer
 
+config, output, *stages = sys.argv[1:]
 unresolved = [name for name, (module, attr) in TRACED.items()
               if not callable(getattr(importlib.import_module(module), attr, None))]
 codes = []
+layers = {}  # stage -> the traced functions it called
 tracer = Tracer()
 if not unresolved:
     tracer.install()
     with contextlib.redirect_stdout(sys.stderr):
-        codes = [newsflow.cli.main([stage, "--config", sys.argv[1]]) for stage in ("distill", "indicators", "panel")]
-layers = sorted({span[1] for span in tracer.spans})
+        for stage in stages:
+            first = len(tracer.spans)
+            main = tracer.wrap(f"cli.{stage}", newsflow.cli.main)
+            codes.append(main([stage, "--config", config, "--output", output]))
+            layers[stage] = sorted({span[1] for span in tracer.spans[first:]})
 print(json.dumps({"unresolved": unresolved, "codes": codes, "counters": tracer.counters, "layers": layers}))
 """
 
 
-def test_perfbench_tracer_installs_and_counts_on_the_first_three_stages(mini_fixture):
+def test_perfbench_tracer_installs_and_counts_on_the_first_three_stages(mini_fixture, distilled_fixture, tmp_path):
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(newsflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, str(repo / "perfbench"), os.environ.get("PYTHONPATH")])
     )}
-    probe = subprocess.run([sys.executable, "-c", TRACER_PROBE, str(mini_fixture / "newsflow.ini")],
-                           env=env, capture_output=True, text=True)
-    assert probe.returncode == 0, probe.stderr
-    result = json.loads(probe.stdout)
-    assert result["unresolved"] == []
-    assert result["codes"] == [0, 0, 0]
-    counters = result["counters"]
+
+    def trace(root, stages):
+        probe = subprocess.run([sys.executable, "-c", TRACER_PROBE, root / "newsflow.ini", root / "out", *stages],
+                               env=env, capture_output=True, text=True)
+        assert probe.returncode == 0, probe.stderr
+        result = json.loads(probe.stdout)
+        assert result["unresolved"] == []
+        assert result["codes"] == [0] * len(stages)
+        return result
+
+    counters = trace(mini_fixture, ("distill", "indicators", "panel"))["counters"]
     assert counters["sentiment.tokens"] > 0 and counters["panel.observations"] > 0
     assert counters["corpus.unassigned"] == 0
     assert counters["indicators.warmup_days"] == 120  # 130 days, a 120-day window
-    assert {"indicators.fit_detrend_model", "panel.assemble_panel", "sentiment.score_article"} <= set(result["layers"])
+
+    # the coverage check of perfbench/run.py: on four symbols and three lexica,
+    # each function that perfbench/layer_map.json maps to a stage records a call there
+    stages = ("distill", "indicators", "panel", "lexstats", "report")
+    root = tmp_path / "run"
+    shutil.copytree(distilled_fixture, root)
+    layers = trace(root, stages)["layers"]
+    layer_map = json.loads((repo / "perfbench" / "layer_map.json").read_text(encoding="utf-8"))
+    uncovered = sorted({
+        (stage, spec["function"]) for spec in layer_map.values() for stage in spec["stages"]
+        if stage in stages and spec["function"] not in layers[stage]
+    })
+    assert uncovered == []
 
 
 def test_missing_config_file(tmp_path, capsys):

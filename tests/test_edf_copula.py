@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from newsflow.errors import ConstantColumn, DimensionMismatch, NonPSDMatrix, TooFewPoints
-from newsflow.simulate.copula import GaussianCopula, fit_gaussian_copula, normal_scores, sample_copula
+from newsflow.errors import ConstantColumn, DimensionMismatch
+from newsflow.simulate.copula import (
+    _EIG_TOL,
+    GaussianCopula,
+    _nearest_correlation,
+    fit_gaussian_copula,
+    normal_scores,
+    sample_copula,
+)
 from newsflow.simulate.edf import fit_edf
 
 
@@ -41,11 +48,6 @@ def test_edf_quantile_domain():
         dist.quantile(0.0)
     with pytest.raises(ValueError):
         dist.quantile(1.0)
-
-
-def test_edf_too_few_points():
-    with pytest.raises(TooFewPoints):
-        fit_edf([1.0])
 
 
 # copula fitting ------------------------------------------------------------------
@@ -90,11 +92,19 @@ def test_copula_needs_enough_rows():
         fit_gaussian_copula(np.random.default_rng(5).normal(0, 1, (3, 4)))
 
 
-def test_copula_validation():
-    with pytest.raises(NonPSDMatrix):
-        GaussianCopula(correlation=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NonPSDMatrix):
-        GaussianCopula(correlation=np.array([[1.0, 0.5], [0.4, 1.0]]))
+def _is_correlation(matrix):
+    return (np.array_equal(matrix, matrix.T) and np.all(np.diag(matrix) == 1.0)
+            and np.linalg.eigvalsh(matrix).min() >= -_EIG_TOL)
+
+
+def test_fitted_and_repaired_correlations_are_correlation_matrices():
+    rng = np.random.default_rng(6)
+    x = rng.normal(0, 1, 300)
+    for data in (rng.normal(0, 1, (300, 4)), np.column_stack([x, x + 1e-9 * rng.normal(0, 1, 300), -x])):
+        assert _is_correlation(fit_gaussian_copula(data).correlation)
+    not_psd = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+    assert np.linalg.eigvalsh(not_psd).min() < -_EIG_TOL
+    assert _is_correlation(_nearest_correlation(not_psd))
 
 
 # sampling -----------------------------------------------------------------------

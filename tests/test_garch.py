@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import simulate_ma1_garch11
-from newsflow.errors import InputError, NonConvergence, NonStationarySolution
+from newsflow.errors import InputError, NonConvergence
 from newsflow.simulate import garch
 from newsflow.simulate.garch import MA1Garch11Params, filter_ma1_garch11, fit_ma1_garch11
 
@@ -20,15 +21,22 @@ def loglikelihood(returns, params):
 TRUE = MA1Garch11Params(mu=0.0, theta=0.1, omega=0.05, alpha=0.1, beta=0.8)
 
 
-def test_param_validation():
-    with pytest.raises(NonStationarySolution):
-        MA1Garch11Params(mu=0, theta=0, omega=0.0, alpha=0.1, beta=0.8)
-    with pytest.raises(NonStationarySolution):
-        MA1Garch11Params(mu=0, theta=0, omega=0.1, alpha=0.5, beta=0.6)
-    with pytest.raises(NonStationarySolution):
-        MA1Garch11Params(mu=0, theta=0, omega=0.1, alpha=-0.1, beta=0.5)
-    with pytest.raises(InputError):
-        MA1Garch11Params(mu=0, theta=1.2, omega=0.1, alpha=0.1, beta=0.5)
+def _stationary_and_invertible(params):
+    return (params.omega > 0.0 and params.alpha >= 0.0 and params.beta >= 0.0
+            and params.alpha + params.beta <= garch._PERSISTENCE_CAP and abs(params.theta) < 1.0)
+
+
+def test_search_box_maps_to_stationary_invertible_params():
+    # every corner of the (theta, persistence, share) box, and the fits on
+    # GARCH, i.i.d. (the alpha = 0 face) and strongly negative-MA series
+    _, thetas, persistences, shares = garch._BOUNDS
+    for corner in itertools.product(thetas, persistences, shares):
+        point = np.array([0.1, *corner])
+        assert _stationary_and_invertible(MA1Garch11Params(*garch._garch_params(point, 0.7)))
+    rng = np.random.default_rng(11)
+    for r in (simulate_ma1_garch11(TRUE, 1_000, rng_seed=12), rng.normal(0.0, 1.0, 1_000),
+              simulate_ma1_garch11(MA1Garch11Params(0.0, -0.9, 0.05, 0.1, 0.8), 1_000, rng_seed=13)):
+        assert _stationary_and_invertible(fit_ma1_garch11(r))
 
 
 def test_constant_variance_reduction():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,7 +22,6 @@ from newsflow.errors import (
     InputError,
     RankDeficient,
     SingleCluster,
-    TooFewObservations,
 )
 from newsflow.panel import (
     DEPENDENTS,
@@ -414,23 +415,15 @@ def test_entity_codes_skip_the_symbols_of_the_axis_that_have_no_rows():
     assert np.array_equal(_sandwich(x_dm, u, panel.entities, k), unique_sandwich(x_dm, u, labels, k))
 
 
-def test_panel_rejects_a_repeated_symbol_day_and_an_entity_without_two_rows():
-    spec = PanelSpec("log_vol", 1, False, "BL")
-
-    def panel(entities, times, symbols=("A", "B")):
-        n = len(entities)
-        return PanelDataset(spec=spec, entities=np.array(entities), symbols=symbols, times=np.array(times),
-                            y=np.arange(n, dtype=float), x=np.ones((n, 1)))
-
-    with pytest.raises(InputError) as duplicate:
-        panel([0, 0, 1, 1, 1], [0, 1, 0, 1, 1])
-    assert type(duplicate.value) is InputError and str(duplicate.value) == "duplicate (symbol, day) observation"
-    with pytest.raises(TooFewObservations, match=r"^entity B has 1 observation$"):
-        panel([0, 0, 0, 1], [0, 1, 2, 5])
-    with pytest.raises(TooFewObservations, match=r"^entity C has 0 observation$"):
-        panel([0, 0, 1, 1], [0, 1, 0, 1], symbols=("A", "B", "C"))
-    with pytest.raises(InputError, match="entity code outside the 2 symbols"):
-        panel([0, 0, 2, 2], [0, 1, 0, 1])
+def test_assembled_panel_has_in_range_codes_distinct_days_and_two_rows_per_symbol():
+    # what fit_fixed_effects relies on; S4 has one complete row and is dropped
+    records, points, market, n_days = unbalanced_inputs()
+    for h, cumulative, dependent in itertools.product(range(1, 6), (False, True), DEPENDENTS):
+        panel = assemble(records, points, market, PanelSpec(dependent, h, cumulative, "BL"), n_days)
+        assert "S4" not in panel.symbols
+        assert panel.entities.min() >= 0 and panel.entities.max() < len(panel.symbols)
+        assert np.bincount(panel.entities, minlength=len(panel.symbols)).min() >= 2
+        assert len(set(zip(panel.entities.tolist(), panel.times.tolist()))) == len(panel.y)
 
 
 # PCA ---------------------------------------------------------------------------

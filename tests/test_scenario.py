@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import SentimentRecord, sentiment_array, simulate_ma1_garch11
-from newsflow.errors import InputError, MissingComponent
+from newsflow.errors import MissingComponent
 from newsflow.simulate.copula import GaussianCopula
 from newsflow.simulate.edf import fit_edf
 from newsflow.simulate.garch import MA1Garch11Params
@@ -135,20 +135,6 @@ def test_symbol_order_independent_draws():
     idx_b = b.symbols.index("A")
     assert np.array_equal(a.pos[idx_a], b.pos[idx_b])
     assert np.array_equal(a.active[idx_a], b.active[idx_b])
-
-
-def test_missing_coefficient_raises():
-    with pytest.raises(MissingComponent):
-        ScenarioConfig(
-            alpha=0.0,
-            coefficients={"I": 0.0, "Pos": 0.0},  # missing the rest
-            vix_value=0.2,
-            residual_pool=np.array([0.0]),
-            n_days=10,
-            rng_seed=0,
-            sentiment_models=(sentiment_model("A", 0.5),),
-            residual_model=residual_model(("A",)),
-        )
 
 
 def test_missing_return_residuals_raises():

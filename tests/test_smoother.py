@@ -67,6 +67,13 @@ def test_empty_neighborhood_marked():
     assert fit.n_empty == 1
 
 
+@pytest.mark.parametrize("grid", [[0.2, 0.2, 0.4], [0.4, 0.2]], ids=["repeated", "decreasing"])
+def test_fit_rejects_a_grid_that_is_not_strictly_increasing(grid):
+    x = np.linspace(0, 1, 50)
+    with pytest.raises(InputError, match="^evaluation grid must be strictly increasing$"):
+        local_linear_fit(x, x, 0.1, np.array(grid))
+
+
 def test_predict_at_matches_gridwise_fit():
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, 200)
