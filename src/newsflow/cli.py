@@ -390,7 +390,13 @@ def cmd_simulate(config: RunConfig) -> int:
         models, diagnostics = build_sentiment_models(sentiment[projection], min_active=config.sim_min_active)
         models = [m for m in models if m.symbol in residual_model.labels]
         if not models:
-            raise MissingComponent("sentiment models")
+            most = int((sentiment[projection].plane("active") == 1).sum(axis=1).max())
+            raise MissingComponent(
+                "sentiment models",
+                f"for projection {projection!r}: no symbol with return residuals has at least "
+                f"{config.keys['sim_min_active']} = {config.sim_min_active} active days "
+                f"(the most of any symbol is {most})",
+            )
         scenario = ScenarioConfig(
             alpha=alpha,
             coefficients=coefficients,
@@ -502,6 +508,9 @@ def cmd_lexstats(config: RunConfig) -> int:
 def cmd_report(config: RunConfig) -> int:
     calendar = TradingCalendar.from_file(config.calendar_path)
     sentiment = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
+    # the grouping refuses fewer than 4 symbols: find that out before any file is written
+    first = sentiment[sorted(sentiment)[0]]
+    groups = compute_attention_groups(first)
 
     summary_rows = []
     for name in sorted(sentiment):
@@ -532,8 +541,6 @@ def cmd_report(config: RunConfig) -> int:
         [lexica_a, lexica_b, fmt_int_column(years), fmt_int_column(months), fmt_column(pos_corrs), fmt_column(neg_corrs)],
     )
 
-    first = sentiment[sorted(sentiment)[0]]
-    groups = compute_attention_groups(first)
     ratios = ind_mod.attention_ratio(first.plane("active"), len(calendar))
     write_csv(
         config.output_dir / "report_attention.csv",

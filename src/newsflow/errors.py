@@ -150,8 +150,8 @@ class GridMismatch(InputError):
 
 
 class MissingComponent(InputError):
-    def __init__(self, name: str):
-        super().__init__(f"scenario component {name!r} is missing")
+    def __init__(self, name: str, detail: str = ""):
+        super().__init__(f"scenario component {name!r} is missing" + (f" {detail}" if detail else ""))
 
 
 class MissingInput(InputError):

@@ -80,17 +80,19 @@ _STEMMED = {"y": True, "n": False}
 
 
 def parse_mpqa_line(line: str) -> tuple[LexiconEntry, int]:
-    """Parse a key=value entry line; unknown keys are ignored and counted."""
+    """Parse a key=value entry line; unknown keys are ignored and counted, a known key given twice is refused."""
     pairs: dict[str, str] = {}
     unknown = 0
     for token in line.split():
         key, eq, value = token.partition("=")
         if not eq:
             raise InvalidValue("entry", token)
-        if key in _MPQA_KEYS:
-            pairs[key] = value
-        else:
+        if key not in _MPQA_KEYS:
             unknown += 1
+        elif key in pairs:
+            raise InputError(f"key {key!r} is given more than once")
+        else:
+            pairs[key] = value
     for key in _MPQA_KEYS:
         if key not in pairs:
             raise MissingField(key, line)
@@ -114,12 +116,12 @@ def parse_mpqa_line(line: str) -> tuple[LexiconEntry, int]:
     if length < 1:
         raise InvalidValue("len", pairs["len"])
 
-    entry = LexiconEntry(pairs["word1"].lower().replace("_", " "), polarity, stemmed, pos_tag, strength)
-    if not entry.word:
+    word = pairs["word1"].lower().replace("_", " ")
+    if not word:
         raise InputError("lexicon entry word is empty")
-    if entry.length != length:
+    if word.count(" ") + 1 != length:
         raise InvalidValue("len", pairs["len"])
-    return entry, unknown
+    return LexiconEntry(word, polarity, stemmed, pos_tag, strength), unknown
 
 
 def parse_mpqa_file(path: str | Path) -> tuple[list[LexiconEntry], int]:

@@ -159,10 +159,10 @@ def build_scoring_index(lexica: Sequence[Lexicon]) -> ScoringIndex:
     stemmed: dict[str, list[tuple[int, Bucket]]] = {}
     for k, lex in enumerate(lexica):
         buckets: dict[tuple[bool, str], list[tuple[tuple[str, ...], bool]]] = {}
-        # stable sort: among entries of equal length the first in file order comes first
-        for entry in sorted(lex.scoring_entries(), key=lambda e: -e.length):
-            buckets.setdefault((entry.stemmed, entry.tokens[0]), []).append(
-                (entry.tokens, entry.polarity is Polarity.POSITIVE))
+        # each word split once; the stable sort keeps file order among entries of equal length
+        runs = sorted(((tuple(e.word.split(" ")), e) for e in lex.scoring_entries()), key=lambda r: -len(r[0]))
+        for run, entry in runs:
+            buckets.setdefault((entry.stemmed, run[0]), []).append((run, entry.polarity is Polarity.POSITIVE))
         for (is_stemmed, first), bucket in buckets.items():
             (stemmed if is_stemmed else unstemmed).setdefault(first, []).append((k, tuple(bucket)))
     return ScoringIndex(
@@ -204,11 +204,17 @@ def score_article(
                         continue
                     for run, positive in bucket:
                         end = i + len(run)
-                        # the first token is the key, and claimed[k][i] is False
-                        if end > i + 1 and (end > n or any(flags[i + 1 : end]) or words[i:end] != run):
+                        # the first token is the key, and claimed[k][i] is False:
+                        # a one-token entry matches here and claims just that token
+                        if end == i + 1:
+                            flags[i] = True
+                        elif end > n or any(flags[i + 1 : end]) or words[i:end] != run:
                             continue
-                        flags[i:end] = [True] * (end - i)
-                        if positive != _is_negated((i, end), negator_pos, negation):
+                        else:
+                            flags[i:end] = [True] * (end - i)
+                        if negator_pos and _is_negated((i, end), negator_pos, negation):
+                            positive = not positive
+                        if positive:
                             pos_count[k] += 1
                         else:
                             neg_count[k] += 1

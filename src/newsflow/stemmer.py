@@ -2,8 +2,10 @@
 
 Within a step the rule with the longest matching suffix is selected; its
 condition is then tested on the stem, and if the condition fails no other
-rule in that step fires.  Later extensions to the algorithm (departures in
-the widely circulated C version) are deliberately not included.
+rule in that step fires.  A step runs only on a word that ends in one of its
+suffixes, since no rule of it can fire on another.  Later extensions to the
+algorithm (departures in the widely circulated C version) are deliberately
+not included.
 
 The conditions read a consonant/vowel mask of the word: one character per
 letter, "v" for a vowel and "c" for a consonant, where y is a vowel after a
@@ -51,20 +53,19 @@ def _ends_cvc(word: str) -> bool:
     return _mask(word).endswith("cvc") and word[-1] not in "wxy"
 
 
+# Each step below is called only on a word that ends in one of its suffixes
+# (see porter_stem), so it does not test for that again.
+
 def _rule_for(word, table):
-    """The rule with the longest suffix that ends word, or None."""
-    for rule in table.get(word[-1:], ()):
+    """The rule with the longest suffix that ends word."""
+    for rule in table[word[-1]]:
         if word.endswith(rule[0]):
             return rule
-    return None
 
 
 def _replace_m(word, table, min_measure):
-    """Apply the longest-suffix rule whose stem measure exceeds min_measure."""
-    rule = _rule_for(word, table)
-    if rule is None:
-        return word
-    suffix, replacement = rule
+    """Apply the longest-suffix rule if its stem's measure exceeds min_measure."""
+    suffix, replacement = _rule_for(word, table)
     stem = word[: len(word) - len(suffix)]
     if _measure(stem) > min_measure:
         return stem + replacement
@@ -102,17 +103,17 @@ _STEP2 = _by_last_letter(_STEP2_RULES)
 _STEP3 = _by_last_letter(_STEP3_RULES)
 _STEP4 = _by_last_letter((suffix, "") for suffix in _STEP4_SUFFIXES)
 
+# every suffix a step tests for: a word that ends in none of them passes the step unchanged
+_STEP2_ENDS = tuple(suffix for suffix, _ in _STEP2_RULES)
+_STEP3_ENDS = tuple(suffix for suffix, _ in _STEP3_RULES)
+
 
 def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
+    if word.endswith(("sses", "ies")):
         return word[:-2]
     if word.endswith("ss"):
         return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+    return word[:-1]
 
 
 def _step1b(word: str) -> str:
@@ -138,16 +139,11 @@ def _step1b(word: str) -> str:
 
 
 def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
+    return word[:-1] + "i" if _has_vowel(word[:-1]) else word
 
 
 def _step4(word: str) -> str:
-    rule = _rule_for(word, _STEP4)
-    if rule is None:
-        return word
-    suffix = rule[0]
+    suffix = _rule_for(word, _STEP4)[0]
     stem = word[: len(word) - len(suffix)]
     if _measure(stem) <= 1:
         return word
@@ -157,8 +153,6 @@ def _step4(word: str) -> str:
 
 
 def _step5a(word: str) -> str:
-    if not word.endswith("e"):
-        return word
     stem = word[:-1]
     m = _measure(stem)
     if m > 1:
@@ -170,9 +164,7 @@ def _step5a(word: str) -> str:
 
 def _step5b(word: str) -> str:
     # m > 1 and *d and *L: a double l is a double consonant
-    if word.endswith("ll") and _measure(word) > 1:
-        return word[:-1]
-    return word
+    return word[:-1] if _measure(word) > 1 else word
 
 
 @functools.cache
@@ -184,12 +176,21 @@ def porter_stem(word: str) -> str:
     """
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _replace_m(word, _STEP2, 0)
-    word = _replace_m(word, _STEP3, 0)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    # each step runs only on a word that ends in one of its suffixes; no other can fire it
+    if word.endswith("s"):
+        word = _step1a(word)
+    if word.endswith(("ed", "ing")):
+        word = _step1b(word)
+    if word.endswith("y"):
+        word = _step1c(word)
+    if word.endswith(_STEP2_ENDS):
+        word = _replace_m(word, _STEP2, 0)
+    if word.endswith(_STEP3_ENDS):
+        word = _replace_m(word, _STEP3, 0)
+    if word.endswith(_STEP4_SUFFIXES):
+        word = _step4(word)
+    if word.endswith("e"):
+        word = _step5a(word)
+    if word.endswith("ll"):
+        word = _step5b(word)
     return word

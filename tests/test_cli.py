@@ -1,6 +1,7 @@
 import codecs
 import configparser
 import contextlib
+import csv
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -1242,13 +1244,32 @@ def test_simulate_with_too_few_scatter_points_exits_2(long_paneled_fixture, caps
 
 
 def test_simulate_with_every_symbol_below_min_active_exits_2(long_paneled_fixture, capsys):
+    with open(long_paneled_fixture / "out" / "sentiment.csv", newline="", encoding="utf-8") as handle:
+        active = Counter(row["symbol"] for row in csv.DictReader(handle) if row["lexicon"] == "BL" and row["I"] == "1")
+    most = max(active.values())
     ini = long_paneled_fixture / "inactive.ini"
     text = (long_paneled_fixture / "newsflow.ini").read_text(encoding="utf-8")
-    # no symbol is active on more days than the calendar has
-    ini.write_text(text.replace("min_active = 30", "min_active = 301"), encoding="utf-8")
+    # one day more than the most active symbol of the first projection has
+    ini.write_text(text.replace("min_active = 30", f"min_active = {most + 1}"), encoding="utf-8")
     capsys.readouterr()
     assert run(["simulate", "--config", ini]) == 2
-    assert capsys.readouterr().err == "ERROR MISSING_COMPONENT: scenario component 'sentiment models' is missing\n"
+    assert capsys.readouterr().err == (
+        "ERROR MISSING_COMPONENT: scenario component 'sentiment models' is missing for projection 'BL': "
+        f"no symbol with return residuals has at least [simulate] min_active = {most + 1} active days "
+        f"(the most of any symbol is {most})\n"
+    )
+
+
+def test_report_with_fewer_than_4_symbols_exits_2_before_writing(tmp_path, capsys):
+    root = build_fixture(tmp_path, n_symbols=3, n_days=60, n_articles=120)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["distill", "--config", root / "newsflow.ini"]) == 0
+    written = sorted(path.name for path in (root / "out").iterdir())
+    capsys.readouterr()
+    assert run(["report", "--config", root / "newsflow.ini"]) == 2
+    assert capsys.readouterr().err == "ERROR INPUT_ERROR: attention grouping needs at least 4 symbols\n"
+    # neither the summary and correlation tables, which need no grouping, nor anything else
+    assert sorted(path.name for path in (root / "out").iterdir()) == written
 
 
 def test_panel_summary_counts_low_rank_cells(distilled_fixture, tmp_path, capsys):

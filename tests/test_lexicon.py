@@ -77,6 +77,8 @@ def test_parse_len_mismatch():
      "invalid value 'weak' for key 'type'"),
     ("type=weaksubj len=1 word1=x pos1=noun stemmed1=n", "missing required key 'priorpolarity'"),
     ("type=weaksubj len=1 word1= pos1=noun stemmed1=n priorpolarity=negative", "lexicon entry word is empty"),
+    ("type=weaksubj len=1 word1=x pos1=noun stemmed1=n priorpolarity=positive priorpolarity=negative",
+     "key 'priorpolarity' is given more than once"),
 ])
 def test_parse_mpqa_file_names_the_file_and_line(tmp_path, bad_line, message):
     path = tmp_path / "mpqa.tff"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SentimentRecord, cumulative_record, reference_score_article, reference_tokenize, sentiment_array
 from newsflow.errors import EmptyText, InputError, NoActiveRecords
@@ -273,10 +273,13 @@ def test_pos_tags_do_not_restrict_matching():
 # one walk for every lexicon --------------------------------------------------
 
 # tokens shared by the lexica below: first tokens of several entries, words
-# that stem onto stemmed entries, and the default negators
+# that stem onto stemmed entries, and the default negators; the inflected
+# forms reach every Porter step (1a-1c, 2, 3, 4, 5a, 5b), each with its stem
 WALK_VOCABULARY = [
     "good", "bad", "pay", "cut", "off", "late", "strong", "growth", "debt", "rose", "fell",
     "improving", "improved", "improv", "declining", "declin", "warning", "warn",
+    "rallies", "rally", "ralli", "agreed", "agre", "hopefulness", "hope", "adjustment", "adjust",
+    "relational", "relat", "controlled", "control",
     "the", "market", "not", "never", "no", "n't",
 ]
 WALK_ENTRY = st.tuples(
@@ -287,7 +290,18 @@ WALK_ENTRY = st.tuples(
 WALK_SENTENCE = st.lists(st.sampled_from(WALK_VOCABULARY), min_size=1, max_size=16).map(tuple)
 
 
+# every inflected form of WALK_VOCABULARY against a stemmed entry of its stem,
+# which the drawn examples reach only now and then
+INFLECTED_WALK_EXAMPLE = {
+    "lexica": [[([stem], Polarity.POSITIVE, True) for stem in ("ralli", "agre", "hope", "adjust", "relat", "control")]],
+    "sentences": [("rallies", "rally", "agreed", "not", "hopefulness", "adjustment", "relational", "controlled")],
+    "window": 2,
+    "bidirectional": True,
+}
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
+@example(**INFLECTED_WALK_EXAMPLE)
 @given(
     lexica=st.lists(st.lists(WALK_ENTRY, min_size=1, max_size=12), min_size=1, max_size=4),
     sentences=st.lists(WALK_SENTENCE, min_size=1, max_size=4),
