@@ -1,6 +1,7 @@
 """Small shared helpers: checked text input, CSV input streamed in blocks into
 label and number columns, the symbol × day array it is read into,
-deterministic CSV output, atomic writes, seed streams."""
+deterministic CSV output formatted in blocks by the same column kinds,
+atomic writes, seed streams."""
 
 from __future__ import annotations
 
@@ -51,10 +52,10 @@ class RowRejected(Exception):
         self.row = row
 
 
-# the kinds of column read_csv_columns reads: labels; finite floats; finite
-# floats, an empty cell NaN; integers, as floats
+# the kinds of column read_csv_columns reads and write_csv writes: labels;
+# finite floats; finite floats, an empty cell NaN; integers, as floats
 KEY, FLOAT, FLOAT_OR_BLANK, INT = "key", "float", "float or blank", "int"
-BLOCK_ROWS = 1024  # rows parsed at a time, and turned into columns before the next
+BLOCK_ROWS = 1024  # rows read into columns, or written from them, at a time
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,7 @@ def _parse_numbers(
         parsed = list(map(parse, text[:fault[0]]))
         values = np.array(parsed, dtype=float)
     if kind == INT:
-        big = np.flatnonzero(np.abs(values) > 2.0 ** 53).tolist()
+        big = np.flatnonzero(np.abs(values) >= 2.0 ** 53).tolist()  # 2**53 + 1 rounds down to 2**53
         exact = {row: parsed[row] for row in big}
     else:
         exact = {}
@@ -394,7 +395,7 @@ class SymbolDayArray:
         return SymbolDayArray(fields=self.fields, symbols=tuple(symbols), values=out)
 
 
-def fmt_column(values: Sequence[float | None] | np.ndarray) -> list[str]:
+def _fmt_column(values: Sequence[float | None] | np.ndarray) -> list[str]:
     """Floats as CSV cells: repr-exact, and empty for NaN or None (a missing value)."""
     values = np.asarray(values, dtype=float)
     cells = list(map(repr, values.tolist()))
@@ -403,9 +404,13 @@ def fmt_column(values: Sequence[float | None] | np.ndarray) -> list[str]:
     return cells
 
 
-def fmt_int_column(values: Sequence[int] | np.ndarray) -> list[str]:
+def _fmt_int_column(values: Sequence[int] | np.ndarray) -> list[str]:
     """Integers (or integral floats, or bools) as CSV cells, by str of the int."""
     return list(map(str, np.asarray(values).astype(np.int64).tolist()))
+
+
+# how write_csv turns a block of each kind of column into cells
+_FORMATS = {KEY: lambda cells: cells, FLOAT: _fmt_column, FLOAT_OR_BLANK: _fmt_column, INT: _fmt_int_column}
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -430,10 +435,26 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
-    """A CSV file from columns of cells of equal length, one ",".join per row."""
-    lines = [",".join(header), *map(",".join, zip(*columns, strict=True))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path: str | Path, kinds: Mapping[str, str], columns: Sequence[Sequence | np.ndarray]) -> None:
+    """A CSV file of the named columns, one per entry of `kinds`, all of one length.
+
+    `kinds` is the mapping read_csv_columns reads the file back with.  Each
+    column is formatted by its kind BLOCK_ROWS rows at a time, so no more
+    than one block's cells exist at once: a KEY column's cells as given,
+    floats repr-exact with NaN or None empty, integers by str of the int.
+    Columns of unequal length, or not one per kind, raise ValueError.
+    """
+    lengths = {len(column) for column in columns}
+    if len(columns) != len(kinds) or len(lengths) > 1:
+        raise ValueError(f"{len(columns)} columns of lengths {sorted(lengths)} for {len(kinds)} kinds")
+    formats = [_FORMATS[kind] for kind in kinds.values()]
+    blocks = [",".join(kinds) + "\n"]
+    for start in range(0, max(lengths, default=0), BLOCK_ROWS):
+        cells = [fmt(column[start:start + BLOCK_ROWS]) for fmt, column in zip(formats, columns)]
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    text = "".join(blocks)
+    del blocks  # before the write copies the text once more
+    atomic_write_text(path, text)
 
 
 def split_seed(master_seed: int, stream: str) -> int:

@@ -26,8 +26,6 @@ from ._util import (
     SymbolDayArray,
     atomic_write_text,
     column_codes,
-    fmt_column,
-    fmt_int_column,
     numbers,
     read_csv_columns,
     reject,
@@ -63,6 +61,13 @@ from .simulate.scenario import SIMULATION_COEFFICIENTS
 SENTIMENT_CSV = "sentiment.csv"
 INDICATORS_CSV = "indicators.csv"
 RESULTS_CSV = "results_entire.csv"  # simulate reads the entire suite's h = 1 cells
+
+# the columns, and their kinds, of the stage files one command writes and another reads
+SENTIMENT_KINDS = {"symbol": KEY, "date": KEY, "lexicon": KEY, "I": INT, "pos": FLOAT, "neg": FLOAT, "n_articles": INT}
+INDICATORS_KINDS = {"symbol": KEY, "date": KEY, **dict.fromkeys(INDICATOR_FIELDS, FLOAT_OR_BLANK)}
+RESULTS_KINDS = {"spec": KEY, "variable": KEY, "estimate": FLOAT_OR_BLANK, "std_error": FLOAT_OR_BLANK,
+                 "p_value": FLOAT_OR_BLANK, "stars": KEY}
+RESIDUALS_KINDS = {"symbol": KEY, "day": INT, "residual": FLOAT}
 
 
 def _columns(rows: list[tuple], width: int) -> list[tuple]:
@@ -134,16 +139,12 @@ def cmd_distill(config: RunConfig) -> int:
     ]
     active, pos, neg, n_articles = np.concatenate(values, axis=1)
     n_cells = len(universe) * n_days
-    write_csv(
-        config.output_dir / SENTIMENT_CSV,
-        ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"),
-        [
-            [symbol for symbol in universe for _ in range(n_days)] * len(names),
-            [day.isoformat() for day in calendar.days] * len(universe) * len(names),
-            [name for name in names for _ in range(n_cells)],
-            fmt_int_column(active), fmt_column(pos), fmt_column(neg), fmt_int_column(n_articles),
-        ],
-    )
+    write_csv(config.output_dir / SENTIMENT_CSV, SENTIMENT_KINDS, [
+        [symbol for symbol in universe for _ in range(n_days)] * len(names),
+        [day.isoformat() for day in calendar.days] * len(universe) * len(names),
+        [name for name in names for _ in range(n_cells)],
+        active, pos, neg, n_articles,
+    ])
     _write_manifest(config, "distill", [config.corpus_path, config.calendar_path])
     print(f"articles={len(assigned)} assigned={len(assigned) - assigned.unassigned_count} "
           f"unassigned={assigned.unassigned_count} zero_word={zero_word} rows={n_cells * len(names)}")
@@ -158,15 +159,11 @@ def cmd_indicators(config: RunConfig) -> int:
     # one row per bar, by symbol, then day
     symbol_of, day_of = np.nonzero(~np.isnan(bars.plane("close")))
     dates = [day.isoformat() for day in calendar.days]
-    write_csv(
-        config.output_dir / INDICATORS_CSV,
-        ("symbol", "date", *INDICATOR_FIELDS),
-        [
-            [bars.symbols[i] for i in symbol_of.tolist()],
-            [dates[t] for t in day_of.tolist()],
-            *(fmt_column(plane[symbol_of, day_of]) for plane in indicators.values),
-        ],
-    )
+    write_csv(config.output_dir / INDICATORS_CSV, INDICATORS_KINDS, [
+        [bars.symbols[i] for i in symbol_of.tolist()],
+        [dates[t] for t in day_of.tolist()],
+        *(plane[symbol_of, day_of] for plane in indicators.values),
+    ])
     _write_manifest(config, "indicators", [config.prices_path, config.calendar_path])
     print(f"rows={len(symbol_of)} degenerate_bars={warnings.degenerate_bars} "
           f"zero_volume={warnings.zero_volume_days} warmup={warnings.warmup_days}")
@@ -214,8 +211,7 @@ def _read_sentiment_csv(path: Path, calendar: TradingCalendar) -> dict[str, Symb
             )
         return out
 
-    kinds = {"symbol": KEY, "date": KEY, "lexicon": KEY, "I": INT, "pos": FLOAT, "neg": FLOAT, "n_articles": INT}
-    sentiment = read_csv_columns(path, kinds, convert)
+    sentiment = read_csv_columns(path, SENTIMENT_KINDS, convert)
     if not sentiment:
         raise MissingInput(f"sentiment file {path} is empty")
     return sentiment
@@ -233,8 +229,7 @@ def _read_indicators_csv(path: Path, calendar: TradingCalendar) -> SymbolDayArra
         values = np.stack([numbers(columns[name]) for name in INDICATOR_FIELDS])
         return SymbolDayArray.from_columns(INDICATOR_FIELDS, symbols, symbol, day, values, len(calendar))
 
-    return read_csv_columns(path, {"symbol": KEY, "date": KEY, **dict.fromkeys(INDICATOR_FIELDS, FLOAT_OR_BLANK)},
-                            convert)
+    return read_csv_columns(path, INDICATORS_KINDS, convert)
 
 
 def _load_sectors(path: Path) -> dict[str, str]:
@@ -265,23 +260,16 @@ def cmd_panel(config: RunConfig) -> int:
 
     for suite in config.suites:
         cells = run_specification_suite(inputs, suite, h=config.lag_h, cluster_mode=cluster)
-        spec, variable, estimate, std_error, p_value, stars = _columns(suite_rows(cells), 6)
-        write_csv(
-            config.output_dir / f"results_{suite}.csv",
-            ("spec", "variable", "estimate", "std_error", "p_value", "stars"),
-            [spec, variable, fmt_column(estimate), fmt_column(std_error), fmt_column(p_value), stars],
-        )
+        write_csv(config.output_dir / f"results_{suite}.csv", RESULTS_KINDS,
+                  _columns(suite_rows(cells), len(RESULTS_KINDS)))
         atomic_write_text(config.output_dir / f"table_{suite}.txt", format_suite_table(cells))
         if suite == "entire":
             for cell in cells:
                 if cell.result is None or cell.spec.dependent != "log_vol":
                     continue
                 res = cell.result
-                write_csv(
-                    config.output_dir / f"residuals_log_vol_{cell.spec.projection}.csv",
-                    ("symbol", "day", "residual"),
-                    [np.array(res.symbols)[res.entities].tolist(), fmt_int_column(res.times), fmt_column(res.residuals)],
-                )
+                write_csv(config.output_dir / f"residuals_log_vol_{cell.spec.projection}.csv", RESIDUALS_KINDS,
+                          [np.array(res.symbols)[res.entities].tolist(), res.times, res.residuals])
         fitted = [c.result for c in cells if c.result is not None]
         repaired = sum(res.psd_repaired for res in fitted)
         low_rank = sum(res.covariance_rank < len(res.coef_names) for res in fitted)
@@ -303,7 +291,7 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
         raise MissingInput(f"panel results not found: {path} (run panel first)")
     wanted = f"log_vol/{projection}/h=1"
     estimates = read_csv_columns(
-        path, {"spec": KEY, "variable": KEY, "estimate": FLOAT_OR_BLANK},
+        path, {name: RESULTS_KINDS[name] for name in ("spec", "variable", "estimate")},
         lambda columns: {
             variable: estimate
             for spec, variable, estimate in zip(
@@ -323,7 +311,8 @@ def _read_entire_coefficients(path: Path, projection: str) -> tuple[float, dict[
 def _read_residual_pool(path: Path) -> np.ndarray:
     if not path.exists():
         raise MissingInput(f"residual file not found: {path} (run panel first)")
-    values = read_csv_columns(path, {"residual": FLOAT}, lambda columns: numbers(columns["residual"]))
+    values = read_csv_columns(path, {"residual": RESIDUALS_KINDS["residual"]},
+                              lambda columns: numbers(columns["residual"]))
     if not len(values):
         raise MissingInput(f"residual file {path} is empty")
     return values
@@ -427,10 +416,15 @@ def cmd_simulate(config: RunConfig) -> int:
             )
         overlap = band_overlap_region(fits["pos"], fits["neg"])
 
+        # by symbol, then day
+        n_symbols, n_days = panel.active.shape
         write_csv(
             config.output_dir / f"simulated_{projection}.csv",
-            ("symbol", "day", "I", "pos", "neg", "r_m", "r_i", "log_vol"),
-            panel.columns(),
+            {"symbol": KEY, "day": INT, "I": INT, "pos": FLOAT, "neg": FLOAT, "r_m": FLOAT, "r_i": FLOAT,
+             "log_vol": FLOAT},
+            [[symbol for symbol in panel.symbols for _ in range(n_days)], np.tile(np.arange(n_days), n_symbols),
+             panel.active.ravel(), panel.pos.ravel(), panel.neg.ravel(), np.tile(panel.market_return, n_symbols),
+             panel.firm_return.ravel(), panel.log_vol.ravel()],
         )
         grid, fitted, lower, upper = (
             np.concatenate([getattr(fits[which], name) for which in ("pos", "neg")])
@@ -438,18 +432,16 @@ def cmd_simulate(config: RunConfig) -> int:
         )
         write_csv(
             config.output_dir / f"curves_{projection}.csv",
-            ("curve", "grid", "fitted", "band_lower", "band_upper"),
+            {"curve": KEY, "grid": FLOAT, "fitted": FLOAT_OR_BLANK, "band_lower": FLOAT_OR_BLANK,
+             "band_upper": FLOAT_OR_BLANK},
             [
                 [which for which in ("pos", "neg") for _ in fits[which].grid],
-                fmt_column(grid),
-                *(fmt_column(np.where(np.isfinite(v), v, np.nan)) for v in (fitted, lower, upper)),
+                grid,
+                *(np.where(np.isfinite(v), v, np.nan) for v in (fitted, lower, upper)),
             ],
         )
-        write_csv(
-            config.output_dir / f"overlap_{projection}.csv",
-            ("start", "end"),
-            [fmt_column([s for s, _ in overlap]), fmt_column([e for _, e in overlap])],
-        )
+        write_csv(config.output_dir / f"overlap_{projection}.csv", {"start": FLOAT, "end": FLOAT},
+                  _columns(overlap, 2))
         svg = figures.scatter_band_figure(
             f"Simulated volatility vs sentiment ({projection})",
             (pos_x, pos_y), (neg_x, neg_y), fits["pos"], fits["neg"],
@@ -494,11 +486,10 @@ def cmd_lexstats(config: RunConfig) -> int:
                             f"{name_a}-{name_b}", polarity.value, category,
                             rank, word, freq.get(word, 0),
                         ))
-    pairs, polarities, categories, ranks, words, frequencies = _columns(rows, 6)
     write_csv(
         config.output_dir / "lexstats.csv",
-        ("pair", "polarity", "category", "rank", "word", "frequency"),
-        [pairs, polarities, categories, fmt_int_column(ranks), words, fmt_int_column(frequencies)],
+        {"pair": KEY, "polarity": KEY, "category": KEY, "rank": INT, "word": KEY, "frequency": INT},
+        _columns(rows, 6),
     )
     _write_manifest(config, "lexstats", [config.corpus_path])
     print(f"pairs={len(names) * (len(names) - 1) // 2} rows={len(rows)}")
@@ -510,7 +501,7 @@ def cmd_report(config: RunConfig) -> int:
     sentiment = _read_sentiment_csv(config.output_dir / SENTIMENT_CSV, calendar)
     # the grouping refuses fewer than 4 symbols: find that out before any file is written
     first = sentiment[sorted(sentiment)[0]]
-    groups = compute_attention_groups(first)
+    ratios, groups = compute_attention_groups(first)
 
     summary_rows = []
     for name in sorted(sentiment):
@@ -521,11 +512,11 @@ def cmd_report(config: RunConfig) -> int:
                 stats_.q1, stats_.q2, stats_.q3,
                 summary.share_pos_dominant if side == "pos" else summary.share_neg_dominant,
             ))
-    lexica, sides, n_active, *stats = _columns(summary_rows, 10)
     write_csv(
         config.output_dir / "report_summary.csv",
-        ("lexicon", "side", "n_active", "mean", "sd", "max", "q1", "q2", "q3", "dominance_share"),
-        [lexica, sides, fmt_int_column(n_active), *map(fmt_column, stats)],
+        {"lexicon": KEY, "side": KEY, "n_active": INT,
+         **dict.fromkeys(("mean", "sd", "max", "q1", "q2", "q3", "dominance_share"), FLOAT_OR_BLANK)},
+        _columns(summary_rows, 10),
     )
 
     month_of_day = {day: calendar.month_of(day) for day in range(len(calendar))}
@@ -534,18 +525,16 @@ def cmd_report(config: RunConfig) -> int:
     for (name_a, name_b), series in sorted(correlations.items()):
         for (year, month), (pos_corr, neg_corr) in sorted(series.items()):
             corr_rows.append((name_a, name_b, year, month, pos_corr, neg_corr))
-    lexica_a, lexica_b, years, months, pos_corrs, neg_corrs = _columns(corr_rows, 6)
     write_csv(
         config.output_dir / "report_monthly_correlation.csv",
-        ("lexicon_a", "lexicon_b", "year", "month", "pos_correlation", "neg_correlation"),
-        [lexica_a, lexica_b, fmt_int_column(years), fmt_int_column(months), fmt_column(pos_corrs), fmt_column(neg_corrs)],
+        {"lexicon_a": KEY, "lexicon_b": KEY, "year": INT, "month": INT,
+         "pos_correlation": FLOAT_OR_BLANK, "neg_correlation": FLOAT_OR_BLANK},
+        _columns(corr_rows, 6),
     )
-
-    ratios = ind_mod.attention_ratio(first.plane("active"), len(calendar))
     write_csv(
         config.output_dir / "report_attention.csv",
-        ("symbol", "attention_ratio", "group"),
-        [first.symbols, fmt_column(ratios), [groups[symbol].value for symbol in first.symbols]],
+        {"symbol": KEY, "attention_ratio": FLOAT, "group": KEY},
+        [first.symbols, ratios, [groups[symbol].value for symbol in first.symbols]],
     )
     _write_manifest(config, "report", [config.output_dir / SENTIMENT_CSV])
     print(f"lexica={len(sentiment)} correlation_rows={len(corr_rows)} symbols={len(first.symbols)}")

@@ -59,14 +59,6 @@ class LexiconEntry(NamedTuple):
     strength: Strength = Strength.UNSPECIFIED
 
     @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.word.split(" "))
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @property
     def is_scoring(self) -> bool:
         return self.polarity in SCORING_POLARITIES
 

@@ -507,7 +507,7 @@ def run_specification_suite(
                 for lag in (2, 3, 4, 5):
                     specs.append((PanelSpec(dependent, lag, cumulative, name), name, None))
     elif suite == "attention":
-        groups = compute_attention_groups(inputs.sentiment[lexica[0]])
+        _, groups = compute_attention_groups(inputs.sentiment[lexica[0]])
         members: dict[AttentionGroup, list[str]] = {g: [] for g in AttentionGroup}
         for symbol, group in groups.items():
             members[group].append(symbol)
@@ -544,10 +544,10 @@ def run_specification_suite(
     return cells
 
 
-def compute_attention_groups(sentiment: SymbolDayArray) -> dict[str, AttentionGroup]:
-    """Attention group of each symbol of one projection's array."""
+def compute_attention_groups(sentiment: SymbolDayArray) -> tuple[np.ndarray, dict[str, AttentionGroup]]:
+    """Attention ratio, in symbol order, and attention group of each symbol of one projection's array."""
     ratios = attention_ratio(sentiment.plane("active"), sentiment.values.shape[2])
-    return attention_groups(dict(zip(sentiment.symbols, ratios.tolist())))
+    return ratios, attention_groups(dict(zip(sentiment.symbols, ratios.tolist())))
 
 
 def suite_rows(cells: Sequence[SuiteCell]) -> list[tuple[str, str, object, object, object, str]]:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .._util import fmt_column, fmt_int_column, split_seed
+from .._util import split_seed
 from ..errors import ConstantColumn, MissingComponent
 from .copula import GaussianCopula, fit_gaussian_copula, sample_copula
 from .edf import EmpiricalDistribution, fit_edf
@@ -78,17 +78,6 @@ class SimulatedPanel:
         mask = self.active.astype(bool)
         values = {"pos": self.pos, "neg": self.neg}[which]
         return values[mask], self.log_vol[mask]
-
-    def columns(self) -> list[list[str]]:
-        """symbol, day, I, pos, neg, r_m, r_i and log_vol as CSV cell columns, by symbol, then day."""
-        n_symbols, n_days = self.active.shape
-        return [
-            [symbol for symbol in self.symbols for _ in range(n_days)],
-            fmt_int_column(np.tile(np.arange(n_days), n_symbols)),
-            fmt_int_column(self.active.ravel()),
-            *map(fmt_column, (self.pos.ravel(), self.neg.ravel(), np.tile(self.market_return, n_symbols),
-                              self.firm_return.ravel(), self.log_vol.ravel())),
-        ]
 
 
 def simulate_scenario(config: ScenarioConfig) -> SimulatedPanel:

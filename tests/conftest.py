@@ -97,7 +97,7 @@ def format_mpqa_line(entry) -> str:
     if entry.pos_tag is PosTag.UNCONSTRAINED or entry.strength is Strength.UNSPECIFIED:
         raise InvalidValue("entry", entry.word)
     return (
-        f"type={entry.strength.value} len={entry.length} word1={entry.word.replace(' ', '_')} "
+        f"type={entry.strength.value} len={len(entry.word.split(' '))} word1={entry.word.replace(' ', '_')} "
         f"pos1={entry.pos_tag.value} stemmed1={'y' if entry.stemmed else 'n'} "
         f"priorpolarity={entry.polarity.value}"
     )
@@ -277,15 +277,21 @@ def _reference_is_negated(span, negator_pos, negation):
     return False
 
 
+def _entry_words(entry):
+    """The words of a lexicon entry, in order."""
+    return tuple(entry.word.split(" "))
+
+
 def _reference_match_at(tokens, i, claimed, entries):
     """First entry of a longest-first bucket whose run matches unclaimed tokens at i."""
     for entry in entries:
-        width = entry.length
+        words = _entry_words(entry)
+        width = len(words)
         if i + width > len(tokens):
             continue
         if any(claimed[i + k] for k in range(width)):
             continue
-        if tuple(tokens[i : i + width]) == entry.tokens:
+        if tuple(tokens[i : i + width]) == words:
             return entry
     return None
 
@@ -293,10 +299,11 @@ def _reference_match_at(tokens, i, claimed, entries):
 def _reference_buckets(lex, stemmed):
     """First token -> the scoring entries of one pass, longest first, file order among equal lengths."""
     buckets = {}
-    for width in sorted({e.length for e in lex.entries}, reverse=True):
+    for width in sorted({len(_entry_words(e)) for e in lex.entries}, reverse=True):
         for entry in lex.entries:
-            if entry.is_scoring and entry.stemmed == stemmed and entry.length == width:
-                buckets.setdefault(entry.tokens[0], []).append(entry)
+            words = _entry_words(entry)
+            if entry.is_scoring and entry.stemmed == stemmed and len(words) == width:
+                buckets.setdefault(words[0], []).append(entry)
     return buckets
 
 
@@ -317,7 +324,7 @@ def reference_score_article(article, lex, negation):
                 entry = _reference_match_at(words, i, claimed, index.get(word, ()))
                 if entry is None:
                     continue
-                end = i + entry.length
+                end = i + len(_entry_words(entry))
                 claimed[i:end] = [True] * (end - i)
                 if (entry.polarity is Polarity.POSITIVE) != _reference_is_negated((i, end), negator_pos, negation):
                     pos_count += 1

@@ -3,7 +3,8 @@
 Each reader must return the arrays the row-wise reader returns, or raise the
 same error for the same file:line, on files built by hypothesis: valid rows
 with a few cells replaced by bad ones, a row cut short, repeated or blank,
-and every cell quoted or none.
+and every cell quoted or none.  Each column the writer writes must read back
+bit-identical under the same kind.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     assert_readers_agree,
@@ -34,8 +35,8 @@ from conftest import (
     write_csv_rows,
 )
 from newsflow import _util
-from newsflow._util import fmt_column, fmt_int_column, write_csv
-from newsflow.cli import _load_sectors, _read_indicators_csv, _read_residual_pool, _read_sentiment_csv
+from newsflow._util import FLOAT, FLOAT_OR_BLANK, INT, KEY, numbers, read_csv_columns, write_csv
+from newsflow.cli import SENTIMENT_KINDS, _load_sectors, _read_indicators_csv, _read_residual_pool, _read_sentiment_csv
 from newsflow.corpus import TradingCalendar
 from newsflow.errors import MalformedRecord, MissingInput
 from newsflow.indicators import load_market_bars
@@ -307,10 +308,8 @@ def test_reading_pauses_the_garbage_collector_and_restores_it(tmp_path, monkeypa
     assert during[0] is False
 
 
-def test_reading_sentiment_peaks_at_six_times_the_file_or_less(tmp_path):
-    # 3 lexica x 20 symbols x 1,000 days, written as distill writes them; a
-    # whole-file parse, which holds every cell at once, peaks near 13 times
-    calendar = TradingCalendar(days=tuple(trading_days(1000)))
+def _sentiment_columns(calendar):
+    """3 lexica x 20 symbols x the calendar's days, as distill writes them."""
     rng = np.random.default_rng(5)
     n_lexica, n_symbols, n_days = 3, 20, len(calendar)
     n_rows = n_lexica * n_symbols * n_days
@@ -318,14 +317,20 @@ def test_reading_sentiment_peaks_at_six_times_the_file_or_less(tmp_path):
     active = n_articles > 0
     pos = np.where(active, rng.uniform(0, 0.2, n_rows), 0.0)
     neg = np.where(active, rng.uniform(0, 0.2, n_rows), 0.0)
-    dates = [day.isoformat() for day in calendar.days]
-    path = tmp_path / "sentiment.csv"
-    write_csv(path, ("symbol", "date", "lexicon", "I", "pos", "neg", "n_articles"), [
+    return [
         [f"SYM{i:02d}" for _ in range(n_lexica) for i in range(n_symbols) for _ in range(n_days)],
-        dates * (n_lexica * n_symbols),
+        [day.isoformat() for day in calendar.days] * (n_lexica * n_symbols),
         [name for name in ("BL", "LM", "MPQA") for _ in range(n_symbols * n_days)],
-        fmt_int_column(active), fmt_column(pos), fmt_column(neg), fmt_int_column(n_articles),
-    ])
+        active, pos, neg, n_articles,
+    ]
+
+
+def test_reading_sentiment_peaks_at_six_times_the_file_or_less(tmp_path):
+    # 60,000 rows; a whole-file parse, which holds every cell at once, peaks
+    # near 13 times
+    calendar = TradingCalendar(days=tuple(trading_days(1000)))
+    path = tmp_path / "sentiment.csv"
+    write_csv(path, SENTIMENT_KINDS, _sentiment_columns(calendar))
     tracemalloc.start()
     try:
         sentiment = _read_sentiment_csv(path, calendar)
@@ -336,25 +341,85 @@ def test_reading_sentiment_peaks_at_six_times_the_file_or_less(tmp_path):
     assert peak <= 6 * path.stat().st_size, (peak, path.stat().st_size)
 
 
-def test_writer_formats_cells_as_the_row_writer(tmp_path):
-    floats = [math.nan, -0.0, 0.0, 1e-300, 1.5, -2.25e300, 0.1, None]
-    ints = [0, 7, -3, 10**12, True, False]
-    assert fmt_column(floats) == [fmt_num(x) for x in floats]
-    assert fmt_column(np.array(floats, dtype=float)) == [fmt_num(x) for x in floats]
-    assert fmt_int_column(ints) == [fmt_num(x) for x in ints]
-    assert fmt_int_column(np.array([1.0, 0.0, 3.0])) == ["1", "0", "3"]
+def test_writing_sentiment_peaks_at_four_times_the_file_or_less(tmp_path):
+    # the same 60,000 rows; formatting every column before joining the rows
+    # peaks near 9.5 times
+    calendar = TradingCalendar(days=tuple(trading_days(1000)))
+    columns = _sentiment_columns(calendar)
+    path = tmp_path / "sentiment.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, SENTIMENT_KINDS, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * path.stat().st_size, (peak, path.stat().st_size)
 
-    header = ("label", "count", "value")
-    rows = [("a", 1, 0.5), ("b c", 0, None), ("d", True, -0.0), ("e", 12, 1e-300)]
-    write_csv_rows(tmp_path / "rows.csv", header, rows)
-    labels, counts, values = zip(*rows)
-    write_csv(tmp_path / "columns.csv", header, [labels, fmt_int_column(counts), fmt_column(values)])
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+def test_writer_formats_cells_as_the_row_writer(tmp_path, monkeypatch):
+    # three rows a block, so the rows span blocks
+    monkeypatch.setattr(_util, "BLOCK_ROWS", 3)
+    kinds = {"label": KEY, "count": INT, "value": FLOAT_OR_BLANK}
+    rows = [("a", 1, 0.5), ("b c", 0, None), ("d", True, -0.0), ("e", 12, 1e-300), ("f", False, math.nan),
+            ("g", -3, 0.1), ("h", 10**12, -2.25e300)]
+    write_csv_rows(tmp_path / "rows.csv", kinds, rows)
+    labels, counts, values = map(list, zip(*rows))
+    for floats in (values, np.array(values, dtype=float)):
+        write_csv(tmp_path / "columns.csv", kinds, [labels, counts, floats])
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # integral floats are integer cells
+    write_csv(tmp_path / "ints.csv", {"n": INT}, [np.array([1.0, 0.0, 3.0])])
+    assert (tmp_path / "ints.csv").read_text(encoding="utf-8") == "n\n1\n0\n3\n"
 
 
 def test_writer_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "out.csv", ("a", "b"), [["1", "2"], ["3"]])
+        write_csv(tmp_path / "out.csv", {"a": KEY, "b": KEY}, [["1", "2"], ["3"]])
+    with pytest.raises(ValueError):  # not one column per kind
+        write_csv(tmp_path / "out.csv", {"a": KEY, "b": KEY}, [["1", "2"]])
+    assert not (tmp_path / "out.csv").exists()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# signed zeros, the smallest and largest subnormals, the extremes
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308]
+# integers a float rounds, up to the int64 range the writer takes
+EDGE_INTS = [2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]
+ROUND_TRIP_KINDS = {"key": KEY, "float": FLOAT, "float_or_blank": FLOAT_OR_BLANK, "int": INT}
+ROUND_TRIP_ROWS = st.lists(st.tuples(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\x00')),
+    FINITE | st.sampled_from(EDGE_FLOATS),
+    st.none() | st.just(math.nan) | FINITE | st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**63), 2**63 - 1) | st.sampled_from(EDGE_INTS),
+), max_size=12)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("block_rows", [3, _util.BLOCK_ROWS])
+def test_each_kind_reads_back_bit_identical(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(_util, "BLOCK_ROWS", block_rows)
+
+    @EXAMPLES
+    @given(rows=ROUND_TRIP_ROWS)
+    @example(rows=list(zip(["", " a ", "é", "x;y", "AAA", "b", "c", "d"], EDGE_FLOATS,
+                           [None, math.nan, *EDGE_FLOATS[2:]], [*EDGE_INTS, 0, -1, 1, 2**53])))
+    def check(rows):
+        keys, floats, blanks, ints = map(list, zip(*rows)) if rows else ([], [], [], [])
+        path = tmp_path / "kinds.csv"
+        write_csv(path, ROUND_TRIP_KINDS, [keys, np.array(floats, dtype=float), blanks, ints])
+        columns = read_csv_columns(path, ROUND_TRIP_KINDS, lambda columns: columns)
+        assert list(columns["key"]) == keys
+        assert _bits(numbers(columns["float"])) == _bits(floats)
+        expected = np.array(blanks, dtype=float)
+        read = numbers(columns["float_or_blank"])
+        assert np.isnan(read).tolist() == np.isnan(expected).tolist()  # NaN and None are blank
+        assert _bits(read[~np.isnan(read)]) == _bits(expected[~np.isnan(expected)])
+        assert [columns["int"].integer(row) for row in range(len(ints))] == ints
+
+    check()
 
 
 def _perfbench_tracer():

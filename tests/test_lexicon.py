@@ -63,8 +63,6 @@ def test_parse_multiword_entry():
         "type=weaksubj len=2 word1=pay_off pos1=verb stemmed1=n priorpolarity=positive"
     )
     assert entry.word == "pay off"
-    assert entry.length == 2
-    assert entry.tokens == ("pay", "off")
 
 
 def test_parse_len_mismatch():
@@ -127,9 +125,9 @@ def test_load_wordlist_strips_lowercases_and_keeps_the_first(tmp_path):
 
 def test_lexicon_entry_fields():
     entry = LexiconEntry("pay off", Polarity.POSITIVE)
-    assert (entry.word, entry.polarity, entry.stemmed, entry.pos_tag, entry.strength, entry.tokens) == (
-        "pay off", Polarity.POSITIVE, False, PosTag.UNCONSTRAINED, Strength.UNSPECIFIED, ("pay", "off"))
-    assert entry.length == 2 and entry.is_scoring
+    assert (entry.word, entry.polarity, entry.stemmed, entry.pos_tag, entry.strength) == (
+        "pay off", Polarity.POSITIVE, False, PosTag.UNCONSTRAINED, Strength.UNSPECIFIED)
+    assert entry.is_scoring
 
 
 def test_mpqa_entry_without_a_word_is_refused_by_its_loader(tmp_path):

@@ -14,7 +14,8 @@ from conftest import (
     unique_group_sums,
     unique_sandwich,
 )
-from newsflow._util import fmt_column
+from newsflow._util import write_csv
+from newsflow.cli import RESULTS_KINDS
 from newsflow.errors import (
     CalendarMismatch,
     ConstantColumn,
@@ -291,7 +292,7 @@ def test_stars():
     assert significance_stars(0.05) == "*"
 
 
-def test_zero_standard_error_has_no_p_value_or_stars(monkeypatch):
+def test_zero_standard_error_has_no_p_value_or_stars(monkeypatch, tmp_path):
     import newsflow.panel as panel_mod
 
     rng = np.random.default_rng(14)
@@ -309,8 +310,10 @@ def test_zero_standard_error_has_no_p_value_or_stars(monkeypatch):
     assert result.std_errors[0] == 0.0
     assert np.isnan(result.p_values[0])
     cell = SuiteCell(spec=result.spec, result=result)
-    _, variable, _, se, p, stars = suite_rows([cell])[1]
-    assert (variable, *fmt_column([se, p]), stars) == ("a", "0.0", "", "")
+    path = tmp_path / "results.csv"
+    write_csv(path, RESULTS_KINDS, list(zip(*suite_rows([cell]))))
+    _, variable, _, se, p, stars = path.read_text(encoding="utf-8").splitlines()[2].split(",")
+    assert (variable, se, p, stars) == ("a", "0.0", "", "")
     line_a = next(line for line in format_suite_table([cell]).splitlines() if line.startswith("a "))
     assert "*" not in line_a
 
