@@ -72,19 +72,11 @@ class LexiconNotFound(InputError):
 
 # sentiment --------------------------------------------------------------
 
-class EmptyText(InputError):
-    pass
-
-
 class NoActiveRecords(InputError):
     pass
 
 
 # indicators -------------------------------------------------------------
-
-class SingularFit(NumericalError):
-    pass
-
 
 class PriceParseError(InputError):
     def __init__(self, message: str, line: int | None = None):
@@ -95,10 +87,6 @@ class PriceParseError(InputError):
 # panel ------------------------------------------------------------------
 
 class EmptyPanel(InputError):
-    pass
-
-
-class CalendarMismatch(InputError):
     pass
 
 
@@ -125,10 +113,6 @@ class TooFewPoints(InputError):
     pass
 
 
-class DimensionMismatch(InputError):
-    pass
-
-
 class NonPSDMatrix(NumericalError):
     pass
 
@@ -142,10 +126,6 @@ class DegenerateX(InputError):
 
 
 class TooFewBootstraps(InputError):
-    pass
-
-
-class GridMismatch(InputError):
     pass
 
 

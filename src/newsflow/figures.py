@@ -29,8 +29,6 @@ class _Canvas:
     def __init__(self, x_range: tuple[float, float], y_range: tuple[float, float]):
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValueError("degenerate plot range")
 
     def x(self, value: float) -> float:
         frac = (value - self.x0) / (self.x1 - self.x0)

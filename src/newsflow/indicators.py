@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import FLOAT, KEY, SymbolDayArray, column_codes, numbers, read_csv_columns, reject, reject_repeats
 from .corpus import TradingCalendar
-from .errors import InputError, MalformedRecord, PriceParseError, SingularFit
+from .errors import InputError, MalformedRecord, PriceParseError
 
 DETREND_WINDOW = 120
 PRICE_FIELDS = ("open", "high", "low", "close", "volume")
@@ -77,7 +77,7 @@ def _differences(log_close: np.ndarray) -> np.ndarray:
 def fit_detrend_model(log_volume: Sequence[float], window: int = DETREND_WINDOW) -> np.ndarray:
     """One-step-ahead forecast of every day's log volume from a rolling quadratic time trend.
 
-    Day t's trend is the OLS quadratic on the last `window` finite
+    Day t's trend is the OLS quadratic on the last `window` (>= 3) finite
     observations before t; NaN days are skipped, so the window slides over
     the available history, and no forecast reads day t or later.  A day
     with fewer than `window` finite observations before it gets NaN.
@@ -88,8 +88,6 @@ def fit_detrend_model(log_volume: Sequence[float], window: int = DETREND_WINDOW)
     the window itself, and all the 3 x 3 systems are solved in one batch.
     The days whose windows coincide (a day after a missing one) share a fit.
     """
-    if window < 3:
-        raise SingularFit(f"a quadratic trend needs a window of at least 3 days, got {window}")
     values = np.asarray(log_volume, dtype=float)
     forecast = np.full(len(values), np.nan)
     finite = np.flatnonzero(~np.isnan(values))
@@ -203,8 +201,6 @@ def attention_ratio(active: np.ndarray, total_days: int) -> np.ndarray:
 
     `active` is an article-arrival indicator, NaN on a day without a record.
     """
-    if total_days < 1:
-        raise InputError("total_days must be >= 1")
     return np.count_nonzero(active == 1, axis=-1) / total_days
 
 

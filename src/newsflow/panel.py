@@ -21,7 +21,6 @@ from scipy import special
 from ._util import FLOAT, KEY, SymbolDayArray, numbers, read_csv_columns, reject_repeats
 from .corpus import TradingCalendar
 from .errors import (
-    CalendarMismatch,
     ConstantColumn,
     EmptyPanel,
     InputError,
@@ -127,21 +126,15 @@ def assemble_panel(
     """Align day-(t+h) outcomes with day-t regressors, listwise-deleting gaps.
 
     `sentiment` holds SENTIMENT_FIELDS and `indicators` INDICATOR_FIELDS on
-    one symbol axis; `symbols` selects its rows.  The outcome is a column
-    shift by h.  Cumulative specs pool the sentiment variables over days
-    t..t+h-1; all control variables stay dated t.  The panel's symbols are
-    the selected ones that keep rows, in axis order (sorted, on the axes of
-    the stage-file readers and the suites), and each row's entity code is
-    its symbol's index among them.  A panel without rows is an EmptyPanel.
+    one symbol axis and, with `market`, on one calendar; `symbols` selects
+    its rows.  The outcome is a column shift by h.  Cumulative specs pool the
+    sentiment variables over days t..t+h-1; all control variables stay dated
+    t.  The panel's symbols are the selected ones that keep rows, in axis
+    order (sorted, on the axes of the stage-file readers and the suites), and
+    each row's entity code is its symbol's index among them.  A panel
+    without rows is an EmptyPanel.
     """
-    if ((sentiment.fields, indicators.fields) != (SENTIMENT_FIELDS, INDICATOR_FIELDS)
-            or sentiment.symbols != indicators.symbols
-            or sentiment.values.shape[2] != indicators.values.shape[2]):
-        raise InputError("assemble_panel needs sentiment and indicator layouts on one symbol and day axis")
     n_days = sentiment.values.shape[2]
-    if len(market.market_return) < n_days:
-        raise CalendarMismatch("market series shorter than the trading calendar")
-
     names = sentiment.symbols
     rows: slice | list[int] = slice(None)
     if symbols is not None:
@@ -401,8 +394,6 @@ class SentimentIndex:
 def pca_sentiment_index(matrix: np.ndarray, column_names: Sequence[str] = ("BL", "LM", "MPQA")) -> SentimentIndex:
     """First principal component of the column-standardized observation matrix."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 3:
-        raise InputError("need a 2-d matrix with >= 3 observations")
     means = matrix.mean(axis=0)
     sds = matrix.std(axis=0, ddof=1)
     for j, sd in enumerate(sds):
@@ -425,7 +416,7 @@ def pca_sentiment_index(matrix: np.ndarray, column_names: Sequence[str] = ("BL",
 def build_pca_records(
     sentiment: Mapping[str, SymbolDayArray],
 ) -> tuple[SymbolDayArray, SentimentIndex, SentimentIndex]:
-    """Common-component sentiment across the lexical projections, on their symbol axis.
+    """Common-component sentiment across two or more projections on one symbol and day axis.
 
     Both indices are fitted on symbol-days with article arrival under every
     projection, in (symbol, day) order; there the array holds the scores and
@@ -434,12 +425,7 @@ def build_pca_records(
     from the first projection stays missing.
     """
     names = sorted(sentiment)
-    if len(names) < 2:
-        raise InputError("PCA index needs at least two lexical projections")
     base = sentiment[names[0]]
-    if any(sentiment[name].symbols != base.symbols or sentiment[name].values.shape != base.values.shape
-           for name in names):
-        raise InputError("PCA index needs the projections on one symbol and day axis")
     active = np.logical_and.reduce([sentiment[name].plane("active") == 1 for name in names])
     if active.sum() < 3:
         raise InputError("PCA index needs at least 3 active symbol-days")
@@ -519,8 +505,6 @@ def run_specification_suite(
                     spec = PanelSpec(dependent, h, False, name, subsample=group.value)
                     specs.append((spec, name, members[group]))
     elif suite == "sector":
-        if inputs.sectors is None:
-            raise InputError("sector suite requires a symbol-to-sector map")
         by_sector: dict[str, list[str]] = {}
         for symbol, sector in inputs.sectors.items():
             by_sector.setdefault(sector, []).append(symbol)
@@ -531,8 +515,6 @@ def run_specification_suite(
                 for name in lexica:
                     spec = PanelSpec(dependent, h, False, name, subsample=sector)
                     specs.append((spec, name, by_sector[sector]))
-    else:
-        raise InputError(f"unknown suite {suite!r}")
 
     cells = []
     for spec, name, symbols in specs:

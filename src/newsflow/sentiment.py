@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._util import SymbolDayArray
-from .errors import EmptyText, NoActiveRecords
+from .errors import NoActiveRecords
 from .lexicon import Lexicon, Polarity
 from .stemmer import porter_stem
 
@@ -85,10 +85,9 @@ def tokenize(text: str) -> TokenizedArticle:
     """Sentence-split then extract word tokens (alphabetic + apostrophe runs).
 
     One terminator scan finds the sentence ends; each sentence is lowercased
-    and searched for words once.  See the README for the rules.
+    and searched for words once; a blank text has none.  See the README for
+    the rules.
     """
-    if not text or not text.strip():
-        raise EmptyText("cannot tokenize empty text")
     ends = []
     for match in _TERMINATOR.finditer(text):
         at, end = match.span()

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from ..errors import ConstantColumn, DimensionMismatch, NonPSDMatrix
-from .edf import EmpiricalDistribution
+from ..errors import ConstantColumn, NonPSDMatrix
+from .edf import EmpiricalDistribution, fit_edf
 
 _EIG_TOL = 1e-10
 
@@ -44,26 +44,18 @@ def _nearest_correlation(matrix: np.ndarray) -> np.ndarray:
 def normal_scores(data: np.ndarray) -> np.ndarray:
     """Columnwise edf then standard normal quantile transform."""
     data = np.asarray(data, dtype=float)
-    n, d = data.shape
     scores = np.empty_like(data)
-    for j in range(d):
-        column = data[:, j]
+    for j, column in enumerate(data.T):
         if np.all(column == column[0]):
             raise ConstantColumn(f"column {j} is constant")
-        counts = np.searchsorted(np.sort(column), column, side="right")
-        scores[:, j] = special.ndtri(counts / (n + 1))
+        scores[:, j] = special.ndtri(fit_edf(column).cdf(column))
     return scores
 
 
 def fit_gaussian_copula(data: np.ndarray) -> GaussianCopula:
     """Correlation of the normal scores; near-PSD repair applied if needed."""
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise DimensionMismatch("data must be a 2-d matrix")
-    n, d = data.shape
-    if n < d + 1:
-        raise DimensionMismatch(f"need at least {d + 1} rows for {d} columns, got {n}")
-    if d == 1:
+    if data.shape[1] == 1:
         if np.all(data[:, 0] == data[0, 0]):
             raise ConstantColumn("column 0 is constant")
         return GaussianCopula(correlation=np.ones((1, 1)))
@@ -94,10 +86,6 @@ def sample_copula(
     rng_seed: int,
 ) -> np.ndarray:
     """Draw n rows with the copula's dependence and the given marginals."""
-    if len(marginals) != copula.dimension:
-        raise DimensionMismatch(
-            f"{len(marginals)} marginals for dimension {copula.dimension}"
-        )
     rng = np.random.default_rng(rng_seed)
     factor = _lower_factor(copula.correlation)
     z = rng.standard_normal((n, copula.dimension)) @ factor.T

@@ -11,8 +11,8 @@ import numpy as np
 class EmpiricalDistribution:
     """Step CDF of a sample, scaled by 1/(n+1) so probabilities avoid 0 and 1.
 
-    cdf(x) = #{x_i <= x} / (n+1), clipped to [1/(n+1), n/(n+1)]; the quantile
-    is the left-continuous inverse, so quantile(cdf(x_i)) recovers x_i.
+    cdf(x) = #{x_i <= x} / (n+1), clipped to [1/(n+1), n/(n+1)]; the quantile,
+    on (0, 1), is the left-continuous inverse, so quantile(cdf(x_i)) recovers x_i.
     """
 
     sorted_values: np.ndarray = field(repr=False)
@@ -31,8 +31,6 @@ class EmpiricalDistribution:
 
     def quantile(self, u):
         u_arr = np.asarray(u, dtype=float)
-        if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
-            raise ValueError("quantile is defined on (0, 1)")
         # tolerance keeps quantile(cdf(x_i)) = x_i despite float round-trip noise
         ranks = np.ceil(u_arr * (self.n + 1) - 1e-9).astype(int)
         values = self.sorted_values[np.clip(ranks, 1, self.n) - 1]

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
 
-from ..errors import InputError, NonConvergence
+from ..errors import NonConvergence
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _PERSISTENCE_CAP = 1.0 - 1e-7  # alpha + beta stays below 1
@@ -139,7 +139,7 @@ def _negative_loglik_and_score(
     return value, score
 
 
-def fit_ma1_garch11(returns: np.ndarray, min_length: int = 250) -> MA1Garch11Params:
+def fit_ma1_garch11(returns: np.ndarray) -> MA1Garch11Params:
     """Variance-targeted Gaussian QMLE via bounded L-BFGS-B on the analytic score.
 
     Five fixed starts cover the interior and the beta = 0 face: the search
@@ -148,10 +148,6 @@ def fit_ma1_garch11(returns: np.ndarray, min_length: int = 250) -> MA1Garch11Par
     end short of the best optimum.
     """
     r = np.asarray(returns, dtype=float)
-    if len(r) < min_length:
-        raise InputError(f"need at least {min_length} observations, got {len(r)}")
-    if not np.all(np.isfinite(r)):
-        raise InputError("returns contain non-finite values")
     variance = float(np.var(r))
     if variance <= 0.0:
         raise NonConvergence("zero-variance series is degenerate")

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .._util import split_seed
-from ..errors import ConstantColumn, MissingComponent
+from ..errors import ConstantColumn, InputError, MissingComponent, NonConvergence
 from .copula import GaussianCopula, fit_gaussian_copula, sample_copula
 from .edf import EmpiricalDistribution, fit_edf
 from .garch import filter_ma1_garch11, fit_ma1_garch11
@@ -83,10 +83,6 @@ class SimulatedPanel:
 def simulate_scenario(config: ScenarioConfig) -> SimulatedPanel:
     """Fully seeded draw of the scenario; identical config + seed = identical output."""
     model = config.residual_model
-    for sentiment in config.sentiment_models:
-        if sentiment.symbol not in model.labels:
-            raise MissingComponent(f"return residuals for {sentiment.symbol}")
-
     n_days = config.n_days
     symbols = tuple(m.symbol for m in config.sentiment_models)
     coef = config.coefficients
@@ -202,9 +198,14 @@ def build_residual_model(
 
     Series are day-indexed with NaN for missing; the copula is fitted on days
     where the market and every usable symbol have observations.  Returns the
-    model and the list of skipped symbols (too short to filter).
+    model and the list of skipped symbols (too short to filter).  A market
+    series shorter than `min_length` days is an error, and so is a failed fit,
+    named by its series.
     """
     market_returns = np.asarray(market_returns, dtype=float)
+    n_market = int(np.isfinite(market_returns).sum())
+    if n_market < min_length:
+        raise InputError(f"market return series has {n_market} days, fewer than the {min_length} a GARCH fit needs")
     series: dict[str, np.ndarray] = {MARKET_LABEL: market_returns}
     skipped = []
     for symbol in sorted(returns_by_symbol):
@@ -220,7 +221,11 @@ def build_residual_model(
     for label, values in series.items():
         finite = np.isfinite(values)
         observed = values[finite]
-        fitted = fit_ma1_garch11(observed, min_length=min_length)
+        try:
+            fitted = fit_ma1_garch11(observed)
+        except NonConvergence as exc:
+            name = "market return series" if label == MARKET_LABEL else f"return series of {label}"
+            raise NonConvergence(f"{name}: {exc}") from None
         eps, h = filter_ma1_garch11(observed, fitted)
         sigma = np.sqrt(h)
         sigmas[label] = float(np.median(sigma))

@@ -17,7 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from newsflow._util import atomic_write_text, read_text
 from newsflow.errors import (
-    CalendarMismatch,
     InputError,
     InvalidValue,
     MalformedRecord,
@@ -64,7 +63,7 @@ def write_calendar(path, days):
 def symbol_day_array(fields, rows, n_days) -> SymbolDayArray:
     """(symbol, day, *field values) rows, on their sorted symbols and a calendar of n_days.
 
-    A day outside the calendar raises CalendarMismatch.
+    A day outside the calendar raises InputError.
     """
     symbols = sorted({row[0] for row in rows})
     code_of = {symbol: code for code, symbol in enumerate(symbols)}
@@ -72,7 +71,7 @@ def symbol_day_array(fields, rows, n_days) -> SymbolDayArray:
     days = np.array([row[1] for row in rows], dtype=np.intp)
     outside = days[(days < 0) | (days >= n_days)]
     if outside.size:
-        raise CalendarMismatch(f"day {outside[0]} outside the {n_days}-day calendar")
+        raise InputError(f"day {outside[0]} outside the {n_days}-day calendar")
     values = np.array([row[2:] for row in rows], dtype=float).reshape(len(rows), len(fields)).T
     return SymbolDayArray.from_columns(fields, symbols, symbol_index, days, values, n_days)
 
@@ -690,7 +689,7 @@ def read_market_rows(path, calendar):
     def parse(row):
         date = dt.date.fromisoformat(row["date"])
         if date not in calendar.index:
-            raise CalendarMismatch(f"market date {date} not in trading calendar")
+            raise InputError(f"market date {date} not in trading calendar")
         day = calendar.index[date]
         if day in seen:
             raise InputError(f"duplicate market date {date}")

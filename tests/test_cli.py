@@ -1260,6 +1260,46 @@ def test_simulate_with_every_symbol_below_min_active_exits_2(long_paneled_fixtur
     )
 
 
+def _paneled(root):
+    for command in ("distill", "indicators", "panel"):
+        assert run([command, "--config", root / "newsflow.ini"]) == 0
+    return root
+
+
+def test_simulate_on_a_short_market_series_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    root = _paneled(build_fixture(tmp_path, n_symbols=6, n_days=200, n_articles=600))
+    fits = []
+    monkeypatch.setattr(scenario, "fit_ma1_garch11", lambda *args, **kwargs: fits.append(1))
+    capsys.readouterr()
+    assert run(["simulate", "--config", root / "newsflow.ini"]) == 2
+    assert capsys.readouterr().err == (
+        "ERROR INPUT_ERROR: market return series has 200 days, fewer than the 250 a GARCH fit needs\n"
+    )
+    assert fits == []
+
+
+def test_simulate_on_a_flat_symbol_exits_3_naming_it(tmp_path, capsys):
+    root = build_fixture(tmp_path, n_symbols=6, n_days=300, n_articles=900)
+
+    def flatten(lines):
+        # every price of SYM03 at 50.0: its returns have zero variance
+        out = []
+        for line in lines:
+            cells = line.split(",")
+            if cells[0] == "SYM03":
+                cells[2:6] = ["50.0"] * 4
+            out.append(",".join(cells))
+        return out
+
+    _edit_lines(root / "prices.csv", flatten)
+    _paneled(root)
+    capsys.readouterr()
+    assert run(["simulate", "--config", root / "newsflow.ini"]) == 3
+    assert capsys.readouterr().err == (
+        "ERROR NON_CONVERGENCE: return series of SYM03: zero-variance series is degenerate\n"
+    )
+
+
 def test_report_with_fewer_than_4_symbols_exits_2_before_writing(tmp_path, capsys):
     root = build_fixture(tmp_path, n_symbols=3, n_days=60, n_articles=120)
     with contextlib.redirect_stdout(io.StringIO()):

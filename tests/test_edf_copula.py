@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from newsflow.errors import ConstantColumn, DimensionMismatch
+from newsflow.errors import ConstantColumn
 from newsflow.simulate.copula import (
     _EIG_TOL,
     GaussianCopula,
@@ -42,14 +42,6 @@ def test_edf_quantile_inverse_property():
         assert dist.quantile(dist.cdf(x)) == pytest.approx(x)
 
 
-def test_edf_quantile_domain():
-    dist = fit_edf([1.0, 2.0])
-    with pytest.raises(ValueError):
-        dist.quantile(0.0)
-    with pytest.raises(ValueError):
-        dist.quantile(1.0)
-
-
 # copula fitting ------------------------------------------------------------------
 
 def test_copula_one_dimension():
@@ -85,11 +77,6 @@ def test_copula_rank_invariance():
 def test_copula_constant_column():
     with pytest.raises(ConstantColumn):
         fit_gaussian_copula(np.column_stack([np.ones(100), np.arange(100.0)]))
-
-
-def test_copula_needs_enough_rows():
-    with pytest.raises(DimensionMismatch):
-        fit_gaussian_copula(np.random.default_rng(5).normal(0, 1, (3, 4)))
 
 
 def _is_correlation(matrix):
@@ -161,12 +148,6 @@ def test_sample_stays_in_marginal_range():
     out = sample_copula(cop, [jitter, jitter], 500, rng_seed=12)
     assert out.min() >= 0.029999
     assert out.max() <= 0.030001
-
-
-def test_sample_dimension_mismatch():
-    cop = GaussianCopula(correlation=np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        sample_copula(cop, [fit_edf([0.0, 1.0])], 10, rng_seed=0)
 
 
 def test_sample_reproducible():

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import simulate_ma1_garch11
-from newsflow.errors import InputError, NonConvergence
+from newsflow.errors import NonConvergence
 from newsflow.simulate import garch
 from newsflow.simulate.garch import MA1Garch11Params, filter_ma1_garch11, fit_ma1_garch11
 
@@ -88,18 +88,6 @@ def test_roundtrip_refit_on_simulated_path():
 def test_constant_series_degenerate():
     with pytest.raises(NonConvergence):
         fit_ma1_garch11(np.full(500, 0.25))
-
-
-def test_short_series_rejected():
-    with pytest.raises(InputError):
-        fit_ma1_garch11(np.random.default_rng(5).normal(0, 1, 100))
-
-
-def test_nonfinite_rejected():
-    r = np.random.default_rng(6).normal(0, 1, 300)
-    r[10] = np.nan
-    with pytest.raises(InputError):
-        fit_ma1_garch11(r)
 
 
 def test_iid_normal_fit_quality():

@@ -17,7 +17,6 @@ from conftest import (
 from newsflow._util import write_csv
 from newsflow.cli import RESULTS_KINDS
 from newsflow.errors import (
-    CalendarMismatch,
     ConstantColumn,
     EmptyPanel,
     InputError,
@@ -705,23 +704,9 @@ def test_each_input_is_reindexed_once_per_suite(monkeypatch, suite):
     assert len(calls) == 4
 
 
-def test_assemble_panel_rejects_layouts_that_do_not_line_up():
-    records, points, market = complete_inputs()
-    spec = PanelSpec("ret", 1, False, "BL")
-    sentiment = sentiment_array(records.values(), 10)
-    indicators = indicator_array(points.values(), 10)
-    for pair in [
-        (sentiment, indicators.on(["S0", "S1", "S2"])),
-        (sentiment, indicator_array(points.values(), 11)),
-        (indicators, sentiment),
-    ]:
-        with pytest.raises(InputError):
-            assemble_panel(*pair, market, spec)
-
-
 def test_from_rows_rejects_a_day_outside_the_calendar():
     records, _, _ = complete_inputs(n_days=10)
-    with pytest.raises(CalendarMismatch):
+    with pytest.raises(InputError, match="^day 9 outside the 9-day calendar$"):
         sentiment_array(records.values(), 9)
 
 
@@ -771,10 +756,3 @@ def test_build_pca_records_convention():
     assert np.array_equal(pca.plane("active"), bl.plane("active"), equal_nan=True)
     inactive = pca.plane("active") == 0
     assert (pca.plane("pos")[inactive] == 0.0).all() and (pca.plane("neg")[inactive] == 0.0).all()
-
-
-def test_build_pca_records_needs_one_symbol_axis():
-    sentiment = dict(suite_inputs(seed=6).sentiment)
-    sentiment["LM"] = sentiment["LM"].on(sentiment["LM"].symbols[1:])
-    with pytest.raises(InputError):
-        build_pca_records(sentiment)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import SentimentRecord, sentiment_array, simulate_ma1_garch11
-from newsflow.errors import MissingComponent
+from newsflow.errors import InputError, NonConvergence
 from newsflow.simulate.copula import GaussianCopula
 from newsflow.simulate.edf import fit_edf
 from newsflow.simulate.garch import MA1Garch11Params
@@ -137,21 +137,6 @@ def test_symbol_order_independent_draws():
     assert np.array_equal(a.active[idx_a], b.active[idx_b])
 
 
-def test_missing_return_residuals_raises():
-    config = ScenarioConfig(
-        alpha=0.0,
-        coefficients=dict(BASE_COEFFS),
-        vix_value=0.2,
-        residual_pool=np.array([0.0]),
-        n_days=10,
-        rng_seed=0,
-        sentiment_models=(sentiment_model("GHOST", 0.5),),
-        residual_model=residual_model(("A",)),
-    )
-    with pytest.raises(MissingComponent):
-        simulate_scenario(config)
-
-
 def test_vix_and_market_terms_enter_linearly():
     config = scenario(coeffs={"VIX": 2.0, "R_M": 1.0}, alpha=0.0, p=0.0, n_days=50)
     panel = simulate_scenario(config)
@@ -214,3 +199,15 @@ def test_build_residual_model_end_to_end():
         # standardized residual marginals should look standardized
         z = model.marginals[label].sorted_values
         assert float(np.std(z)) == pytest.approx(1.0, abs=0.15)
+
+
+def test_build_residual_model_names_the_series_it_refuses():
+    true = MA1Garch11Params(mu=0.0, theta=0.05, omega=2e-5, alpha=0.08, beta=0.85)
+    market = simulate_ma1_garch11(true, 300, rng_seed=6)
+    short = np.where(np.arange(300) < 51, np.nan, market)
+    with pytest.raises(InputError, match="^market return series has 249 days, fewer than the 250 a GARCH fit needs$"):
+        build_residual_model(short, {})
+    with pytest.raises(NonConvergence, match="^market return series: zero-variance series is degenerate$"):
+        build_residual_model(np.zeros(300), {})
+    with pytest.raises(NonConvergence, match="^return series of FLAT: zero-variance series is degenerate$"):
+        build_residual_model(market, {"FLAT": np.full(300, 0.01)})

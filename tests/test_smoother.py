@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_equivalent_weights, reference_uniform_band
-from newsflow.errors import DegenerateX, GridMismatch, InputError, TooFewBootstraps, TooFewPoints
+from newsflow.errors import DegenerateX, InputError, TooFewPoints
 from newsflow.simulate.smoother import (
     band_overlap_region,
     local_linear_fit,
@@ -238,20 +238,6 @@ def test_band_level_monotonicity():
     assert np.all(widths[0.99] >= widths[0.95] - 1e-12)
 
 
-def test_band_too_few_bootstraps():
-    banded, x, y, grid = _banded()
-    fit = local_linear_fit(x, y, 0.08, grid)
-    with pytest.raises(TooFewBootstraps):
-        uniform_band(fit, x, y, n_boot=50)
-
-
-def test_band_bad_level():
-    banded, x, y, grid = _banded()
-    fit = local_linear_fit(x, y, 0.08, grid)
-    with pytest.raises(InputError):
-        uniform_band(fit, x, y, level=1.5, n_boot=200)
-
-
 def test_band_memory_does_not_grow_with_the_points_of_a_value():
     # 5,000 points on 50 values: per-point multipliers alone would take 40 MB
     rng = np.random.default_rng(14)
@@ -323,19 +309,3 @@ def test_overlap_constructed_interval():
     start, end = intervals[0]
     assert start == pytest.approx(0.02, abs=0.0011)
     assert end == pytest.approx(0.05, abs=0.0011)
-
-
-def test_overlap_grid_mismatch():
-    a = _const_fit(np.linspace(0, 1, 11), 1.0, 0.1)
-    b = _const_fit(np.linspace(0, 1, 21), 1.0, 0.1)
-    with pytest.raises(GridMismatch):
-        band_overlap_region(a, b)
-
-
-def test_overlap_requires_bands():
-    from newsflow.simulate.smoother import SmootherFit
-
-    grid = np.linspace(0, 1, 5)
-    bare = SmootherFit(grid=grid, curve=np.zeros(5), bandwidth=0.1)
-    with pytest.raises(InputError):
-        band_overlap_region(bare, bare)
