@@ -519,8 +519,7 @@ def cmd_report(config: RunConfig) -> int:
         _columns(summary_rows, 10),
     )
 
-    month_of_day = {day: calendar.month_of(day) for day in range(len(calendar))}
-    correlations = sent_mod.monthly_lexicon_correlation(sentiment, month_of_day)
+    correlations = sent_mod.monthly_lexicon_correlation(sentiment, [(d.year, d.month) for d in calendar.days])
     corr_rows = []
     for (name_a, name_b), series in sorted(correlations.items()):
         for (year, month), (pos_corr, neg_corr) in sorted(series.items()):

@@ -247,14 +247,17 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         # defaults do (a test checks it), so only a configured one is tokenized
         if negator not in DEFAULT_NEGATORS and tokenize(negator).sentences != ((negator,),):
             raise InvalidValue("[negation] negators", negator)
+    def input_path(name, option, default):
+        return base / _parsed(Path, section(name).get(option, default).strip(), f"[{name}] {option}")
+
     corpus = section("corpus")
     simulate = section("simulate")
     return RunConfig(
-        corpus_path=base / corpus.get("path", "corpus.jsonl"),
-        calendar_path=base / corpus.get("calendar", "calendar.txt"),
-        prices_path=base / section("prices").get("path", "prices.csv"),
-        market_path=base / section("market").get("path", "market.csv"),
-        sectors_path=(base / section("sectors")["path"]) if "path" in section("sectors") else None,
+        corpus_path=input_path("corpus", "path", "corpus.jsonl"),
+        calendar_path=input_path("corpus", "calendar", "calendar.txt"),
+        prices_path=input_path("prices", "path", "prices.csv"),
+        market_path=input_path("market", "path", "market.csv"),
+        sectors_path=input_path("sectors", "path", "") if "path" in section("sectors") else None,
         lexicons=_parse_lexicons(section("lexicons"), base),
         # a repeated symbol is listed once, in the order of its first mention
         symbols=tuple(dict.fromkeys(s.upper() for s in _items(corpus.get("symbols", "")))),

@@ -99,10 +99,6 @@ class TradingCalendar:
             raise RowRejected(row, off_calendar(dates[row], date))
         return days
 
-    def month_of(self, day: int) -> tuple[int, int]:
-        d = self.days[day]
-        return (d.year, d.month)
-
 
 @dataclass(frozen=True)
 class ArticleSet:

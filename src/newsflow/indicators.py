@@ -213,17 +213,8 @@ def attention_groups(ratios: Mapping[str, float]) -> dict[str, AttentionGroup]:
     """
     if len(ratios) < 4:
         raise InputError("attention grouping needs at least 4 symbols")
-    values = np.array(sorted(ratios.values()))
-    q25, q50, q75 = np.quantile(values, [0.25, 0.50, 0.75])
-    out = {}
-    for symbol, ratio in ratios.items():
-        if ratio >= q75:
-            group = AttentionGroup.EXTREMELY_HIGH
-        elif ratio >= q50:
-            group = AttentionGroup.HIGH
-        elif ratio >= q25:
-            group = AttentionGroup.MEDIAN
-        else:
-            group = AttentionGroup.LOW
-        out[symbol] = group
-    return out
+    values = np.fromiter(ratios.values(), float, len(ratios))
+    cuts = np.quantile(values, [0.25, 0.50, 0.75])
+    # the number of cuts at or below a ratio indexes LOW, MEDIAN, HIGH, EXTREMELY_HIGH
+    groups = tuple(AttentionGroup)
+    return {symbol: groups[k] for symbol, k in zip(ratios, np.searchsorted(cuts, values, side="right").tolist())}

@@ -16,7 +16,6 @@ positions and stems of a sentence are found once.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -273,73 +272,52 @@ class SentimentSummary:
     share_neg_dominant: float  # P(neg > pos)
 
 
-def _quantile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear interpolation between order statistics."""
-    n = len(sorted_values)
-    if n == 1:
-        return sorted_values[0]
-    pos = q * (n - 1)
-    lo = math.floor(pos)
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
-
-
-def _summary(values: list[float]) -> SummaryStats:
-    n = len(values)
-    mean = sum(values) / n
-    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
-    ordered = sorted(values)
+def _summary(values: np.ndarray) -> SummaryStats:
+    q1, q2, q3 = np.quantile(values, [0.25, 0.50, 0.75]).tolist()
     return SummaryStats(
-        mean=mean,
-        sd=sd,
-        maximum=ordered[-1],
-        q1=_quantile(ordered, 0.25),
-        q2=_quantile(ordered, 0.50),
-        q3=_quantile(ordered, 0.75),
+        mean=float(values.mean()),
+        sd=float(values.std(ddof=1)) if len(values) > 1 else 0.0,
+        maximum=float(values.max()),
+        q1=q1,
+        q2=q2,
+        q3=q3,
     )
 
 
 def sentiment_summary(sentiment: SymbolDayArray) -> SentimentSummary:
-    """Pos and Neg of one projection over its symbol-days with article arrival."""
+    """Pos and Neg of one projection over its symbol-days with article arrival.
+
+    The sd divides by n - 1 (0.0 for a single day); quartiles interpolate
+    linearly between order statistics.
+    """
     active = sentiment.plane("active") == 1
-    pos = sentiment.plane("pos")[active].tolist()  # in (symbol, day) order
-    neg = sentiment.plane("neg")[active].tolist()
-    if not pos:
-        raise NoActiveRecords("no records with article arrival")
+    pos = sentiment.plane("pos")[active]  # in (symbol, day) order
+    neg = sentiment.plane("neg")[active]
     n = len(pos)
+    if not n:
+        raise NoActiveRecords("no records with article arrival")
     return SentimentSummary(
         n_active=n,
         pos=_summary(pos),
         neg=_summary(neg),
-        share_pos_dominant=sum(1 for p, q in zip(pos, neg) if p > q) / n,
-        share_neg_dominant=sum(1 for p, q in zip(pos, neg) if q > p) / n,
+        share_pos_dominant=np.count_nonzero(pos > neg) / n,
+        share_neg_dominant=np.count_nonzero(neg > pos) / n,
     )
-
-
-def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx <= 0.0 or syy <= 0.0:
-        return None
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / math.sqrt(sxx * syy)
 
 
 def monthly_lexicon_correlation(
     sentiment: Mapping[str, SymbolDayArray],
-    month_of_day: Mapping[int, tuple[int, int]],
+    months: Sequence[tuple[int, int]],
 ) -> dict[tuple[str, str], dict[tuple[int, int], tuple[float | None, float | None]]]:
     """Monthly Pearson correlation of Pos and Neg between each lexicon pair.
 
     Observations are symbol-days with article arrival under both lexica, in
-    (symbol, day) order; months with fewer than two paired observations (or
-    zero variance) yield ``None``.  ``month_of_day`` maps trading-day
-    ordinals to (year, month).
+    (symbol, day) order; `months` gives each trading day's (year, month).
+    Every month with an observation has an entry.  A side is ``None`` when
+    its month has fewer than two observations, or when that side takes a
+    single value all month under either lexicon.
     """
+    month_index = np.array([12 * year + month - 1 for year, month in months], dtype=np.intp)
     names = sorted(sentiment)
     out: dict[tuple[str, str], dict[tuple[int, int], tuple[float | None, float | None]]] = {}
     for i, name_a in enumerate(names):
@@ -348,19 +326,22 @@ def monthly_lexicon_correlation(
             # a symbol missing from a's axis is never active under both
             b = sentiment[name_b].on(a.symbols)
             both = (a.plane("active") == 1) & (b.plane("active") == 1)
-            pos_a, neg_a = a.plane("pos")[both], a.plane("neg")[both]
-            pos_b, neg_b = b.plane("pos")[both], b.plane("neg")[both]
-            by_month: dict[tuple[int, int], list[int]] = {}
-            for k, day in enumerate(both.nonzero()[1].tolist()):
-                by_month.setdefault(month_of_day[day], []).append(k)
-            series: dict[tuple[int, int], tuple[float | None, float | None]] = {}
-            for month, rows in sorted(by_month.items()):
-                if len(rows) < 2:
-                    series[month] = (None, None)
-                    continue
-                series[month] = (
-                    _pearson(pos_a[rows].tolist(), pos_b[rows].tolist()),
-                    _pearson(neg_a[rows].tolist(), neg_b[rows].tolist()),
-                )
-            out[(name_a, name_b)] = series
+            # code numbers each observation's month; first is each month's first observation
+            found, first, code = np.unique(month_index[both.nonzero()[1]], return_index=True, return_inverse=True)
+            n = np.bincount(code)
+            sides = []
+            for field in ("pos", "neg"):
+                x, y = a.plane(field)[both], b.plane(field)[both]
+                # bincount adds each month's terms one at a time in observation order
+                dx = x - (np.bincount(code, x) / n)[code]
+                dy = y - (np.bincount(code, y) / n)[code]
+                # tested exactly, as a constant month's deviations are rounding, not zeros;
+                # a month with one observation does not vary
+                defined = (np.bincount(code, x != x[first][code]) > 0) & (np.bincount(code, y != y[first][code]) > 0)
+                sxx_syy = np.bincount(code, dx * dx) * np.bincount(code, dy * dy)
+                r = np.divide(np.bincount(code, dx * dy), np.sqrt(sxx_syy), out=np.zeros(len(n)), where=defined)
+                sides.append([value if ok else None for value, ok in zip(r.tolist(), defined.tolist())])
+            out[(name_a, name_b)] = {
+                (m // 12, m % 12 + 1): pair for m, pair in zip(found.tolist(), zip(*sides))
+            }
     return out

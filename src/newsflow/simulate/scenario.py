@@ -198,9 +198,9 @@ def build_residual_model(
 
     Series are day-indexed with NaN for missing; the copula is fitted on days
     where the market and every usable symbol have observations.  Returns the
-    model and the list of skipped symbols (too short to filter).  A market
-    series shorter than `min_length` days is an error, and so is a failed fit,
-    named by its series.
+    model and the list of skipped symbols: those too short to filter, and
+    those whose returns take a single value.  A market series shorter than
+    `min_length` days is an error, and so is a failed fit, named by its series.
     """
     market_returns = np.asarray(market_returns, dtype=float)
     n_market = int(np.isfinite(market_returns).sum())
@@ -210,7 +210,8 @@ def build_residual_model(
     skipped = []
     for symbol in sorted(returns_by_symbol):
         values = np.asarray(returns_by_symbol[symbol], dtype=float)
-        if np.isfinite(values).sum() < min_length:
+        observed = values[np.isfinite(values)]
+        if len(observed) < min_length or np.ptp(observed) == 0:
             skipped.append(symbol)
             continue
         series[symbol] = values

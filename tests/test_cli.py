@@ -917,6 +917,10 @@ def test_config_path_that_is_a_directory_exits_2(mini_fixture, capsys):
     pytest.param("[indicators]\nwindow = 9\n", [], "INVALID_VALUE: invalid value '9' for key '[indicators] window'",
                  id="window=9"),
     pytest.param("", ["--window", 9], "INVALID_VALUE: invalid value '9' for key '--window'", id="window_flag=9"),
+    *(pytest.param(f"[{section}]\n{key} =\n", [], f"INVALID_VALUE: invalid value '' for key '[{section}] {key}'",
+                   id=f"{section}_{key}=empty")
+      for section, key in (("corpus", "path"), ("corpus", "calendar"), ("prices", "path"), ("market", "path"),
+                           ("sectors", "path"))),
 ])
 def test_config_value_is_checked_whatever_the_command(mini_fixture, capsys, ini_extra, extra_args, expected):
     ini = mini_fixture / "newsflow.ini"
@@ -1278,7 +1282,7 @@ def test_simulate_on_a_short_market_series_exits_2_naming_it(tmp_path, monkeypat
     assert fits == []
 
 
-def test_simulate_on_a_flat_symbol_exits_3_naming_it(tmp_path, capsys):
+def test_simulate_skips_a_flat_symbol_naming_it(tmp_path, capsys):
     root = build_fixture(tmp_path, n_symbols=6, n_days=300, n_articles=900)
 
     def flatten(lines):
@@ -1294,10 +1298,13 @@ def test_simulate_on_a_flat_symbol_exits_3_naming_it(tmp_path, capsys):
     _edit_lines(root / "prices.csv", flatten)
     _paneled(root)
     capsys.readouterr()
-    assert run(["simulate", "--config", root / "newsflow.ini"]) == 3
-    assert capsys.readouterr().err == (
-        "ERROR NON_CONVERGENCE: return series of SYM03: zero-variance series is degenerate\n"
-    )
+    assert run(["simulate", "--config", root / "newsflow.ini"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[0] == "skipped_returns=SYM03"
+    # the other symbols are still modelled; SYM00 has too few active days for a sentiment model
+    simulated = (root / "out" / "simulated_BL.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sorted({line.split(",")[0] for line in simulated}) == ["SYM01", "SYM02", "SYM04", "SYM05"]
 
 
 def test_report_with_fewer_than_4_symbols_exits_2_before_writing(tmp_path, capsys):

@@ -24,7 +24,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     assert_readers_agree,
-    fmt_num,
     load_market_bar_rows,
     read_indicator_rows,
     read_market_rows,

@@ -10,7 +10,6 @@ from newsflow.simulate.scenario import (
     MARKET_LABEL,
     ResidualModel,
     ScenarioConfig,
-    SimulatedPanel,
     SymbolSentimentModel,
     build_residual_model,
     build_sentiment_models,
@@ -209,5 +208,9 @@ def test_build_residual_model_names_the_series_it_refuses():
         build_residual_model(short, {})
     with pytest.raises(NonConvergence, match="^market return series: zero-variance series is degenerate$"):
         build_residual_model(np.zeros(300), {})
-    with pytest.raises(NonConvergence, match="^return series of FLAT: zero-variance series is degenerate$"):
-        build_residual_model(market, {"FLAT": np.full(300, 0.01)})
+    # a symbol whose returns do not vary is skipped and listed, as a short one is
+    model, skipped = build_residual_model(
+        market, {"A": simulate_ma1_garch11(true, 300, rng_seed=7), "FLAT": np.full(300, 0.01)})
+    assert skipped == ["FLAT"]
+    assert model.labels == (MARKET_LABEL, "A")
+    assert model.copula.dimension == 2

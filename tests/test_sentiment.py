@@ -1,11 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SentimentRecord, cumulative_record, reference_score_article, reference_tokenize, sentiment_array
 from newsflow.errors import InputError, NoActiveRecords
+from newsflow._util import SymbolDayArray
 from newsflow.lexicon import LexiconEntry, Polarity, PosTag, Strength, build_lexicon
 from newsflow.sentiment import (
     DEFAULT_NEGATORS,
@@ -477,6 +476,26 @@ def test_summary_quartiles_linear_interpolation():
     assert summary.pos.q3 == pytest.approx(np.quantile(values, 0.75))
 
 
+@pytest.mark.parametrize("n_active", [1, 37])
+def test_summary_matches_numpy_on_random_planes(n_active):
+    rng = np.random.default_rng(n_active)
+    active = np.zeros(3 * 20)
+    active[rng.choice(active.size, n_active, replace=False)] = 1
+    active = active.reshape(3, 20)
+    pos, neg = rng.uniform(0, 0.1, (2, 3, 20)) * active
+    values = np.stack([active, pos, neg, active])
+    summary = sentiment_summary(SymbolDayArray(SENTIMENT_FIELDS, ("A", "B", "C"), values))
+    assert summary.n_active == n_active
+    on = active == 1
+    for stats, plane in ((summary.pos, pos[on]), (summary.neg, neg[on])):
+        assert stats.mean == pytest.approx(np.mean(plane), rel=1e-12)
+        assert stats.sd == (pytest.approx(np.std(plane, ddof=1), rel=1e-12) if n_active > 1 else 0.0)
+        assert stats.maximum == np.max(plane)
+        assert (stats.q1, stats.q2, stats.q3) == tuple(np.quantile(plane, [0.25, 0.5, 0.75]))
+    assert summary.share_pos_dominant == np.mean(pos[on] > neg[on])
+    assert summary.share_neg_dominant == np.mean(neg[on] > pos[on])
+
+
 def test_summary_no_active_records():
     with pytest.raises(NoActiveRecords):
         sentiment_summary(sentiment_array([_rec("A", 0, 0.0, 0.0, active=0)]))
@@ -488,8 +507,8 @@ def _arrays(records_by_lexicon):
     return {name: sentiment_array(records) for name, records in records_by_lexicon.items()}
 
 
-def _month_map(n_days):
-    return {d: (2020, 1 + d // 21) for d in range(n_days)}
+def _months(n_days):
+    return [(2020, 1 + d // 21) for d in range(n_days)]
 
 
 def test_monthly_correlation_identical_streams():
@@ -499,7 +518,7 @@ def test_monthly_correlation_identical_streams():
         for d in range(42)
     ]
     both = {"X": records, "Y": [SentimentRecord(r.symbol, r.day, "Y", r.active, r.pos, r.neg, r.n_articles) for r in records]}
-    out = monthly_lexicon_correlation(_arrays(both), _month_map(42))
+    out = monthly_lexicon_correlation(_arrays(both), _months(42))
     for pos_corr, neg_corr in out[("X", "Y")].values():
         assert pos_corr == pytest.approx(1.0)
         assert neg_corr == pytest.approx(1.0)
@@ -515,7 +534,7 @@ def test_monthly_correlation_affine_anticorrelation():
         SentimentRecord(r.symbol, r.day, "Y", 1, r.pos, 0.2 - r.neg, r.n_articles)
         for r in records_x
     ]
-    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), _month_map(21))
+    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), _months(21))
     (_, neg_corr), = out[("X", "Y")].values()
     assert neg_corr == pytest.approx(-1.0)
 
@@ -526,16 +545,53 @@ def test_monthly_correlation_matches_pearson_oracle():
     noisy = 0.7 * base + rng.normal(0, 0.005, 40) + 0.02
     records_x = [_rec("A", d, float(base[d]), float(base[d])) for d in range(40)]
     records_y = [_rec("A", d, float(noisy[d]), float(noisy[d]), name="Y") for d in range(40)]
-    month_map = {d: (2020, 1) for d in range(40)}
-    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), month_map)
+    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), [(2020, 1)] * 40)
     expected = float(np.corrcoef(base, noisy)[0, 1])
     pos_corr, neg_corr = out[("X", "Y")][(2020, 1)]
     assert pos_corr == pytest.approx(expected, abs=1e-12)
     assert neg_corr == pytest.approx(expected, abs=1e-12)
 
 
-def test_monthly_correlation_small_months_missing():
-    records_x = [_rec("A", 0, 0.02, 0.01)]
-    records_y = [_rec("A", 0, 0.03, 0.02, name="Y")]
-    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), {0: (2020, 1)})
-    assert out[("X", "Y")][(2020, 1)] == (None, None)
+def _loop_pearson(xs, ys):
+    """Pearson r by left-to-right sums; None for fewer than two pairs or a side that takes one value."""
+    if len(set(xs)) < 2 or len(set(ys)) < 2:
+        return None
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return sxy / np.sqrt(sum((x - mx) ** 2 for x in xs) * sum((y - my) ** 2 for y in ys))
+
+
+def test_monthly_correlation_equals_a_loop_over_each_month():
+    # three symbols interleave their days in (symbol, day) order; months have 21 days
+    rng = np.random.default_rng(3)
+    planes = {}
+    for name in ("X", "Y"):
+        active = (rng.random((3, 70)) < 0.5).astype(float)
+        pos, neg = rng.uniform(0, 0.1, (2, 3, 70)).round(2) * active
+        planes[name] = SymbolDayArray(SENTIMENT_FIELDS, ("A", "B", "C"), np.stack([active, pos, neg, active]))
+    out = monthly_lexicon_correlation(planes, _months(70))[("X", "Y")]
+    both = (planes["X"].plane("active") == 1) & (planes["Y"].plane("active") == 1)
+    expected = {}
+    for symbol, day in zip(*both.nonzero()):
+        expected.setdefault(_months(70)[day], []).append((symbol, day))
+    assert sorted(out) == sorted(expected)
+    for month, cells in expected.items():
+        assert out[month] == tuple(
+            _loop_pearson([float(planes["X"].plane(side)[c]) for c in cells],
+                          [float(planes["Y"].plane(side)[c]) for c in cells])
+            for side in ("pos", "neg")
+        )
+
+
+@pytest.mark.parametrize("x, y, expected", [
+    # one paired day
+    pytest.param([(0.02, 0.01)], [(0.03, 0.02)], (None, None), id="one_pair"),
+    # X's Pos is 0.1 on all three paired days: its mean rounds to 0.10000000000000002
+    pytest.param([(0.1, 0.01), (0.1, 0.02), (0.1, 0.04)], [(0.02, 0.03), (0.05, 0.05), (0.03, 0.09)],
+                 (None, 1.0), id="constant_pos"),
+])
+def test_monthly_correlation_small_months_missing(x, y, expected):
+    records_x = [_rec("A", d, pos, neg) for d, (pos, neg) in enumerate(x)]
+    records_y = [_rec("A", d, pos, neg, name="Y") for d, (pos, neg) in enumerate(y)]
+    out = monthly_lexicon_correlation(_arrays({"X": records_x, "Y": records_y}), [(2020, 1)] * len(x))
+    assert out[("X", "Y")][(2020, 1)] == pytest.approx(expected)
